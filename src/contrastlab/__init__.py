@@ -1,45 +1,11 @@
 """Desk-scale contrastive representation learning, extended with soft-target
 mixed queries and built on handwritten float64 numerics so every gradient is
 verifiable by finite differences.
+
+The Python API lives in the submodules (`contrastlab.training`,
+`contrastlab.encoder`, ...); the package root exports the error classes.
 """
 
-from .contrastive import (
-    ContrastInstance,
-    LossResult,
-    MixedHalfBatch,
-    PairLossResult,
-    build_mixed_logits,
-    build_mixed_targets,
-    contrastive_loss,
-    infonce_loss,
-    mix_rows,
-    mixed_query_loss,
-    mixup_half_batch,
-    simclr_contrastive_loss,
-    total_loss,
-)
-from .data import (
-    AugmentConfig,
-    Dataset,
-    epoch_batches,
-    generate_gaussian_clusters,
-    generate_spoke_clusters,
-    load_dataset,
-    save_dataset,
-    split_dataset,
-    two_views,
-)
-from .encoder import (
-    EncoderGrads,
-    EncoderParams,
-    ForwardTrace,
-    apply_sgd_step,
-    encode,
-    encoder_backward,
-    init_encoder,
-    load_encoder,
-    save_encoder,
-)
 from .errors import (
     ConfigurationError,
     ContractError,
@@ -48,39 +14,6 @@ from .errors import (
     DivergedRunError,
     DomainError,
     FormatError,
-)
-from .moco import (
-    MoCoState,
-    enqueue_dequeue,
-    init_moco,
-    key_forward_no_grad,
-    load_moco,
-    momentum_update,
-    save_moco,
-)
-from .numerics import (
-    GradCheckReport,
-    finite_difference_check,
-    kl_divergence_to_logits,
-    l2_normalize_rows,
-    log_softmax,
-    matmul,
-    seeded_rng,
-    soft_cross_entropy,
-    softmax,
-)
-from .training import (
-    LinearProbe,
-    MetricsRecord,
-    PretrainResult,
-    RunConfig,
-    calinski_harabasz,
-    davies_bouldin,
-    export_embeddings,
-    linear_eval,
-    pretrain,
-    probe_accuracy,
-    train_linear_probe,
 )
 
 __version__ = "0.1.0"

@@ -182,12 +182,12 @@ class OutputDirLock:
 
 def load_any_encoder(path):
     """Read the query encoder out of either checkpoint flavor."""
-    with open(path) as fh:
-        magic = fh.readline().strip()
-    if magic == MOCO_MAGIC:
+    with open(path, "rb") as fh:
+        magic = fh.readline(64).strip()
+    if magic == MOCO_MAGIC.encode():
         state, seed = load_moco(path)
         return state.query, seed
-    if magic == ENCODER_MAGIC:
+    if magic == ENCODER_MAGIC.encode():
         return load_encoder(path)
     raise FormatError(f"unrecognized checkpoint magic {magic!r}", 0)
 

@@ -14,13 +14,10 @@ from .numerics import (
     Tensor,
     as_f64,
     as_matrix,
-    kl_divergence_to_logits,
     log_softmax,
     soft_cross_entropy,
     softmax,
 )
-
-UNIT_NORM_ATOL = 1e-9
 
 
 @dataclass
@@ -41,53 +38,6 @@ class PairLossResult:
     grad_keys: Tensor
 
 
-@dataclass
-class MixedHalfBatch:
-    """Mixed inputs and their per-row coefficients.
-
-    Row i is lambdas[i] * x[i] + (1 - lambdas[i]) * x[i + B/2]; the pairing
-    partner of row i is always row i + B/2 of the source batch.
-    """
-
-    x_mix: Tensor
-    lambdas: Tensor
-
-
-@dataclass
-class ContrastInstance:
-    """A validated (queries, keys, queue, temperature) bundle.
-
-    Embedding rows must be unit-norm within 1e-9; the queue may be empty.
-    """
-
-    queries: Tensor
-    keys: Tensor
-    queue: Tensor
-    temperature: float
-
-    def __post_init__(self):
-        self.queries = as_matrix(self.queries, "queries")
-        self.keys = as_matrix(self.keys, "keys")
-        self.queue = as_matrix(self.queue, "queue")
-        if self.temperature <= 0.0:
-            raise ConfigurationError(f"temperature must be positive, got {self.temperature}")
-        if self.keys.shape != self.queries.shape:
-            raise DimensionError(
-                f"keys {self.keys.shape} do not match queries {self.queries.shape}"
-            )
-        if self.queue.shape[1] != self.queries.shape[1]:
-            raise DimensionError(
-                f"queue width {self.queue.shape[1]} != embedding dim {self.queries.shape[1]}"
-            )
-        for name, rows in (("queries", self.queries), ("keys", self.keys), ("queue", self.queue)):
-            if rows.shape[0] == 0:
-                continue
-            norms = np.sqrt((rows * rows).sum(axis=1))
-            worst = np.abs(norms - 1.0).max()
-            if worst > UNIT_NORM_ATOL:
-                raise ContractError(f"{name} rows must be unit-norm (worst deviation {worst:.3e})")
-
-
 def mix_rows(x: Tensor, lambdas) -> Tensor:
     """Convex combination of row i with row i + B/2, weights lambdas[i]."""
     x = as_matrix(x)
@@ -104,11 +54,12 @@ def mix_rows(x: Tensor, lambdas) -> Tensor:
     return lam * x[:half] + (1.0 - lam) * x[half:]
 
 
-def mixup_half_batch(x: Tensor, rng: np.random.Generator) -> MixedHalfBatch:
+def mixup_half_batch(x: Tensor, rng: np.random.Generator) -> tuple[Tensor, Tensor]:
     """Mix the front half of the batch with the back half, lambda ~ Unif(0, 1).
 
-    One coefficient is drawn per mixed row; exact zeros are redrawn so every
-    lambda lies in the open interval.
+    Returns (x_mix, lambdas): row i of x_mix is lambdas[i] * x[i] +
+    (1 - lambdas[i]) * x[i + B/2]. One coefficient is drawn per mixed row;
+    exact zeros are redrawn so every lambda lies in the open interval.
     """
     x = as_matrix(x)
     b = x.shape[0]
@@ -118,7 +69,7 @@ def mixup_half_batch(x: Tensor, rng: np.random.Generator) -> MixedHalfBatch:
     while (lam == 0.0).any():
         zero = lam == 0.0
         lam[zero] = rng.random(int(zero.sum()))
-    return MixedHalfBatch(mix_rows(x, lam), lam)
+    return mix_rows(x, lam), lam
 
 
 def infonce_loss(queries: Tensor, keys: Tensor, queue: Tensor, temperature: float) -> LossResult:
@@ -148,11 +99,6 @@ def infonce_loss(queries: Tensor, keys: Tensor, queue: Tensor, temperature: floa
     g /= b * temperature
     grad = g[:, :1] * keys + g[:, 1:] @ queue
     return LossResult(value, grad)
-
-
-def contrastive_loss(inst: ContrastInstance) -> LossResult:
-    """InfoNCE on a validated instance; see `infonce_loss`."""
-    return infonce_loss(inst.queries, inst.keys, inst.queue, inst.temperature)
 
 
 def simclr_contrastive_loss(queries: Tensor, keys: Tensor, temperature: float) -> PairLossResult:
@@ -232,23 +178,14 @@ def mixed_query_loss(
     queue: Tensor,
     lambdas,
     mix_temperature: float,
-    form: str = "soft_ce",
 ) -> LossResult:
-    """Soft-target loss of mixed queries against batch keys plus the queue.
-
-    form="soft_ce" scores the targets with soft cross-entropy; form="kl" uses
-    the KL divergence instead, which shifts the value by the mean target
-    entropy but has the identical gradient. Keys and queue entries are
-    constants; the gradient is wrt the mixed queries only.
+    """Soft-target cross-entropy of mixed queries against batch keys plus the
+    queue. Keys and queue entries are constants; the gradient is wrt the
+    mixed queries only.
     """
     logits = build_mixed_logits(mixed_queries, keys, queue, mix_temperature)
     targets = build_mixed_targets(lambdas, keys.shape[0], queue.shape[0])
-    if form == "soft_ce":
-        value, grad_logits = soft_cross_entropy(logits, targets)
-    elif form == "kl":
-        value, grad_logits = kl_divergence_to_logits(logits, targets)
-    else:
-        raise ConfigurationError(f"unknown loss form {form!r}")
+    value, grad_logits = soft_cross_entropy(logits, targets)
     negatives = np.concatenate([as_matrix(keys), as_matrix(queue)], axis=0)
     return LossResult(value, (grad_logits @ negatives) / mix_temperature)
 

@@ -217,11 +217,12 @@ def load_dataset(path) -> Dataset:
     reader.expect(DATASET_MAGIC, "magic line")
     head = reader.fields("size line", 6)
     try:
-        if head[0] != "samples" or head[2] != "dim" or head[4] != "classes":
-            raise ValueError
         n, dim, classes = int(head[1]), int(head[3]), int(head[5])
+        if head[0] != "samples" or head[2] != "dim" or head[4] != "classes" or dim < 1:
+            raise ValueError
     except ValueError:
         raise FormatError("malformed size line", reader.offset) from None
+    reader.check_size(n, dim + 1, "sample block")
     features = np.empty((n, dim), dtype=np.float64)
     labels = np.empty(n, dtype=np.int64)
     for i in range(n):
@@ -232,4 +233,6 @@ def load_dataset(path) -> Dataset:
             features[i] = [float(p) for p in parts[1:]]
         except ValueError:
             raise FormatError(f"malformed sample {i}", start) from None
+    reader.expect_eof()
+    reader.require_finite(features, "features")
     return Dataset(features, labels, classes)

@@ -28,27 +28,47 @@ from .numerics import (
 ENCODER_MAGIC = "contrastlab-encoder 1"
 
 
+def _checked_sizes(layer_sizes) -> list[int]:
+    sizes = [int(s) for s in layer_sizes]
+    if len(sizes) < 2 or any(s < 1 for s in sizes):
+        raise ConfigurationError(f"layer sizes must be >= 2 entries of >= 1, got {sizes}")
+    return sizes
+
+
+def _block_views(sizes: list[int], vector: Tensor) -> tuple[list[Tensor], list[Tensor]]:
+    """(out x in) weight and bias views into a flat W0, b0, W1, b1, ... vector."""
+    count = sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes, sizes[1:]))
+    if vector.shape != (count,):
+        raise DimensionError(f"vector shape {vector.shape} does not match layer sizes {sizes}")
+    weights, biases = [], []
+    pos = 0
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        weights.append(vector[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in))
+        pos += fan_out * fan_in
+        biases.append(vector[pos : pos + fan_out])
+        pos += fan_out
+    return weights, biases
+
+
 @dataclass
 class EncoderParams:
-    """Per-layer weights (out x in) and biases, with the size chain they follow."""
+    """All weights (out x in) and biases in one flat float64 vector, laid out
+    W0, b0, W1, b1, ...; `weights[l]` and `biases[l]` are views into it.
+
+    Gradients and SGD velocity are plain vectors in the same layout.
+    """
 
     layer_sizes: list[int]
-    weights: list[Tensor]
-    biases: list[Tensor]
+    vector: Tensor
+    weights: list[Tensor] = field(init=False, repr=False)
+    biases: list[Tensor] = field(init=False, repr=False)
 
     def __post_init__(self):
-        sizes = list(self.layer_sizes)
-        if len(sizes) < 2 or any(s < 1 for s in sizes):
-            raise ConfigurationError(f"layer sizes must be >= 2 entries of >= 1, got {sizes}")
-        if len(self.weights) != len(sizes) - 1 or len(self.biases) != len(sizes) - 1:
-            raise ContractError("parameter block count does not match layer sizes")
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (sizes[l + 1], sizes[l]) or b.shape != (sizes[l + 1],):
-                raise DimensionError(
-                    f"layer {l} blocks {w.shape}/{b.shape} do not chain {sizes[l]}->{sizes[l + 1]}"
-                )
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ContractError(f"layer {l} parameters are not finite")
+        sizes = self.layer_sizes = _checked_sizes(self.layer_sizes)
+        self.vector = as_f64(self.vector)
+        self.weights, self.biases = _block_views(sizes, self.vector)
+        if not np.isfinite(self.vector).all():
+            raise ContractError("encoder parameters are not finite")
 
     @property
     def input_dim(self) -> int:
@@ -57,27 +77,6 @@ class EncoderParams:
     @property
     def output_dim(self) -> int:
         return self.layer_sizes[-1]
-
-    def copy(self) -> "EncoderParams":
-        return EncoderParams(
-            list(self.layer_sizes),
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
-
-    def allclose_to(self, other: "EncoderParams", rtol=0.0, atol=0.0) -> bool:
-        return all(
-            np.allclose(a, b, rtol=rtol, atol=atol)
-            for a, b in zip(self.weights + self.biases, other.weights + other.biases)
-        )
-
-
-@dataclass
-class EncoderGrads:
-    """Gradient (or velocity) blocks shaped like EncoderParams."""
-
-    weights: list[Tensor]
-    biases: list[Tensor]
 
 
 @dataclass
@@ -92,15 +91,11 @@ class ForwardTrace:
 
 def init_encoder(layer_sizes, rng: np.random.Generator) -> EncoderParams:
     """Weights drawn N(0, 1/fan_in), biases zero."""
-    sizes = [int(s) for s in layer_sizes]
-    if len(sizes) < 2 or any(s < 1 for s in sizes):
-        raise ConfigurationError(f"layer sizes must be >= 2 entries of >= 1, got {sizes}")
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(rng.normal(0.0, fan_in**-0.5, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return EncoderParams(sizes, weights, biases)
+    sizes = _checked_sizes(layer_sizes)
+    blocks = []
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        blocks += [rng.normal(0.0, fan_in**-0.5, size=fan_out * fan_in), np.zeros(fan_out)]
+    return EncoderParams(sizes, np.concatenate(blocks))
 
 
 def encode(params: EncoderParams, x: Tensor) -> tuple[Tensor, ForwardTrace]:
@@ -130,8 +125,9 @@ def encode(params: EncoderParams, x: Tensor) -> tuple[Tensor, ForwardTrace]:
 
 def encoder_backward(
     params: EncoderParams, trace: ForwardTrace, grad_v: Tensor
-) -> tuple[EncoderGrads, Tensor]:
-    """Exact gradients of the normalized output wrt all parameters and the input.
+) -> tuple[Tensor, Tensor]:
+    """Exact gradients of the normalized output wrt all parameters (one flat
+    vector in the parameter layout) and wrt the input.
 
     `trace` must come from an `encode` call with the same params.
     """
@@ -149,41 +145,33 @@ def encoder_backward(
         raise ContractError(
             f"grad shape {grad_v.shape} does not match encoder output {trace.pre_norm.shape}"
         )
-    grad_w: list = [None] * n_layers
-    grad_b: list = [None] * n_layers
+    grads = np.empty_like(params.vector)
+    grad_w, grad_b = _block_views(params.layer_sizes, grads)
     upstream = None
     for l in reversed(range(n_layers)):
         if l == n_layers - 1:
             gz = l2_normalize_rows_vjp(trace.pre_norm, grad_v)
         else:
             gz = upstream * (trace.pre_activations[l] > 0.0)
-        grad_w[l] = gz.T @ trace.inputs[l]
-        grad_b[l] = gz.sum(axis=0)
+        np.matmul(gz.T, trace.inputs[l], out=grad_w[l])
+        gz.sum(axis=0, out=grad_b[l])
         upstream = gz @ params.weights[l]
-    return EncoderGrads(grad_w, grad_b), upstream
+    return grads, upstream
 
 
-def zero_grads(params: EncoderParams) -> EncoderGrads:
-    return EncoderGrads([np.zeros_like(w) for w in params.weights],
-                        [np.zeros_like(b) for b in params.biases])
-
-
-def add_scaled(into: EncoderGrads, other: EncoderGrads, scale: float) -> EncoderGrads:
-    """into + scale * other, blockwise; returns a new container."""
-    return EncoderGrads(
-        [a + scale * b for a, b in zip(into.weights, other.weights)],
-        [a + scale * b for a, b in zip(into.biases, other.biases)],
-    )
+def add_scaled(into: Tensor, other: Tensor, scale: float) -> Tensor:
+    """into + scale * other, as a new vector."""
+    return into + scale * other
 
 
 def apply_sgd_step(
     params: EncoderParams,
-    grads: EncoderGrads,
+    grads: Tensor,
     lr: float,
     momentum_coeff: float,
     weight_decay: float,
-    velocity: EncoderGrads,
-) -> tuple[EncoderParams, EncoderGrads]:
+    velocity: Tensor,
+) -> tuple[EncoderParams, Tensor]:
     """One momentum-SGD step; weight decay enters through the velocity.
 
     velocity <- momentum_coeff * velocity + grad + weight_decay * param
@@ -193,51 +181,10 @@ def apply_sgd_step(
         raise ConfigurationError(f"lr must be >= 0, got {lr}")
     if not 0.0 <= momentum_coeff < 1.0:
         raise ConfigurationError(f"momentum must be in [0, 1), got {momentum_coeff}")
-    new_w, new_b, vel_w, vel_b = [], [], [], []
-    for p, g, v, out_p, out_v in (
-        (params.weights, grads.weights, velocity.weights, new_w, vel_w),
-        (params.biases, grads.biases, velocity.biases, new_b, vel_b),
-    ):
-        for pi, gi, vi in zip(p, g, v):
-            if not np.isfinite(gi).all():
-                raise DivergedRunError("non-finite gradient in SGD step")
-            v2 = momentum_coeff * vi + gi + weight_decay * pi
-            out_v.append(v2)
-            out_p.append(pi - lr * v2)
-    return EncoderParams(list(params.layer_sizes), new_w, new_b), EncoderGrads(vel_w, vel_b)
-
-
-def flatten_params(params: EncoderParams) -> Tensor:
-    """All parameter blocks as one flat vector (weights then bias per layer)."""
-    blocks = []
-    for w, b in zip(params.weights, params.biases):
-        blocks.append(w.ravel())
-        blocks.append(b.ravel())
-    return np.concatenate(blocks)
-
-
-def unflatten_params(layer_sizes, vec: Tensor) -> EncoderParams:
-    """Inverse of flatten_params for the given size chain."""
-    vec = as_f64(vec)
-    sizes = [int(s) for s in layer_sizes]
-    weights, biases = [], []
-    pos = 0
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(vec[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in).copy())
-        pos += fan_out * fan_in
-        biases.append(vec[pos : pos + fan_out].copy())
-        pos += fan_out
-    if pos != vec.size:
-        raise DimensionError(f"vector length {vec.size} does not match layer sizes {sizes}")
-    return EncoderParams(sizes, weights, biases)
-
-
-def flatten_grads(grads: EncoderGrads) -> Tensor:
-    blocks = []
-    for w, b in zip(grads.weights, grads.biases):
-        blocks.append(w.ravel())
-        blocks.append(b.ravel())
-    return np.concatenate(blocks)
+    if not np.isfinite(grads).all():
+        raise DivergedRunError("non-finite gradient in SGD step")
+    velocity = momentum_coeff * velocity + grads + weight_decay * params.vector
+    return EncoderParams(params.layer_sizes, params.vector - lr * velocity), velocity
 
 
 def write_params_block(fh, params: EncoderParams) -> None:
@@ -253,22 +200,24 @@ def write_params_block(fh, params: EncoderParams) -> None:
 def read_params_block(reader: LineReader) -> EncoderParams:
     parts = reader.fields("layer sizes")
     try:
-        if len(parts) < 3 or parts[0] != "layers":
-            raise ValueError
         sizes = [int(p) for p in parts[1:]]
+        if len(sizes) < 2 or parts[0] != "layers" or min(sizes) < 1:
+            raise ValueError
     except ValueError:
         raise FormatError("malformed layer sizes header", reader.offset) from None
-    weights, biases = [], []
+    blocks = []
     for l, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
         head = reader.fields(f"W{l} header", 3)
         if head != [f"W{l}", str(fan_out), str(fan_in)]:
             raise FormatError(f"malformed W{l} header", reader.offset)
-        weights.append(reader.matrix(fan_out, fan_in, f"W{l}"))
+        blocks.append(reader.matrix(fan_out, fan_in, f"W{l}").ravel())
         head = reader.fields(f"b{l} header", 2)
         if head != [f"b{l}", str(fan_out)]:
             raise FormatError(f"malformed b{l} header", reader.offset)
-        biases.append(reader.floats(fan_out, f"b{l}"))
-    return EncoderParams(sizes, weights, biases)
+        blocks.append(reader.floats(fan_out, f"b{l}"))
+    vector = np.concatenate(blocks)
+    reader.require_finite(vector, "encoder parameters")
+    return EncoderParams(sizes, vector)
 
 
 def save_encoder(params: EncoderParams, path, seed: int = 0) -> None:
@@ -286,4 +235,5 @@ def load_encoder(path) -> tuple[EncoderParams, int]:
     seed = reader.int_after("seed", "seed line")
     params = read_params_block(reader)
     reader.expect("end", "trailer")
+    reader.expect_eof()
     return params, seed

@@ -82,7 +82,23 @@ class LineReader:
         except ValueError as exc:
             raise FormatError(f"bad float in {what}", start) from exc
 
+    def check_size(self, rows: int, cols: int, what: str) -> None:
+        """Reject a declared rows x cols block that is negative or larger than
+        the rest of the file could hold (every value takes at least 2 bytes)."""
+        if rows < 0 or cols < 0 or 2 * rows * cols > len(self._raw) - self._pos:
+            raise FormatError(f"{what} size {rows} x {cols} does not fit the file", self._pos)
+
+    @staticmethod
+    def require_finite(values: np.ndarray, what: str) -> None:
+        if not np.isfinite(values).all():
+            raise FormatError(f"non-finite value in {what}")
+
+    def expect_eof(self) -> None:
+        if self._pos < len(self._raw):
+            raise FormatError("trailing content after the end of the data", self._pos)
+
     def matrix(self, rows: int, cols: int, what: str) -> np.ndarray:
+        self.check_size(rows, cols, what)
         out = np.empty((rows, cols), dtype=np.float64)
         for r in range(rows):
             out[r] = self.floats(cols, f"{what} row {r}")

@@ -49,7 +49,8 @@ def init_moco(layer_sizes, queue_size: int, ema_momentum: float, rng: np.random.
     embed_dim = query.output_dim
     queue = l2_normalize_rows(rng.normal(size=(queue_size, embed_dim))) if queue_size else \
         np.zeros((0, embed_dim))
-    return MoCoState(query, query.copy(), queue, 0, ema_momentum)
+    key = EncoderParams(query.layer_sizes, query.vector.copy())
+    return MoCoState(query, key, queue, 0, ema_momentum)
 
 
 def momentum_update(state: MoCoState) -> None:
@@ -62,14 +63,11 @@ def momentum_update(state: MoCoState) -> None:
     m = 0 (copy) and m = 1 (frozen) are exact.
     """
     m = state.ema_momentum
-    if m == 1.0:
-        return
-    for k, q in zip(state.key.weights + state.key.biases,
-                    state.query.weights + state.query.biases):
-        if m == 0.0:
-            k[...] = q
-        else:
-            k += (1.0 - m) * (q - k)
+    key, query = state.key.vector, state.query.vector
+    if m == 0.0:
+        key[...] = query
+    elif m != 1.0:
+        key += (1.0 - m) * (query - key)
 
 
 def enqueue_dequeue(state: MoCoState, keys: Tensor) -> None:
@@ -132,9 +130,11 @@ def load_moco(path) -> tuple[MoCoState, int]:
     except ValueError:
         raise FormatError("malformed queue header", reader.offset) from None
     queue = reader.matrix(rows, cols, "queue")
+    reader.require_finite(queue, "queue")
     reader.expect("query", "query marker")
     query = read_params_block(reader)
     reader.expect("key", "key marker")
     key = read_params_block(reader)
     reader.expect("end", "trailer")
+    reader.expect_eof()
     return MoCoState(query, key, queue, ptr, ema), seed

@@ -18,8 +18,6 @@ Tensor = np.ndarray
 # (divided by eps instead); guards zero rows.
 DEFAULT_NORM_EPS = 1e-12
 
-# 0 * log 0 := 0 in all entropy terms; target matrices are sparse.
-
 
 def as_f64(x) -> Tensor:
     """Coerce to a C-contiguous float64 array."""
@@ -45,19 +43,6 @@ def seeded_rng(seed: int) -> np.random.Generator:
 def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
     """Independent child streams derived from one master seed."""
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with explicit shape checking.
-
-    Summation order is the fixed kernel order of numpy's float64 matmul, so
-    repeated calls on identical inputs are bitwise reproducible.
-    """
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"cannot multiply {a.shape} by {b.shape}: inner dimensions differ")
-    return a @ b
 
 
 def softmax(logits: Tensor) -> Tensor:
@@ -103,27 +88,6 @@ def soft_cross_entropy(logits: Tensor, targets: Tensor) -> tuple[float, Tensor]:
     value = float(-(targets * log_softmax(logits)).sum() / n)
     grad = (softmax(logits) - targets) / n
     return value, grad
-
-
-def _row_entropies(targets: Tensor) -> Tensor:
-    # -sum_j t log t per row, with 0 log 0 = 0
-    terms = np.zeros_like(targets)
-    nz = targets > 0.0
-    terms[nz] = targets[nz] * np.log(targets[nz])
-    return -terms.sum(axis=1)
-
-
-def kl_divergence_to_logits(logits: Tensor, targets: Tensor) -> tuple[float, Tensor]:
-    """KL(targets || softmax(logits)) averaged over rows, with gradient wrt logits.
-
-    Equals soft_cross_entropy minus the mean target entropy; the gradient is
-    identical to soft_cross_entropy's because the entropy term is constant in
-    the logits.
-    """
-    logits = as_matrix(logits, "logits")
-    targets = as_matrix(targets, "targets")
-    value, grad = soft_cross_entropy(logits, targets)
-    return value - float(_row_entropies(targets).sum() / logits.shape[0]), grad
 
 
 def l2_normalize_rows(x: Tensor, eps: float = DEFAULT_NORM_EPS) -> Tensor:

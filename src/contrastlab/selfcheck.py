@@ -10,13 +10,11 @@ import numpy as np
 
 from .contrastive import infonce_loss, mixed_query_loss, simclr_contrastive_loss
 from .encoder import (
+    EncoderParams,
+    add_scaled,
     encode,
     encoder_backward,
-    add_scaled,
-    flatten_grads,
-    flatten_params,
     init_encoder,
-    unflatten_params,
 )
 from .numerics import GradCheckReport, finite_difference_check, l2_normalize_rows, seeded_rng
 
@@ -65,7 +63,7 @@ def _mixed_case(seed: int, b: int, k: int, c: int, tau_mix: float):
 
 
 def _composite_case(seed: int, b: int, k: int, tau: float, tau_mix: float, mix_weight: float):
-    """Total objective as a function of the flattened encoder parameters."""
+    """Total objective as a function of the encoder's parameter vector."""
     rng = seeded_rng(seed)
     layer_sizes = [5, 6, 4]
     params0 = init_encoder(layer_sizes, rng)
@@ -77,7 +75,7 @@ def _composite_case(seed: int, b: int, k: int, tau: float, tau_mix: float, mix_w
     keys = encode(params0, x_key)[0]  # fixed key embeddings: no grad flows to them
 
     def f(vec):
-        params = unflatten_params(layer_sizes, vec)
+        params = EncoderParams(layer_sizes, vec)
         v_query, trace_query = encode(params, x_query)
         v_mixed, trace_mixed = encode(params, x_mixed)
         contrast = infonce_loss(v_query, keys, queue, tau)
@@ -85,9 +83,9 @@ def _composite_case(seed: int, b: int, k: int, tau: float, tau_mix: float, mix_w
         grads, _ = encoder_backward(params, trace_query, contrast.grad)
         mix_grads, _ = encoder_backward(params, trace_mixed, mix.grad)
         grads = add_scaled(grads, mix_grads, mix_weight)
-        return contrast.value + mix_weight * mix.value, flatten_grads(grads)
+        return contrast.value + mix_weight * mix.value, grads
 
-    return f, flatten_params(params0)
+    return f, params0.vector
 
 
 def gradient_suite(step: float = 1e-5) -> list[tuple[str, GradCheckReport]]:

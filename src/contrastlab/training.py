@@ -29,7 +29,6 @@ from .encoder import (
     encode,
     encoder_backward,
     init_encoder,
-    zero_grads,
 )
 from .errors import ConfigurationError, DivergedRunError, DomainError
 from .fileio import float_line
@@ -157,7 +156,8 @@ def pretrain(config: RunConfig, dataset: Dataset) -> PretrainResult:
 def _loss_and_grads(config, params, state, x_query, x_key, mix_rng, empty_queue):
     """Loss terms, query-encoder gradients, and keys for one batch."""
     v_query, trace_query = encode(params, x_query)
-    mixed = mixup_half_batch(x_query, mix_rng) if config.mixes else None
+    if config.mixes:
+        x_mix, lambdas = mixup_half_batch(x_query, mix_rng)
 
     if config.uses_queue:
         keys = key_forward_no_grad(state, x_key)
@@ -174,8 +174,8 @@ def _loss_and_grads(config, params, state, x_query, x_key, mix_rng, empty_queue)
 
     l_mix = 0.0
     if config.mixes:
-        v_mixed, trace_mixed = encode(params, mixed.x_mix)
-        mix = mixed_query_loss(v_mixed, keys, queue_for_mix, mixed.lambdas, config.mix_temperature)
+        v_mixed, trace_mixed = encode(params, x_mix)
+        mix = mixed_query_loss(v_mixed, keys, queue_for_mix, lambdas, config.mix_temperature)
         l_mix = mix.value
         if config.mix_weight != 0.0:
             mix_grads, _ = encoder_backward(params, trace_mixed, mix.grad)
@@ -197,7 +197,7 @@ def _pretrain_features(config: RunConfig, features: Tensor) -> PretrainResult:
         params = state.query
     else:
         params = init_encoder(config.layer_sizes, init_rng)
-    velocity = zero_grads(params)
+    velocity = np.zeros_like(params.vector)
 
     empty_queue = np.zeros((0, config.embed_dim))
     records: list[MetricsRecord] = []

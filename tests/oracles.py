@@ -62,6 +62,26 @@ def soft_cross_entropy_direct(logits, targets):
     return -total / n
 
 
+def kl_direct(logits, targets):
+    """Mean over rows of KL(targets || softmax(logits)), 0 log 0 = 0, with its
+    gradient wrt the logits, (softmax - targets) / n for rows summing to 1."""
+    n = len(logits)
+    total = 0.0
+    grad = []
+    for i in range(n):
+        denom = 0.0
+        for z in logits[i]:
+            denom += math.exp(z)
+        row = []
+        for j, t in enumerate(targets[i]):
+            p = math.exp(logits[i][j]) / denom
+            if t > 0.0:
+                total += t * math.log(t / p)
+            row.append((p - t) / n)
+        grad.append(row)
+    return total / n, grad
+
+
 def entropy_direct(row):
     h = 0.0
     for t in row:

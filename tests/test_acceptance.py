@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from contrastlab.contrastive import (
+    build_mixed_logits,
     build_mixed_targets,
     infonce_loss,
     mixed_query_loss,
@@ -20,14 +21,11 @@ from contrastlab.contrastive import (
 )
 from contrastlab.data import generate_spoke_clusters, split_dataset
 from contrastlab.encoder import (
-    EncoderGrads,
     apply_sgd_step,
     encode,
-    flatten_params,
     init_encoder,
     load_encoder,
     save_encoder,
-    zero_grads,
 )
 from contrastlab.moco import (
     enqueue_dequeue,
@@ -51,6 +49,7 @@ from oracles import (
     calinski_harabasz_direct,
     davies_bouldin_direct,
     infonce_direct,
+    kl_direct,
     mixed_direct,
     simclr_direct,
 )
@@ -108,8 +107,8 @@ def test_oracle_equivalence():
 
 def test_loss_identities():
     """(a) empty-queue loss is 0; (b) uniform logits give log(K+1);
-    (c) uniform mixed logits give log(B+K) for any lambda; (d) the KL form
-    differs from the cross-entropy form by the mean target entropy with
+    (c) uniform mixed logits give log(B+K) for any lambda; (d) the mixed loss
+    exceeds the scalar-loop KL reference by the mean target entropy, with
     identical gradients; (e) zero mix weight reduces to the contrastive loss."""
     rng = seeded_rng(11)
 
@@ -134,16 +133,18 @@ def test_loss_identities():
             res = mixed_query_loss(mixed, keys, queue, lam, 0.05)
             assert abs(res.value - math.log(b + k)) < 1e-12
 
-    # (d) KL form vs cross-entropy form
+    # (d) cross-entropy loss vs the KL reference on the same logits
     keys = unit_rows(rng, 6, 4)
     queue = unit_rows(rng, 6, 4)
     mixed = unit_rows(rng, 3, 4)
     lam = rng.uniform(0.05, 0.95, 3)
-    ce = mixed_query_loss(mixed, keys, queue, lam, 0.05, form="soft_ce")
-    kl = mixed_query_loss(mixed, keys, queue, lam, 0.05, form="kl")
+    ce = mixed_query_loss(mixed, keys, queue, lam, 0.05)
+    logits = build_mixed_logits(mixed, keys, queue, 0.05)
+    kl, kl_grad_logits = kl_direct(logits, build_mixed_targets(lam, 6, 6))
+    kl_grad = np.array(kl_grad_logits) @ np.concatenate([keys, queue]) / 0.05
     mean_entropy = -np.mean(lam * np.log(lam) + (1.0 - lam) * np.log(1.0 - lam))
-    assert abs((ce.value - kl.value) - mean_entropy) < 1e-10
-    assert np.abs(ce.grad - kl.grad).max() <= 1e-12
+    assert abs((ce.value - kl) - mean_entropy) < 1e-10
+    assert np.abs(ce.grad - kl_grad).max() <= 1e-12
 
     # (e) zero mix weight
     assert total_loss(1.2345, 9.876, 0.0) == 1.2345
@@ -159,12 +160,9 @@ def test_state_machine_suite():
 
     # EMA convexity after every momentum_update while the query params move
     state = init_moco([6, 8, 4], 8, 0.999, rng)
-    velocity = zero_grads(state.query)
+    velocity = np.zeros_like(state.query.vector)
     for step in range(40):
-        grads = EncoderGrads(
-            [rng.normal(size=w.shape) for w in state.query.weights],
-            [rng.normal(size=b.shape) for b in state.query.biases],
-        )
+        grads = rng.normal(size=velocity.shape)
         state.query, velocity = apply_sgd_step(state.query, grads, 0.05, 0.9, 1e-4, velocity)
         before = [k.copy() for k in state.key.weights + state.key.biases]
         momentum_update(state)
@@ -205,8 +203,8 @@ def test_state_machine_suite():
                     noise_sigma=0.5, mask_fraction=0.0, scale_min=1.0, scale_max=1.0)
     result = pretrain(cfg, ds)
     fresh = init_encoder([8, 8, 8], np.random.default_rng(np.random.SeedSequence(0).spawn(4)[0]))
-    assert np.array_equal(flatten_params(result.moco_state.key), flatten_params(fresh))
-    assert not np.array_equal(flatten_params(result.moco_state.query), flatten_params(fresh))
+    assert np.array_equal(result.moco_state.key.vector, fresh.vector)
+    assert not np.array_equal(result.moco_state.query.vector, fresh.vector)
 
     # checkpoint round trips, bit for bit
     import tempfile, os
@@ -218,7 +216,7 @@ def test_state_machine_suite():
         save_encoder(params, enc_path, seed=4)
         loaded, seed = load_encoder(enc_path)
         assert seed == 4
-        assert np.array_equal(flatten_params(loaded), flatten_params(params))
+        assert np.array_equal(loaded.vector, params.vector)
 
         moco_path = os.path.join(tmp, "moco.txt")
         save_moco(result.moco_state, moco_path, seed=9)
@@ -227,9 +225,9 @@ def test_state_machine_suite():
         assert loaded_state.queue_ptr == result.moco_state.queue_ptr
         assert np.array_equal(loaded_state.queue, result.moco_state.queue)
         assert np.array_equal(
-            flatten_params(loaded_state.query), flatten_params(result.moco_state.query))
+            loaded_state.query.vector, result.moco_state.query.vector)
         assert np.array_equal(
-            flatten_params(loaded_state.key), flatten_params(result.moco_state.key))
+            loaded_state.key.vector, result.moco_state.key.vector)
 
     print("\nACCEPTANCE state-machine: PASS (EMA hull, FIFO x3 wraps, no-grad, checkpoints)")
 

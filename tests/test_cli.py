@@ -114,6 +114,24 @@ class TestPretrainCommand:
                                "--out", str(tmp_path / "run"), *PRETRAIN_SETS)
         assert code == 3
 
+    @pytest.mark.parametrize("edit", [
+        lambda lines: lines[:1] + ["samples -5 dim 6 classes 3"] + lines[2:],
+        lambda lines: lines[:1] + ["samples 100000000000 dim 6 classes 3"] + lines[2:],
+        lambda lines: lines[:1] + ["samples 60 dim -1 classes 3"] + lines[2:],
+        lambda lines: lines + ["0 1.0 1.0 1.0 1.0 1.0 1.0"],
+        lambda lines: lines[:2] + [lines[2].rsplit(" ", 1)[0] + " nan"] + lines[3:],
+        lambda lines: lines[:2] + [lines[2].rsplit(" ", 1)[0] + " -inf"] + lines[3:],
+    ], ids=["negative-count", "oversized-count", "negative-dim", "trailing-sample",
+            "nan-feature", "inf-feature"])
+    def test_hostile_dataset_exits_three(self, edit, tiny_data, tmp_path, capsys):
+        lines = tiny_data.read_text().splitlines()
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(edit(lines)) + "\n")
+        code, _, err = run_cli(capsys, "pretrain", "--data", str(bad),
+                               "--out", str(tmp_path / "run"), *PRETRAIN_SETS)
+        assert code == 3
+        assert "file error" in err
+
     def test_bad_config_value_exits_one(self, tiny_data, tmp_path, capsys):
         code, _, err = run_cli(capsys, "pretrain", "--data", str(tiny_data),
                                "--out", str(tmp_path / "run"), *PRETRAIN_SETS,
@@ -169,6 +187,22 @@ class TestEvalCommands:
         assert code == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 60 + 1
+
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace(b"queue 20 6\n", b"queue -3 64\n"),
+        lambda text: text.replace(b"queue 20 6\n", b"queue 100000000000 6\n"),
+        lambda text: text + b"end\n",
+        lambda text: b"\xff\xfe" + text,
+    ], ids=["negative-queue", "oversized-queue", "trailing-content", "binary-magic"])
+    def test_hostile_checkpoint_exits_three(self, edit, tiny_data, trained_run, capsys):
+        text = trained_run.read_bytes()
+        assert b"queue 20 6\n" in text
+        trained_run.write_bytes(edit(text))
+        code, _, err = run_cli(capsys, "metrics", "--checkpoint", str(trained_run),
+                               "--data", str(tiny_data))
+        assert code == 3
+        assert "file error" in err
 
 
 class TestGradcheckCommand:

@@ -2,17 +2,13 @@ import numpy as np
 import pytest
 
 from contrastlab.encoder import (
-    EncoderGrads,
+    EncoderParams,
     apply_sgd_step,
     encode,
     encoder_backward,
-    flatten_grads,
-    flatten_params,
     init_encoder,
     load_encoder,
     save_encoder,
-    unflatten_params,
-    zero_grads,
 )
 from contrastlab.errors import ConfigurationError, ContractError, DimensionError, FormatError
 from contrastlab.numerics import finite_difference_check, seeded_rng
@@ -85,7 +81,7 @@ class TestBackward:
         params = init_encoder([4, 6, 3], rng)
         _, trace = encode(params, rng.normal(size=(5, 4)))
         grads, grad_x = encoder_backward(params, trace, np.zeros((5, 3)))
-        assert all(np.array_equal(g, 0 * g) for g in grads.weights + grads.biases)
+        assert np.array_equal(grads, np.zeros_like(params.vector))
         assert np.array_equal(grad_x, np.zeros((5, 4)))
 
     def test_finite_difference_every_parameter_block(self):
@@ -96,12 +92,12 @@ class TestBackward:
         downstream = rng.normal(size=(5, 3))
 
         def f(vec):
-            p = unflatten_params(layer_sizes, vec)
+            p = EncoderParams(layer_sizes, vec)
             v, trace = encode(p, x)
             grads, _ = encoder_backward(p, trace, downstream)
-            return float((v * downstream).sum()), flatten_grads(grads)
+            return float((v * downstream).sum()), grads
 
-        report = finite_difference_check(f, flatten_params(params), step=1e-6)
+        report = finite_difference_check(f, params.vector, step=1e-6)
         assert report.max_relative_error < 1e-6
 
     def test_input_gradient(self):
@@ -128,6 +124,7 @@ class TestBackward:
         downstream = rng.normal(size=(1, 2))
         _, trace = encode(params, x)
         grads, _ = encoder_backward(params, trace, downstream)
+        grad_blocks = EncoderParams(params.layer_sizes, grads)  # views in the parameter layout
 
         w = params.weights[0]
         y = (x @ w.T + params.biases[0])[0]  # pre-normalization output
@@ -136,8 +133,8 @@ class TestBackward:
         g = downstream[0]
         gy = (g - (g @ v) * v) / norm  # normalization Jacobian applied to g
         expected_gw = np.outer(gy, x[0])
-        assert np.allclose(grads.weights[0], expected_gw, rtol=1e-12, atol=1e-14)
-        assert np.allclose(grads.biases[0], gy, rtol=1e-12, atol=1e-14)
+        assert np.allclose(grad_blocks.weights[0], expected_gw, rtol=1e-12, atol=1e-14)
+        assert np.allclose(grad_blocks.biases[0], gy, rtol=1e-12, atol=1e-14)
 
     def test_rejects_mismatched_trace(self):
         rng = seeded_rng(11)
@@ -157,24 +154,22 @@ class TestSgdStep:
     def test_zero_lr_keeps_params(self):
         rng = seeded_rng(12)
         params = init_encoder([3, 4, 2], rng)
-        grads = EncoderGrads([rng.normal(size=w.shape) for w in params.weights],
-                             [rng.normal(size=b.shape) for b in params.biases])
-        updated, _ = apply_sgd_step(params, grads, 0.0, 0.9, 1e-4, zero_grads(params))
-        for a, b in zip(params.weights + params.biases, updated.weights + updated.biases):
-            assert np.array_equal(a, b)
+        grads = rng.normal(size=params.vector.shape)
+        updated, _ = apply_sgd_step(params, grads, 0.0, 0.9, 1e-4, np.zeros_like(grads))
+        assert np.array_equal(updated.vector, params.vector)
 
     def test_reduces_to_plain_sgd(self):
         params = self._scalar_params(2.0)
-        grads = EncoderGrads([np.array([[0.5]])], [np.array([0.25])])
-        updated, _ = apply_sgd_step(params, grads, 0.1, 0.0, 0.0, zero_grads(params))
+        grads = np.array([0.5, 0.25])  # [W0[0, 0], b0[0]]
+        updated, _ = apply_sgd_step(params, grads, 0.1, 0.0, 0.0, np.zeros(2))
         assert updated.weights[0][0, 0] == pytest.approx(2.0 - 0.1 * 0.5, rel=0, abs=1e-15)
         assert updated.biases[0][0] == pytest.approx(0.0 - 0.1 * 0.25, rel=0, abs=1e-15)
 
     def test_two_momentum_steps_hand_value(self):
         # p=1, grad 1 each step, lr 0.1, momentum 0.9: p -> 0.9 -> 0.71
         params = self._scalar_params(1.0)
-        grads = EncoderGrads([np.array([[1.0]])], [np.array([0.0])])
-        vel = zero_grads(params)
+        grads = np.array([1.0, 0.0])
+        vel = np.zeros(2)
         params, vel = apply_sgd_step(params, grads, 0.1, 0.9, 0.0, vel)
         assert params.weights[0][0, 0] == pytest.approx(0.9, rel=1e-12)
         params, vel = apply_sgd_step(params, grads, 0.1, 0.9, 0.0, vel)
@@ -182,17 +177,17 @@ class TestSgdStep:
 
     def test_weight_decay_pulls_toward_zero(self):
         params = self._scalar_params(2.0)
-        grads = EncoderGrads([np.array([[0.0]])], [np.array([0.0])])
-        updated, _ = apply_sgd_step(params, grads, 0.1, 0.0, 0.5, zero_grads(params))
+        grads = np.zeros(2)
+        updated, _ = apply_sgd_step(params, grads, 0.1, 0.0, 0.5, np.zeros(2))
         assert updated.weights[0][0, 0] == pytest.approx(2.0 - 0.1 * 0.5 * 2.0, rel=1e-12)
 
     def test_rejects_bad_hyperparameters(self):
         params = self._scalar_params(1.0)
-        grads = zero_grads(params)
+        grads = np.zeros(2)
         with pytest.raises(ConfigurationError):
-            apply_sgd_step(params, grads, -0.1, 0.0, 0.0, zero_grads(params))
+            apply_sgd_step(params, grads, -0.1, 0.0, 0.0, grads)
         with pytest.raises(ConfigurationError):
-            apply_sgd_step(params, grads, 0.1, 1.0, 0.0, zero_grads(params))
+            apply_sgd_step(params, grads, 0.1, 1.0, 0.0, grads)
 
 
 class TestCheckpoint:
@@ -207,8 +202,7 @@ class TestCheckpoint:
         loaded, seed = load_encoder(path)
         assert seed == 99
         assert loaded.layer_sizes == params.layer_sizes
-        for a, b in zip(params.weights + params.biases, loaded.weights + loaded.biases):
-            assert np.array_equal(a, b)
+        assert np.array_equal(loaded.vector, params.vector)
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -226,6 +220,22 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_encoder(path)
 
+    def test_trailing_content_after_end(self, tmp_path):
+        path = tmp_path / "enc.txt"
+        save_encoder(init_encoder([3, 2], seeded_rng(15)), path)
+        path.write_text(path.read_text() + "W0 2 3\n")
+        with pytest.raises(FormatError, match="trailing"):
+            load_encoder(path)
+
+    def test_non_finite_parameter(self, tmp_path):
+        path = tmp_path / "enc.txt"
+        save_encoder(init_encoder([3, 2], seeded_rng(16)), path)
+        lines = path.read_text().splitlines()
+        lines[-2] = "nan 0.0"  # b0
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="non-finite"):
+            load_encoder(path)
+
 
 def test_full_model_gradient_check_random_batches():
     # composite loss through the encoder at batch 8 stays under 1e-5
@@ -236,10 +246,10 @@ def test_full_model_gradient_check_random_batches():
     downstream = rng.normal(size=(8, 5))
 
     def f(vec):
-        p = unflatten_params(layer_sizes, vec)
+        p = EncoderParams(layer_sizes, vec)
         v, trace = encode(p, x)
         grads, _ = encoder_backward(p, trace, downstream)
-        return float((v * downstream).sum()), flatten_grads(grads)
+        return float((v * downstream).sum()), grads
 
-    report = finite_difference_check(f, flatten_params(params), step=1e-5)
+    report = finite_difference_check(f, params.vector, step=1e-5)
     assert report.max_relative_error < 1e-5

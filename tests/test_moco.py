@@ -23,7 +23,7 @@ class TestInit:
         state = init_moco([4, 6, 3], 8, 0.99, seeded_rng(0))
         for q, k in zip(all_params(state.query), all_params(state.key)):
             assert np.array_equal(q, k)
-            assert q is not k  # independent storage
+        assert not np.shares_memory(state.query.vector, state.key.vector)
 
     def test_queue_rows_unit_norm(self):
         state = init_moco([4, 6, 3], 16, 0.99, seeded_rng(1))

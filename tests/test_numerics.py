@@ -8,46 +8,18 @@ from hypothesis import strategies as st
 from contrastlab.errors import (
     ConfigurationError,
     ContractError,
-    DimensionError,
     DomainError,
 )
 from contrastlab.numerics import (
     finite_difference_check,
-    kl_divergence_to_logits,
     l2_normalize_rows,
     l2_normalize_rows_vjp,
     log_softmax,
-    matmul,
     seeded_rng,
     soft_cross_entropy,
     softmax,
 )
-from oracles import central_difference, entropy_direct, soft_cross_entropy_direct
-
-
-class TestMatmul:
-    def test_identity(self):
-        b = np.array([[3.0, 4.0], [5.0, 6.0]])
-        assert np.array_equal(matmul(np.eye(2), b), b)
-
-    def test_zero(self):
-        assert np.array_equal(matmul([[1.0, 2.0]], [[0.0], [0.0]]), [[0.0]])
-
-    def test_hand_product(self):
-        out = matmul([[1.0, 2.0], [3.0, 4.0]], [[5.0], [6.0]])
-        assert np.array_equal(out, [[17.0], [39.0]])
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.ones((2, 3)), np.ones((2, 2)))
-
-    def test_bitwise_reproducible(self):
-        rng = seeded_rng(3)
-        a = rng.normal(size=(17, 23))
-        b = rng.normal(size=(23, 9))
-        first = matmul(a, b)
-        for _ in range(5):
-            assert np.array_equal(matmul(a.copy(), b.copy()), first)
+from oracles import central_difference, entropy_direct, kl_direct, soft_cross_entropy_direct
 
 
 class TestLogSoftmax:
@@ -128,25 +100,28 @@ class TestSoftCrossEntropy:
 
 
 class TestKLDivergence:
+    """Soft cross-entropy against the scalar-loop KL reference: they differ by
+    the target entropy, which is constant in the logits, so the gradients agree."""
+
     def test_zero_when_targets_match_softmax(self):
         rng = seeded_rng(8)
         logits = rng.normal(size=(3, 5))
-        value, _ = kl_divergence_to_logits(logits, softmax(logits))
+        value, _ = kl_direct(logits, softmax(logits))
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_one_hot_on_uniform_logits(self):
         targets = np.zeros((1, 4))
         targets[0, 0] = 1.0
-        value, _ = kl_divergence_to_logits(np.zeros((1, 4)), targets)
+        value, _ = kl_direct(np.zeros((1, 4)), targets)
         assert value == pytest.approx(math.log(4.0), rel=0, abs=1e-12)
 
     def test_differs_from_cross_entropy_by_target_entropy(self):
         logits = [[1.0, 0.0, -1.0]]
         targets = [[0.3, 0.7, 0.0]]
         ce, ce_grad = soft_cross_entropy(logits, targets)
-        kl, kl_grad = kl_divergence_to_logits(logits, targets)
+        kl, kl_grad = kl_direct(logits, targets)
         assert kl == pytest.approx(ce - entropy_direct(targets[0]), rel=0, abs=1e-14)
-        assert np.array_equal(ce_grad, kl_grad)
+        assert np.abs(ce_grad - np.array(kl_grad)).max() <= 1e-15
 
     def test_identity_on_random_instances(self):
         rng = seeded_rng(9)
@@ -154,10 +129,10 @@ class TestKLDivergence:
             logits = rng.normal(size=(5, 4)) * 3
             targets = rng.dirichlet(np.ones(4), size=5)
             ce, ce_grad = soft_cross_entropy(logits, targets)
-            kl, kl_grad = kl_divergence_to_logits(logits, targets)
+            kl, kl_grad = kl_direct(logits, targets)
             entropy = sum(entropy_direct(row) for row in targets) / 5
             assert kl - ce == pytest.approx(-entropy, rel=0, abs=1e-10)
-            assert np.abs(kl_grad - ce_grad).max() <= 1e-12
+            assert np.abs(np.array(kl_grad) - ce_grad).max() <= 1e-12
 
 
 class TestFiniteDifferenceCheck:
