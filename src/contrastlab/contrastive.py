@@ -2,22 +2,17 @@
 variant, and the mixed-query soft-target loss with its logits/targets builders.
 
 All losses return their value together with analytic gradients wrt the
-query-side embeddings; key and queue entries are treated as constants.
+query-side embeddings; key and queue entries are treated as constants. They
+share one sparse-target soft cross-entropy kernel; the builders are references.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractError, DimensionError
-from .numerics import (
-    Tensor,
-    as_f64,
-    as_matrix,
-    log_softmax,
-    soft_cross_entropy,
-    softmax,
-)
+from .errors import ConfigurationError, ContractError, DimensionError, DomainError
+from .numerics import Tensor, as_f64, as_matrix
 
 
 @dataclass
@@ -72,6 +67,28 @@ def mixup_half_batch(x: Tensor, rng: np.random.Generator) -> tuple[Tensor, Tenso
     return mix_rows(x, lam), lam
 
 
+def _soft_cross_entropy(logits: Tensor, targets) -> float:
+    """Mean soft cross-entropy of `logits` rows; overwrites the buffer with
+    softmax(logits) - targets. `targets` lists (columns, weights) pairs: row i
+    gets weights[i] at column columns[i]; each row's weights sum to 1."""
+    rows = np.arange(logits.shape[0])
+    picked = sum(weights * logits[rows, columns] for columns, weights in targets)
+    peak = logits.max(axis=1, keepdims=True)
+    np.subtract(logits, peak, out=logits)
+    np.exp(logits, out=logits)
+    total = logits.sum(axis=1, keepdims=True)
+    np.divide(logits, total, out=logits)
+    for columns, weights in targets:
+        logits[rows, columns] -= weights
+    return float((peak[:, 0] + np.log(total[:, 0]) - picked).mean())
+
+
+def _require_finite(loss: str, value: float, *grads: Tensor) -> None:
+    """Any NaN or infinity in the logits reaches the value or the gradient."""
+    if not (math.isfinite(value) and all(np.isfinite(g).all() for g in grads)):
+        raise DomainError(f"non-finite {loss} loss")
+
+
 def infonce_loss(queries: Tensor, keys: Tensor, queue: Tensor, temperature: float) -> LossResult:
     """Queue-negative InfoNCE: positive q_i . k_i at column 0, then K negatives.
 
@@ -91,13 +108,13 @@ def infonce_loss(queries: Tensor, keys: Tensor, queue: Tensor, temperature: floa
     b = queries.shape[0]
     if queue.shape[0] == 0:
         return LossResult(0.0, np.zeros_like(queries), degenerate=True)
-    positives = (queries * keys).sum(axis=1, keepdims=True)
-    logits = np.concatenate([positives, queries @ queue.T], axis=1) / temperature
-    value = float(-log_softmax(logits)[:, 0].mean())
-    g = softmax(logits)
-    g[:, 0] -= 1.0
-    g /= b * temperature
-    grad = g[:, :1] * keys + g[:, 1:] @ queue
+    scaled = queries / temperature
+    logits = np.empty((b, 1 + queue.shape[0]))
+    np.sum(scaled * keys, axis=1, out=logits[:, 0])
+    np.matmul(scaled, queue.T, out=logits[:, 1:])
+    value = _soft_cross_entropy(logits, [(0, 1.0)])
+    grad = (logits[:, :1] * keys + logits[:, 1:] @ queue) / (b * temperature)
+    _require_finite("InfoNCE", value, grad)
     return LossResult(value, grad)
 
 
@@ -116,22 +133,15 @@ def simclr_contrastive_loss(queries: Tensor, keys: Tensor, temperature: float) -
     b = queries.shape[0]
     if b < 2:
         raise ConfigurationError(f"need a batch of >= 2 for in-batch negatives, got {b}")
-    logits = (queries @ keys.T) / temperature
-    value = float(-np.diagonal(log_softmax(logits)).mean())
-    g = softmax(logits)
-    g[np.arange(b), np.arange(b)] -= 1.0
-    g /= b * temperature
-    return PairLossResult(value, g @ keys, g.T @ queries)
+    logits = (queries / temperature) @ keys.T
+    value = _soft_cross_entropy(logits, [(np.arange(b), 1.0)])
+    grad_queries = logits @ keys / (b * temperature)
+    grad_keys = logits.T @ queries / (b * temperature)
+    _require_finite("SimCLR", value, grad_queries, grad_keys)
+    return PairLossResult(value, grad_queries, grad_keys)
 
 
-def build_mixed_logits(
-    mixed_queries: Tensor, keys: Tensor, queue: Tensor, mix_temperature: float
-) -> Tensor:
-    """Similarity logits of mixed queries against all batch keys then the queue.
-
-    Columns 0..B-1 are mixed . keys^T, columns B.. are mixed . queue^T, all
-    divided by mix_temperature. Rows are expected to be unit-norm.
-    """
+def _mixed_operands(mixed_queries, keys, queue, mix_temperature: float):
     if mix_temperature <= 0.0:
         raise ConfigurationError(f"mix temperature must be positive, got {mix_temperature}")
     mixed_queries = as_matrix(mixed_queries, "mixed queries")
@@ -142,6 +152,31 @@ def build_mixed_logits(
             f"embedding dims differ: mixed {mixed_queries.shape}, keys {keys.shape}, "
             f"queue {queue.shape}"
         )
+    return mixed_queries, keys, queue
+
+
+def _mixed_lambdas(lambdas, batch_size: int, queue_size: int) -> Tensor:
+    lam = as_f64(lambdas)
+    if batch_size < 2 or batch_size % 2:
+        raise ConfigurationError(f"batch size must be even and >= 2, got {batch_size}")
+    if queue_size < 0:
+        raise ConfigurationError(f"queue size must be >= 0, got {queue_size}")
+    if lam.shape != (batch_size // 2,):
+        raise DimensionError(f"need {batch_size // 2} coefficients, got shape {lam.shape}")
+    if (lam <= 0.0).any() or (lam >= 1.0).any():
+        raise ContractError("mixing coefficients must lie strictly inside (0, 1)")
+    return lam
+
+
+def build_mixed_logits(
+    mixed_queries: Tensor, keys: Tensor, queue: Tensor, mix_temperature: float
+) -> Tensor:
+    """Similarity logits of mixed queries against all batch keys then the queue.
+
+    Columns 0..B-1 are mixed . keys^T, columns B.. are mixed . queue^T, all
+    divided by mix_temperature. Rows are expected to be unit-norm.
+    """
+    mixed_queries, keys, queue = _mixed_operands(mixed_queries, keys, queue, mix_temperature)
     return (
         np.concatenate([mixed_queries @ keys.T, mixed_queries @ queue.T], axis=1)
         / mix_temperature
@@ -155,16 +190,8 @@ def build_mixed_targets(lambdas, batch_size: int, queue_size: int) -> Tensor:
     i + B/2; all other columns, including every queue column, are zero, so
     each row sums to exactly 1.
     """
-    lam = as_f64(lambdas)
-    if batch_size < 2 or batch_size % 2:
-        raise ConfigurationError(f"batch size must be even and >= 2, got {batch_size}")
-    if queue_size < 0:
-        raise ConfigurationError(f"queue size must be >= 0, got {queue_size}")
+    lam = _mixed_lambdas(lambdas, batch_size, queue_size)
     half = batch_size // 2
-    if lam.shape != (half,):
-        raise DimensionError(f"need {half} coefficients, got shape {lam.shape}")
-    if (lam <= 0.0).any() or (lam >= 1.0).any():
-        raise ContractError("mixing coefficients must lie strictly inside (0, 1)")
     targets = np.zeros((half, batch_size + queue_size))
     idx = np.arange(half)
     targets[idx, idx] = lam
@@ -183,11 +210,21 @@ def mixed_query_loss(
     queue. Keys and queue entries are constants; the gradient is wrt the
     mixed queries only.
     """
-    logits = build_mixed_logits(mixed_queries, keys, queue, mix_temperature)
-    targets = build_mixed_targets(lambdas, keys.shape[0], queue.shape[0])
-    value, grad_logits = soft_cross_entropy(logits, targets)
-    negatives = np.concatenate([as_matrix(keys), as_matrix(queue)], axis=0)
-    return LossResult(value, (grad_logits @ negatives) / mix_temperature)
+    mixed_queries, keys, queue = _mixed_operands(mixed_queries, keys, queue, mix_temperature)
+    b = keys.shape[0]
+    lam = _mixed_lambdas(lambdas, b, queue.shape[0])
+    half = b // 2
+    if mixed_queries.shape[0] != half:
+        raise DimensionError(f"need {half} mixed queries, got {mixed_queries.shape[0]}")
+    scaled = mixed_queries / mix_temperature
+    logits = np.empty((half, b + queue.shape[0]))
+    np.matmul(scaled, keys.T, out=logits[:, :b])
+    np.matmul(scaled, queue.T, out=logits[:, b:])
+    rows = np.arange(half)
+    value = _soft_cross_entropy(logits, [(rows, lam), (rows + half, 1.0 - lam)])
+    grad = (logits[:, :b] @ keys + logits[:, b:] @ queue) / (half * mix_temperature)
+    _require_finite("mixed-query", value, grad)
+    return LossResult(value, grad)
 
 
 def total_loss(l_contrast: float, l_mixed: float, mix_weight: float) -> float:

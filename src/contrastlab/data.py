@@ -235,4 +235,7 @@ def load_dataset(path) -> Dataset:
             raise FormatError(f"malformed sample {i}", start) from None
     reader.expect_eof()
     reader.require_finite(features, "features")
-    return Dataset(features, labels, classes)
+    try:
+        return Dataset(features, labels, classes)
+    except ConfigurationError as exc:
+        raise FormatError(f"bad dataset: {exc}") from None

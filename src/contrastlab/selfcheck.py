@@ -91,11 +91,11 @@ def _composite_case(seed: int, b: int, k: int, tau: float, tau_mix: float, mix_w
 def gradient_suite(step: float = 1e-5) -> list[tuple[str, GradCheckReport]]:
     """Run every configured check; returns (name, report) pairs."""
     cases = []
-    for i, (b, k, c) in enumerate([(2, 2, 2), (4, 4, 3), (4, 8, 8), (8, 4, 5), (6, 6, 4), (8, 8, 2)]):
+    for i, (b, k, c) in enumerate([(2, 2, 2), (4, 4, 3), (4, 8, 8), (8, 4, 5), (6, 6, 4), (8, 8, 2), (8, 512, 8)]):
         cases.append((f"contrastive b{b} k{k} c{c}", *_contrastive_case(100 + i, b, k, c, 0.2)))
     for i, (b, c) in enumerate([(2, 2), (4, 4), (5, 3), (8, 8), (6, 5)]):
         cases.append((f"simclr b{b} c{c}", *_simclr_case(200 + i, b, c, 0.2)))
-    for i, (b, k, c) in enumerate([(2, 2, 2), (4, 2, 4), (4, 8, 3), (8, 8, 8), (6, 4, 6), (8, 0, 4)]):
+    for i, (b, k, c) in enumerate([(2, 2, 2), (4, 2, 4), (4, 8, 3), (8, 8, 8), (6, 4, 6), (8, 0, 4), (8, 512, 8)]):
         cases.append((f"mixed b{b} k{k} c{c}", *_mixed_case(300 + i, b, k, c, 0.05)))
     for i, (b, k) in enumerate([(4, 4), (4, 8), (6, 6), (8, 4)]):
         cases.append((f"composite b{b} k{k}", *_composite_case(400 + i, b, k, 0.2, 0.05, 1.0)))

@@ -215,8 +215,8 @@ def _pretrain_features(config: RunConfig, features: Tensor) -> PretrainResult:
                     l_contrast, l_mix, grads, keys = _loss_and_grads(
                         config, params, state, x_query, x_key, mix_rng, empty_queue
                     )
-            except DomainError:
-                raise DivergedRunError("non-finite values in loss", epoch, batch_index) from None
+            except DomainError as exc:
+                raise DivergedRunError(str(exc), epoch, batch_index) from None
 
             l_total = total_loss(l_contrast, l_mix, config.mix_weight)
             if not math.isfinite(l_total):

@@ -121,8 +121,14 @@ class TestPretrainCommand:
         lambda lines: lines + ["0 1.0 1.0 1.0 1.0 1.0 1.0"],
         lambda lines: lines[:2] + [lines[2].rsplit(" ", 1)[0] + " nan"] + lines[3:],
         lambda lines: lines[:2] + [lines[2].rsplit(" ", 1)[0] + " -inf"] + lines[3:],
+        lambda lines: lines[:1] + ["samples 60 dim 6 classes 1"] + lines[2:],
+        lambda lines: lines[:1] + ["samples 0 dim 6 classes 3"],
+        lambda lines: lines[:1] + ["samples 2 dim 6 classes 3"] + lines[2:4],
+        lambda lines: lines[:2] + ["3 " + lines[2].split(" ", 1)[1]] + lines[3:],
+        lambda lines: lines[:2] + ["-1 " + lines[2].split(" ", 1)[1]] + lines[3:],
     ], ids=["negative-count", "oversized-count", "negative-dim", "trailing-sample",
-            "nan-feature", "inf-feature"])
+            "nan-feature", "inf-feature", "one-class", "zero-samples",
+            "fewer-samples-than-classes", "label-too-large", "negative-label"])
     def test_hostile_dataset_exits_three(self, edit, tiny_data, tmp_path, capsys):
         lines = tiny_data.read_text().splitlines()
         bad = tmp_path / "bad.txt"

@@ -15,8 +15,15 @@ from contrastlab.contrastive import (
     simclr_contrastive_loss,
     total_loss,
 )
-from contrastlab.errors import ConfigurationError, ContractError
-from contrastlab.numerics import finite_difference_check, l2_normalize_rows, seeded_rng
+from contrastlab.errors import ConfigurationError, ContractError, DomainError
+from contrastlab.numerics import (
+    finite_difference_check,
+    l2_normalize_rows,
+    log_softmax,
+    seeded_rng,
+    soft_cross_entropy,
+    softmax,
+)
 from oracles import infonce_direct, kl_direct, mixed_direct, simclr_direct
 
 
@@ -307,6 +314,101 @@ class TestMixedQueryLoss:
         base = mixed_query_loss(mixed, keys, queue, lam, 0.05)
         shuffled = mixed_query_loss(mixed, keys, queue[rng.permutation(6)], lam, 0.05)
         assert shuffled.value == pytest.approx(base.value, rel=0, abs=1e-12)
+
+
+def dense_infonce(queries, keys, queue, tau):
+    logits = np.concatenate([(queries * keys).sum(axis=1, keepdims=True), queries @ queue.T],
+                            axis=1) / tau
+    g = softmax(logits)
+    g[:, 0] -= 1.0
+    g /= queries.shape[0] * tau
+    return -log_softmax(logits)[:, 0].mean(), g[:, :1] * keys + g[:, 1:] @ queue
+
+
+def dense_simclr(queries, keys, tau):
+    b = queries.shape[0]
+    logits = (queries @ keys.T) / tau
+    g = softmax(logits)
+    g[np.arange(b), np.arange(b)] -= 1.0
+    g /= b * tau
+    return -np.diagonal(log_softmax(logits)).mean(), g @ keys, g.T @ queries
+
+
+def dense_mixed(mixed, keys, queue, lam, tau):
+    value, grad_logits = soft_cross_entropy(
+        build_mixed_logits(mixed, keys, queue, tau),
+        build_mixed_targets(lam, keys.shape[0], queue.shape[0]),
+    )
+    return value, grad_logits @ np.concatenate([keys, queue]) / tau
+
+
+def assert_close(fused, dense):
+    assert len(fused) == len(dense)
+    for a, b in zip(fused, dense):
+        assert np.abs(np.asarray(a) - np.asarray(b)).max() <= 1e-12
+
+
+class TestDenseReferences:
+    """The fused sparse-target kernel against the dense softmax formulas."""
+
+    @pytest.mark.parametrize("k", [0, 8, 4096])
+    def test_infonce(self, k):
+        rng = seeded_rng(19 + k)
+        for _ in range(5):
+            b, c = 8, int(rng.integers(1, 9))
+            queries, keys = unit_rows(rng, b, c), unit_rows(rng, b, c)
+            queue = unit_rows(rng, k, c) if k else np.zeros((0, c))
+            res = infonce_loss(queries, keys, queue, 0.2)
+            assert_close((res.value, res.grad), dense_infonce(queries, keys, queue, 0.2))
+
+    def test_simclr(self):
+        rng = seeded_rng(20)
+        for _ in range(10):
+            b, c = int(rng.integers(2, 65)), int(rng.integers(1, 9))
+            queries, keys = unit_rows(rng, b, c), unit_rows(rng, b, c)
+            res = simclr_contrastive_loss(queries, keys, 0.2)
+            assert_close((res.value, res.grad_queries, res.grad_keys),
+                         dense_simclr(queries, keys, 0.2))
+
+    @pytest.mark.parametrize("k", [0, 8, 4096])
+    @pytest.mark.parametrize("lam_range", [(1e-9, 1e-6), (0.05, 0.95), (1 - 1e-6, 1 - 1e-9)],
+                             ids=["near-0", "mid", "near-1"])
+    def test_mixed(self, k, lam_range):
+        rng = seeded_rng(21 + k)
+        for _ in range(5):
+            b, c = 8, int(rng.integers(1, 9))
+            keys, mixed = unit_rows(rng, b, c), unit_rows(rng, b // 2, c)
+            queue = unit_rows(rng, k, c) if k else np.zeros((0, c))
+            lam = rng.uniform(*lam_range, b // 2)
+            res = mixed_query_loss(mixed, keys, queue, lam, 0.05)
+            assert_close((res.value, res.grad), dense_mixed(mixed, keys, queue, lam, 0.05))
+
+
+class TestNonFiniteInputs:
+    LOSSES = {
+        "InfoNCE": lambda ops: infonce_loss(ops["queries"], ops["keys"], ops["queue"], 0.2),
+        "mixed-query": lambda ops: mixed_query_loss(
+            ops["queries"][:2], ops["keys"], ops["queue"], [0.3, 0.6], 0.05),
+        "SimCLR": lambda ops: simclr_contrastive_loss(ops["queries"], ops["keys"], 0.2),
+    }
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("loss, operand", [
+        ("InfoNCE", "queries"), ("InfoNCE", "keys"), ("InfoNCE", "queue"),
+        ("mixed-query", "queries"), ("mixed-query", "keys"), ("mixed-query", "queue"),
+        ("SimCLR", "queries"), ("SimCLR", "keys"),
+    ])
+    def test_any_entry_raises_domain_error_naming_the_loss(self, loss, operand, bad):
+        rng = seeded_rng(22)
+        clean = {"queries": unit_rows(rng, 4, 3), "keys": unit_rows(rng, 4, 3),
+                 "queue": unit_rows(rng, 6, 3)}
+        rows = 2 if (loss, operand) == ("mixed-query", "queries") else clean[operand].shape[0]
+        for idx in np.ndindex(rows, 3):
+            ops = {name: m.copy() for name, m in clean.items()}
+            ops[operand][idx] = bad
+            with np.errstate(all="ignore"), pytest.raises(DomainError,
+                                                          match=f"non-finite {loss} loss"):
+                self.LOSSES[loss](ops)
 
 
 class TestTotalLoss:

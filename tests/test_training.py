@@ -136,6 +136,14 @@ class TestPretrain:
         with pytest.raises(DivergedRunError, match=r"epoch \d+, batch \d+"):
             pretrain(small_config(lr=1e12, epochs=5), ds)
 
+    @pytest.mark.parametrize("mode, queue_size, term", [
+        ("moco+mix", 64, "InfoNCE"), ("simclr", 0, "SimCLR")])
+    def test_diverged_run_names_the_loss_term(self, mode, queue_size, term):
+        ds = small_dataset()
+        with pytest.raises(DivergedRunError,
+                           match=rf"^non-finite {term} loss \(epoch \d+, batch \d+\)$"):
+            pretrain(small_config(lr=1e12, epochs=5, mode=mode, queue_size=queue_size), ds)
+
     def test_rejects_dim_mismatch(self):
         ds = small_dataset(dim=8)
         with pytest.raises(ConfigurationError):
