@@ -11,6 +11,7 @@ self-check, 3 file-format or I/O problems.
 """
 
 import argparse
+import fcntl
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -30,6 +31,7 @@ from .errors import (
     DomainError,
     FormatError,
 )
+from .fileio import atomic_write
 from .moco import MOCO_MAGIC, load_moco, save_moco
 from .numerics import seeded_rng
 from .selfcheck import gradient_suite, worst_relative_error
@@ -155,27 +157,59 @@ def config_text(config) -> str:
 
 
 def write_manifest(config, path) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(config_text(config))
 
 
 class OutputDirLock:
-    """One run at a time per output directory."""
+    """One run at a time per output directory.
+
+    `.lock` holds the owner's pid and appears in one step (`atomic_write`).
+    Lockers judge and take it under an flock on the directory, so of two that
+    find one stale lock, only the first takes it. A lock whose pid no longer
+    exists was left by a killed run and is taken over; a lock without a
+    readable pid is treated as held.
+    """
 
     def __init__(self, out_dir):
         self.path = os.path.join(out_dir, ".lock")
-        self.fd = None
+        self.held = False
 
     def __enter__(self):
+        dir_fd = os.open(os.path.dirname(self.path), os.O_RDONLY)
         try:
-            self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise OSError(f"output directory is locked by another run: {self.path}") from None
+            fcntl.flock(dir_fd, fcntl.LOCK_EX)  # released when dir_fd closes
+            if self._taken():
+                raise OSError(f"output directory is locked by another run: {self.path}")
+            with atomic_write(self.path) as fh:
+                fh.write(f"{os.getpid()}\n")
+            self.held = True
+        finally:
+            os.close(dir_fd)
         return self
 
+    def _taken(self) -> bool:
+        """False when there is no lock or its pid names no process."""
+        try:
+            with open(self.path) as fh:
+                pid = int(fh.read())
+        except FileNotFoundError:
+            return False
+        except ValueError:
+            return True
+        if pid <= 0:
+            return True
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            print(f"note: removing the stale lock of exited pid {pid}", file=sys.stderr)
+            return False
+        except PermissionError:  # alive, owned by another user
+            return True
+        return True
+
     def __exit__(self, *exc_info):
-        if self.fd is not None:
-            os.close(self.fd)
+        if self.held:
             os.unlink(self.path)
         return False
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, FormatError
-from .fileio import LineReader, float_line
+from .fileio import LineReader, atomic_write, float_line
 from .numerics import Tensor, as_matrix
 
 DATASET_MAGIC = "contrastlab-dataset 1"
@@ -203,7 +203,7 @@ def split_dataset(dataset: Dataset, train_fraction: float, rng: np.random.Genera
 def save_dataset(dataset: Dataset, path) -> None:
     """Text layout: magic line, size line, then one `label f1 .. fD` row per
     sample. Bit-exact round trip."""
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(DATASET_MAGIC + "\n")
         fh.write(
             f"samples {dataset.sample_count} dim {dataset.dim} classes {dataset.class_count}\n"

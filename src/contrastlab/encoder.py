@@ -16,7 +16,7 @@ from .errors import (
     DivergedRunError,
     FormatError,
 )
-from .fileio import LineReader, float_line
+from .fileio import LineReader, atomic_write, float_line
 from .numerics import (
     DEFAULT_NORM_EPS,
     Tensor,
@@ -176,13 +176,20 @@ def apply_sgd_step(
 
     velocity <- momentum_coeff * velocity + grad + weight_decay * param
     param    <- param - lr * velocity
+
+    A non-finite gradient raises DivergedRunError naming the first parameter
+    block (W<l> or b<l>, in layout order) that holds one.
     """
     if lr < 0.0:
         raise ConfigurationError(f"lr must be >= 0, got {lr}")
     if not 0.0 <= momentum_coeff < 1.0:
         raise ConfigurationError(f"momentum must be in [0, 1), got {momentum_coeff}")
     if not np.isfinite(grads).all():
-        raise DivergedRunError("non-finite gradient in SGD step")
+        grad_w, grad_b = _block_views(params.layer_sizes, grads)
+        for l, (gw, gb) in enumerate(zip(grad_w, grad_b)):
+            for name, block in ((f"W{l}", gw), (f"b{l}", gb)):
+                if not np.isfinite(block).all():
+                    raise DivergedRunError(f"non-finite gradient in {name}")
     velocity = momentum_coeff * velocity + grads + weight_decay * params.vector
     return EncoderParams(params.layer_sizes, params.vector - lr * velocity), velocity
 
@@ -222,7 +229,7 @@ def read_params_block(reader: LineReader) -> EncoderParams:
 
 def save_encoder(params: EncoderParams, path, seed: int = 0) -> None:
     """Write a bit-exact text checkpoint: magic, seed header, then parameters."""
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(ENCODER_MAGIC + "\n")
         fh.write(f"seed {int(seed)}\n")
         write_params_block(fh, params)

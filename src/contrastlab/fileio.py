@@ -2,12 +2,40 @@
 
 Floats are written with `repr`, the shortest decimal that round-trips to the
 same 64-bit value, so save -> load is bit-exact while files stay readable by
-external tools.
+external tools. Whole-file writers go through `atomic_write`, so a reader
+sees either the old file or the complete new one.
 """
+
+import contextlib
+import os
 
 import numpy as np
 
 from .errors import FormatError
+
+
+@contextlib.contextmanager
+def atomic_write(path):
+    """Yield a text handle whose content replaces `path` when the block ends.
+
+    Writes go to a new hidden temp file in the target directory, which is
+    synced and then moved over `path` with `os.replace`. If the block raises,
+    the temp file is removed and `path` is left as it was; a killed process
+    leaves at most the temp file.
+    """
+    head, tail = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "x")
+    try:
+        with fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def float_line(values) -> str:

@@ -17,7 +17,7 @@ from .encoder import (
     write_params_block,
 )
 from .errors import ConfigurationError, DimensionError, FormatError
-from .fileio import LineReader, float_line
+from .fileio import LineReader, atomic_write, float_line
 from .numerics import Tensor, as_matrix, l2_normalize_rows
 
 MOCO_MAGIC = "contrastlab-moco 1"
@@ -101,7 +101,7 @@ def key_forward_no_grad(state: MoCoState, x: Tensor) -> Tensor:
 
 def save_moco(state: MoCoState, path, seed: int = 0) -> None:
     """Checkpoint the full state: both encoders, queue contents, and pointer."""
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(MOCO_MAGIC + "\n")
         fh.write(f"seed {int(seed)}\n")
         fh.write(f"ema_momentum {state.ema_momentum!r}\n")

@@ -1,10 +1,15 @@
-"""Dense float64 arithmetic, stable softmax-family ops, and gradient checking.
+"""Dense float64 arithmetic, stable softmax-family ops, gradient checking, and
+the BLAS thread pin the training loop runs under.
 
 All values are carried in C-contiguous numpy float64 arrays; every reduction
 uses a fixed deterministic kernel, so identical inputs give bitwise-identical
 outputs across runs. Random streams come from `seeded_rng` (numpy's PCG64).
 """
 
+import contextlib
+import ctypes
+import glob
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,6 +48,50 @@ def seeded_rng(seed: int) -> np.random.Generator:
 def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
     """Independent child streams derived from one master seed."""
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
+
+
+# (get, set) thread-count symbol pairs, the names perfbench/run.py probes:
+# scipy-openblas wheels and plain builds, 64-bit-integer interfaces first
+_OPENBLAS_THREAD_SYMBOLS = [
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+]
+
+
+def _openblas_threads():
+    """(get, set) thread-count functions of the OpenBLAS bundled with numpy,
+    or None when numpy ships no such library or it exports neither."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Run the block with OpenBLAS on one thread and restore the previous
+    count on exit. At the small GEMMs of a desk-scale step a second thread
+    only spins; results do not depend on the count. Does nothing when numpy's
+    OpenBLAS cannot be found."""
+    controls = _openblas_threads()
+    if controls is None:
+        yield
+        return
+    get, set_ = controls
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
 
 
 def softmax(logits: Tensor) -> Tensor:

@@ -9,13 +9,7 @@ by the acceptance tests.
 import numpy as np
 
 from .contrastive import infonce_loss, mixed_query_loss, simclr_contrastive_loss
-from .encoder import (
-    EncoderParams,
-    add_scaled,
-    encode,
-    encoder_backward,
-    init_encoder,
-)
+from .encoder import EncoderParams, encode, encoder_backward, init_encoder
 from .numerics import GradCheckReport, finite_difference_check, l2_normalize_rows, seeded_rng
 
 
@@ -63,7 +57,9 @@ def _mixed_case(seed: int, b: int, k: int, c: int, tau_mix: float):
 
 
 def _composite_case(seed: int, b: int, k: int, tau: float, tau_mix: float, mix_weight: float):
-    """Total objective as a function of the encoder's parameter vector."""
+    """Total objective as a function of the encoder's parameter vector, taken
+    the way the training step takes it: [x_query; x_mixed] through one
+    encode, and the two losses' gradients stacked for one backward pass."""
     rng = seeded_rng(seed)
     layer_sizes = [5, 6, 4]
     params0 = init_encoder(layer_sizes, rng)
@@ -72,17 +68,16 @@ def _composite_case(seed: int, b: int, k: int, tau: float, tau_mix: float, mix_w
     queue = _unit_rows(rng, k, layer_sizes[-1])
     lam = rng.uniform(0.05, 0.95, b // 2)
     x_mixed = lam[:, None] * x_query[: b // 2] + (1.0 - lam)[:, None] * x_query[b // 2 :]
+    x_stacked = np.concatenate([x_query, x_mixed])
     keys = encode(params0, x_key)[0]  # fixed key embeddings: no grad flows to them
 
     def f(vec):
         params = EncoderParams(layer_sizes, vec)
-        v_query, trace_query = encode(params, x_query)
-        v_mixed, trace_mixed = encode(params, x_mixed)
-        contrast = infonce_loss(v_query, keys, queue, tau)
-        mix = mixed_query_loss(v_mixed, keys, queue, lam, tau_mix)
-        grads, _ = encoder_backward(params, trace_query, contrast.grad)
-        mix_grads, _ = encoder_backward(params, trace_mixed, mix.grad)
-        grads = add_scaled(grads, mix_grads, mix_weight)
+        v, trace = encode(params, x_stacked)
+        contrast = infonce_loss(v[:b], keys, queue, tau)
+        mix = mixed_query_loss(v[b:], keys, queue, lam, tau_mix)
+        upstream = np.concatenate([contrast.grad, mix_weight * mix.grad])
+        grads, _ = encoder_backward(params, trace, upstream)
         return contrast.value + mix_weight * mix.value, grads
 
     return f, params0.vector

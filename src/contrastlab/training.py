@@ -7,6 +7,7 @@ augmentation, mixing) so ablations that skip the mixing path leave the other
 streams untouched.
 """
 
+import contextlib
 import math
 import time
 import warnings
@@ -31,11 +32,17 @@ from .encoder import (
     init_encoder,
 )
 from .errors import ConfigurationError, DivergedRunError, DomainError
-from .fileio import float_line
+from .fileio import atomic_write, float_line
 from .moco import MoCoState, enqueue_dequeue, init_moco, key_forward_no_grad, momentum_update
-from .numerics import Tensor, as_matrix, seeded_rng, spawn_rngs
+from .numerics import Tensor, as_matrix, seeded_rng, single_blas_thread, spawn_rngs
 
 MODES = ("moco", "moco+mix", "simclr", "simclr+mix")
+
+# Largest queue (queue_size x embed_dim elements) that `pretrain` runs on one
+# BLAS thread. With B=64 and C=64 on a 2-core machine, one thread matched two in
+# wall time at K=512 on 60% of the CPU time, and two were 14-22% faster from
+# K=1024 on, where the queue products are large enough to split.
+SINGLE_THREAD_MAX_QUEUE = 512 * 64
 
 
 @dataclass
@@ -144,42 +151,53 @@ def epoch_lr(config: RunConfig, epoch: int) -> float:
 def pretrain(config: RunConfig, dataset: Dataset) -> PretrainResult:
     """Run the full self-supervised loop and return the trained query encoder.
 
-    Labels are never read; the loop sees only the feature matrix.
+    Labels are never read; the loop sees only the feature matrix. Up to
+    SINGLE_THREAD_MAX_QUEUE, BLAS runs on one thread for the duration (see
+    `numerics.single_blas_thread`); results do not depend on the count.
     """
     if dataset.dim != config.input_dim:
         raise ConfigurationError(
             f"dataset dim {dataset.dim} != configured input_dim {config.input_dim}"
         )
-    return _pretrain_features(config, dataset.features)
+    small = config.queue_size * config.embed_dim <= SINGLE_THREAD_MAX_QUEUE
+    with single_blas_thread() if small else contextlib.nullcontext():
+        return _pretrain_features(config, dataset.features)
 
 
 def _loss_and_grads(config, params, state, x_query, x_key, mix_rng, empty_queue):
-    """Loss terms, query-encoder gradients, and keys for one batch."""
-    v_query, trace_query = encode(params, x_query)
+    """Loss terms, query-encoder gradients, and keys for one batch.
+
+    In the +mix modes the query and mixed rows go through the encoder as one
+    [x_query; x_mix] batch and back in one pass, the mixed rows' upstream
+    gradient scaled by mix_weight.
+    """
+    b = x_query.shape[0]
+    x = x_query
     if config.mixes:
         x_mix, lambdas = mixup_half_batch(x_query, mix_rng)
+        x = np.concatenate([x_query, x_mix])
+    v, trace = encode(params, x)
 
     if config.uses_queue:
         keys = key_forward_no_grad(state, x_key)
-        contrast = infonce_loss(v_query, keys, state.queue, config.temperature)
-        grads, _ = encoder_backward(params, trace_query, contrast.grad)
+        contrast = infonce_loss(v[:b], keys, state.queue, config.temperature)
+        upstream = contrast.grad
         queue_for_mix = state.queue
     else:
         keys, trace_keys = encode(params, x_key)
-        contrast = simclr_contrastive_loss(v_query, keys, config.temperature)
-        grads, _ = encoder_backward(params, trace_query, contrast.grad_queries)
-        key_grads, _ = encoder_backward(params, trace_keys, contrast.grad_keys)
-        grads = add_scaled(grads, key_grads, 1.0)
+        contrast = simclr_contrastive_loss(v[:b], keys, config.temperature)
+        upstream = contrast.grad_queries
         queue_for_mix = empty_queue
 
     l_mix = 0.0
     if config.mixes:
-        v_mixed, trace_mixed = encode(params, x_mix)
-        mix = mixed_query_loss(v_mixed, keys, queue_for_mix, lambdas, config.mix_temperature)
+        mix = mixed_query_loss(v[b:], keys, queue_for_mix, lambdas, config.mix_temperature)
         l_mix = mix.value
-        if config.mix_weight != 0.0:
-            mix_grads, _ = encoder_backward(params, trace_mixed, mix.grad)
-            grads = add_scaled(grads, mix_grads, config.mix_weight)
+        upstream = np.concatenate([upstream, config.mix_weight * mix.grad])
+    grads, _ = encoder_backward(params, trace, upstream)
+    if not config.uses_queue:
+        key_grads, _ = encoder_backward(params, trace_keys, contrast.grad_keys)
+        grads = add_scaled(grads, key_grads, 1.0)
     return contrast.value, l_mix, grads, keys
 
 
@@ -225,8 +243,8 @@ def _pretrain_features(config: RunConfig, features: Tensor) -> PretrainResult:
                 params, velocity = apply_sgd_step(
                     params, grads, lr_now, config.sgd_momentum, config.weight_decay, velocity
                 )
-            except DivergedRunError:
-                raise DivergedRunError("non-finite gradient", epoch, batch_index) from None
+            except DivergedRunError as exc:
+                raise DivergedRunError(str(exc), epoch, batch_index) from None
             if config.uses_queue:
                 state.query = params
                 momentum_update(state)
@@ -250,7 +268,7 @@ def _pretrain_features(config: RunConfig, features: Tensor) -> PretrainResult:
 
 def write_metrics(records: list[MetricsRecord], path) -> None:
     """CSV with a fixed header, one row per epoch."""
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(",".join(METRICS_FIELDS) + "\n")
         for r in records:
             fh.write(
@@ -412,7 +430,7 @@ def export_embeddings(encoder: EncoderParams, dataset: Dataset, path) -> None:
     """One text row per sample: label then the embedding coordinates, written
     so a reparse recovers the exact float64 values."""
     v, _ = encode(encoder, dataset.features)
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("label " + " ".join(f"v{j}" for j in range(v.shape[1])) + "\n")
         for label, row in zip(dataset.labels, v):
             fh.write(f"{int(label)} {float_line(row)}\n")

@@ -1,9 +1,13 @@
+import contextlib
 import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from contrastlab.cli import main
+from contrastlab.cli import OutputDirLock, main
 from contrastlab.data import load_dataset
 from contrastlab.moco import load_moco
 from contrastlab.encoder import load_encoder
@@ -106,6 +110,68 @@ class TestPretrainCommand:
                                "--out", str(out_dir), *PRETRAIN_SETS)
         assert code == 3
         assert "lock" in err
+
+    def test_live_lock_holds_its_pid_and_exits_three(self, tiny_data, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        os.makedirs(out_dir)
+        with OutputDirLock(out_dir):
+            assert (out_dir / ".lock").read_text() == f"{os.getpid()}\n"
+            code, _, err = run_cli(capsys, "pretrain", "--data", str(tiny_data),
+                                   "--out", str(out_dir), *PRETRAIN_SETS)
+            assert code == 3
+            assert "locked by another run" in err
+            assert os.listdir(out_dir) == [".lock"]
+        assert os.listdir(out_dir) == []
+
+    def test_stale_lock_is_reclaimed(self, tiny_data, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        os.makedirs(out_dir)
+        exited = subprocess.Popen([sys.executable, "-c", "pass"])
+        exited.wait()  # reaped: its pid names no process now
+        (out_dir / ".lock").write_text(f"{exited.pid}\n")
+        code, _, err = run_cli(capsys, "pretrain", "--data", str(tiny_data),
+                               "--out", str(out_dir), *PRETRAIN_SETS)
+        assert code == 0
+        assert f"stale lock of exited pid {exited.pid}" in err
+        assert sorted(os.listdir(out_dir)) == ["checkpoint.txt", "manifest.cfg", "metrics.csv"]
+
+    def test_lockers_racing_for_one_stale_lock_take_it_once(self, tmp_path, monkeypatch):
+        out_dir = tmp_path / "run"
+        os.makedirs(out_dir)
+        exited = subprocess.Popen([sys.executable, "-c", "pass"])
+        exited.wait()
+        (out_dir / ".lock").write_text(f"{exited.pid}\n")
+        # each locker waits after judging the lock until the other has judged it
+        # too (or 0.5 s pass): unless judging and taking are serialised, both
+        # find the lock stale and both take it
+        real_taken = OutputDirLock._taken
+        both_judged = threading.Barrier(2, timeout=0.5)
+
+        def taken_after_both_judged(lock):
+            taken = real_taken(lock)
+            with contextlib.suppress(threading.BrokenBarrierError):
+                both_judged.wait()
+            return taken
+
+        monkeypatch.setattr(OutputDirLock, "_taken", taken_after_both_judged)
+        held, refused = [], []
+
+        def race():
+            lock = OutputDirLock(out_dir)
+            try:
+                held.append(lock.__enter__())
+            except OSError:
+                refused.append(lock)
+
+        racers = [threading.Thread(target=race) for _ in range(2)]
+        for t in racers:
+            t.start()
+        for t in racers:
+            t.join()
+        assert (len(held), len(refused)) == (1, 1)
+        assert os.listdir(out_dir) == [".lock"]
+        held[0].__exit__(None, None, None)
+        assert os.listdir(out_dir) == []
 
     def test_corrupt_dataset_exits_three(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

@@ -10,7 +10,13 @@ from contrastlab.encoder import (
     load_encoder,
     save_encoder,
 )
-from contrastlab.errors import ConfigurationError, ContractError, DimensionError, FormatError
+from contrastlab.errors import (
+    ConfigurationError,
+    ContractError,
+    DimensionError,
+    DivergedRunError,
+    FormatError,
+)
 from contrastlab.numerics import finite_difference_check, seeded_rng
 
 
@@ -188,6 +194,18 @@ class TestSgdStep:
             apply_sgd_step(params, grads, -0.1, 0.0, 0.0, grads)
         with pytest.raises(ConfigurationError):
             apply_sgd_step(params, grads, 0.1, 1.0, 0.0, grads)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_gradient_names_the_first_bad_block(self, bad):
+        params = init_encoder([3, 4, 2], seeded_rng(13))
+        for name in ("W0", "b0", "W1", "b1"):
+            grads = np.zeros_like(params.vector)
+            blocks = EncoderParams(params.layer_sizes, grads)  # views in the parameter layout
+            block = {"W": blocks.weights, "b": blocks.biases}[name[0]][int(name[1])]
+            block.flat[-1] = bad
+            blocks.biases[1][0] = bad  # a later block is bad too; the first one is named
+            with pytest.raises(DivergedRunError, match=rf"^non-finite gradient in {name}$"):
+                apply_sgd_step(params, grads, 0.1, 0.9, 0.0, np.zeros_like(grads))
 
 
 class TestCheckpoint:

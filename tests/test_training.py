@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from contrastlab import numerics, training
 from contrastlab.data import Dataset, generate_spoke_clusters, split_dataset
 from contrastlab.encoder import EncoderParams, encode, init_encoder
 from contrastlab.errors import ConfigurationError, DivergedRunError
@@ -144,6 +145,24 @@ class TestPretrain:
                            match=rf"^non-finite {term} loss \(epoch \d+, batch \d+\)$"):
             pretrain(small_config(lr=1e12, epochs=5, mode=mode, queue_size=queue_size), ds)
 
+    @pytest.mark.parametrize("block", ["W1", "b0"])
+    def test_diverged_run_names_the_parameter_block(self, monkeypatch, block):
+        real = training.encoder_backward
+        calls = []
+
+        def poisoned(params, trace, grad_v):
+            grads, grad_x = real(params, trace, grad_v)
+            calls.append(None)
+            if len(calls) == 3:  # epoch 1, batch 2: one backward pass per moco+mix step
+                views = EncoderParams(params.layer_sizes, grads)
+                {"W": views.weights, "b": views.biases}[block[0]][int(block[1])].flat[0] = np.nan
+            return grads, grad_x
+
+        monkeypatch.setattr(training, "encoder_backward", poisoned)
+        with pytest.raises(DivergedRunError,
+                           match=rf"^non-finite gradient in {block} \(epoch 1, batch 2\)$"):
+            pretrain(small_config(), small_dataset())
+
     def test_rejects_dim_mismatch(self):
         ds = small_dataset(dim=8)
         with pytest.raises(ConfigurationError):
@@ -159,6 +178,79 @@ class TestPretrain:
         assert len(lines) == len(result.metrics) + 1
         fields = lines[1].split(",")
         assert float(fields[3]) == result.metrics[0].l_total
+
+
+def blas_controls():
+    controls = numerics._openblas_threads()
+    if controls is None:
+        pytest.skip("numpy's OpenBLAS exports no thread-count functions")
+    return controls
+
+
+@pytest.fixture()
+def two_blas_threads():
+    """BLAS set to 2 threads for the test, then back to what it was."""
+    get, set_ = blas_controls()
+    previous = get()
+    set_(2)
+    yield get
+    set_(previous)
+
+
+class TestBlasThreads:
+    def test_pretrain_runs_on_one_thread_and_restores_the_count(self, monkeypatch,
+                                                                  two_blas_threads):
+        seen = []
+        real = training._loss_and_grads
+
+        def spy(*args):
+            seen.append(two_blas_threads())
+            return real(*args)
+
+        monkeypatch.setattr(training, "_loss_and_grads", spy)
+        pretrain(small_config(epochs=1), small_dataset())
+        assert seen and set(seen) == {1}
+        assert two_blas_threads() == 2
+
+    @pytest.mark.parametrize("queue_size, threads", [(512, 1), (528, 2)])
+    def test_queues_above_the_limit_keep_the_thread_count(self, monkeypatch, two_blas_threads,
+                                                          queue_size, threads):
+        assert 512 * 64 == training.SINGLE_THREAD_MAX_QUEUE
+        seen = []
+        real = training._loss_and_grads
+        monkeypatch.setattr(training, "_loss_and_grads",
+                            lambda *args: seen.append(two_blas_threads()) or real(*args))
+        pretrain(small_config(epochs=1, queue_size=queue_size, embed_dim=64),
+                 small_dataset(per_mode=40))
+        assert seen and set(seen) == {threads}
+        assert two_blas_threads() == 2
+
+    def test_count_restored_after_divergence(self, two_blas_threads):
+        with pytest.raises(DivergedRunError):
+            pretrain(small_config(lr=1e12, epochs=5), small_dataset())
+        assert two_blas_threads() == 2
+
+    @pytest.mark.parametrize("mode, queue_size", [("moco+mix", 512), ("simclr+mix", 0)])
+    def test_results_do_not_depend_on_the_thread_count(self, monkeypatch, two_blas_threads,
+                                                       mode, queue_size):
+        ds = small_dataset(per_mode=40)
+        # desk-sized GEMMs (B=64, K=512, C=64), large enough for OpenBLAS to thread
+        config = small_config(mode=mode, queue_size=queue_size, batch_size=64,
+                              hidden_dims=(64,), embed_dim=64)
+        pinned = pretrain(config, ds)
+        monkeypatch.setattr(numerics, "_openblas_threads", lambda: None)  # lookup misses
+        seen = []
+        real = training._loss_and_grads
+        monkeypatch.setattr(training, "_loss_and_grads",
+                            lambda *args: seen.append(two_blas_threads()) or real(*args))
+        unpinned = pretrain(config, ds)
+        assert set(seen) == {2}
+        assert np.array_equal(pinned.encoder.vector, unpinned.encoder.vector)
+        if queue_size:
+            assert np.array_equal(pinned.moco_state.queue, unpinned.moco_state.queue)
+            assert np.array_equal(pinned.moco_state.key.vector, unpinned.moco_state.key.vector)
+        assert [(r.l_contrast, r.l_mixed, r.lr) for r in pinned.metrics] == [
+            (r.l_contrast, r.l_mixed, r.lr) for r in unpinned.metrics]
 
 
 def axis_blob_dataset(classes=5, per_class=40, dim=5, seed=11):
