@@ -3,7 +3,8 @@ variant, and the mixed-query soft-target loss with its logits/targets builders.
 
 All losses return their value together with analytic gradients wrt the
 query-side embeddings; key and queue entries are treated as constants. They
-share one sparse-target soft cross-entropy kernel; the builders are references.
+share one sparse-target soft cross-entropy kernel; InfoNCE and the mixed-query
+loss are both computed by `queue_losses`; the builders are references.
 """
 
 import math
@@ -96,6 +97,14 @@ def infonce_loss(queries: Tensor, keys: Tensor, queue: Tensor, temperature: floa
     queue the softmax has a single entry, so the loss is identically 0 and
     the result is flagged degenerate.
     """
+    queries, keys, queue = _infonce_operands(queries, keys, queue, temperature)
+    if queue.shape[0] == 0:
+        return LossResult(0.0, np.zeros_like(queries), degenerate=True)
+    res = queue_losses(queries, keys, queue, temperature)
+    return LossResult(res.infonce, res.grad)
+
+
+def _infonce_operands(queries, keys, queue, temperature: float):
     if temperature <= 0.0:
         raise ConfigurationError(f"temperature must be positive, got {temperature}")
     queries = as_matrix(queries, "queries")
@@ -105,17 +114,7 @@ def infonce_loss(queries: Tensor, keys: Tensor, queue: Tensor, temperature: floa
         raise DimensionError(f"keys {keys.shape} do not match queries {queries.shape}")
     if queue.shape[1] != queries.shape[1]:
         raise DimensionError(f"queue width {queue.shape[1]} != embedding dim {queries.shape[1]}")
-    b = queries.shape[0]
-    if queue.shape[0] == 0:
-        return LossResult(0.0, np.zeros_like(queries), degenerate=True)
-    scaled = queries / temperature
-    logits = np.empty((b, 1 + queue.shape[0]))
-    np.sum(scaled * keys, axis=1, out=logits[:, 0])
-    np.matmul(scaled, queue.T, out=logits[:, 1:])
-    value = _soft_cross_entropy(logits, [(0, 1.0)])
-    grad = (logits[:, :1] * keys + logits[:, 1:] @ queue) / (b * temperature)
-    _require_finite("InfoNCE", value, grad)
-    return LossResult(value, grad)
+    return queries, keys, queue
 
 
 def simclr_contrastive_loss(queries: Tensor, keys: Tensor, temperature: float) -> PairLossResult:
@@ -210,21 +209,83 @@ def mixed_query_loss(
     queue. Keys and queue entries are constants; the gradient is wrt the
     mixed queries only.
     """
-    mixed_queries, keys, queue = _mixed_operands(mixed_queries, keys, queue, mix_temperature)
-    b = keys.shape[0]
-    lam = _mixed_lambdas(lambdas, b, queue.shape[0])
-    half = b // 2
-    if mixed_queries.shape[0] != half:
-        raise DimensionError(f"need {half} mixed queries, got {mixed_queries.shape[0]}")
-    scaled = mixed_queries / mix_temperature
-    logits = np.empty((half, b + queue.shape[0]))
-    np.matmul(scaled, keys.T, out=logits[:, :b])
-    np.matmul(scaled, queue.T, out=logits[:, b:])
-    rows = np.arange(half)
-    value = _soft_cross_entropy(logits, [(rows, lam), (rows + half, 1.0 - lam)])
-    grad = (logits[:, :b] @ keys + logits[:, b:] @ queue) / (half * mix_temperature)
-    _require_finite("mixed-query", value, grad)
-    return LossResult(value, grad)
+    res = queue_losses(None, keys, queue, None, mixed_queries, lambdas, mix_temperature)
+    return LossResult(res.mixed, res.grad)
+
+
+@dataclass
+class QueueLossResult:
+    """InfoNCE and mixed-query values and the gradient wrt the stacked
+    [queries; mixed queries] rows."""
+
+    infonce: float
+    mixed: float
+    grad: Tensor
+
+
+def queue_losses(
+    queries: Tensor | None,
+    keys: Tensor,
+    queue: Tensor,
+    temperature: float | None,
+    mixed_queries: Tensor | None = None,
+    lambdas=None,
+    mix_temperature: float | None = None,
+) -> QueueLossResult:
+    """InfoNCE of `queries` and the mixed-query loss of `mixed_queries`
+    against the B batch keys and the K-entry queue, from one stacked logits
+    buffer, so that one queue product each way serves both terms. Either
+    term may be None (its value is then 0.0).
+
+    The buffer holds the B query rows, then the B/2 mixed rows. A query row
+    holds its positive q_i . k_i and then the queue, from column B - 1 (from
+    column 0 without mixed rows); a mixed row holds the batch keys in columns
+    0..B-1 (targets lambda_i at i, 1 - lambda_i at i + B/2), then the queue.
+    """
+    n_query = half = 0
+    if queries is not None:
+        queries, keys, queue = _infonce_operands(queries, keys, queue, temperature)
+        n_query = queries.shape[0]
+    if mixed_queries is not None:
+        mixed_queries, keys, queue = _mixed_operands(mixed_queries, keys, queue, mix_temperature)
+        lam = _mixed_lambdas(lambdas, keys.shape[0], queue.shape[0])
+        half = keys.shape[0] // 2
+        if mixed_queries.shape[0] != half:
+            raise DimensionError(f"need {half} mixed queries, got {mixed_queries.shape[0]}")
+    (b, c), k = keys.shape, queue.shape[0]
+    n = n_query + half
+    first = b if half else 1  # first queue column; a query row's positive sits before it
+    scaled = np.empty((n, c))
+    if n_query:
+        np.divide(queries, temperature, out=scaled[:n_query])
+    if half:
+        np.divide(mixed_queries, mix_temperature, out=scaled[n_query:])
+    logits = np.empty((n, first + k))
+    np.matmul(scaled, queue.T, out=logits[:, first:])
+
+    infonce = mixed = 0.0
+    if n_query:
+        own = logits[:n_query, first - 1 :]
+        np.sum(scaled[:n_query] * keys[:n_query], axis=1, out=own[:, 0])
+        infonce = _soft_cross_entropy(own, [(0, 1.0)])
+    if half:
+        own = logits[n_query:]
+        np.matmul(scaled[n_query:], keys.T, out=own[:, :b])
+        cols = np.arange(half)
+        mixed = _soft_cross_entropy(own, [(cols, lam), (cols + half, 1.0 - lam)])
+    grad = logits[:, first:] @ queue
+
+    if n_query:
+        own = grad[:n_query]
+        own += logits[:n_query, first - 1 : first] * keys
+        own /= n_query * temperature
+        _require_finite("InfoNCE", infonce, own)
+    if half:
+        own = grad[n_query:]
+        own += logits[n_query:, :b] @ keys
+        own /= half * mix_temperature
+        _require_finite("mixed-query", mixed, own)
+    return QueueLossResult(infonce, mixed, grad)
 
 
 def total_loss(l_contrast: float, l_mixed: float, mix_weight: float) -> float:

@@ -78,9 +78,10 @@ def _openblas_threads():
 @contextlib.contextmanager
 def single_blas_thread():
     """Run the block with OpenBLAS on one thread and restore the previous
-    count on exit. At the small GEMMs of a desk-scale step a second thread
-    only spins; results do not depend on the count. Does nothing when numpy's
-    OpenBLAS cannot be found."""
+    count on exit. `pretrain` runs its whole loop under it: at desk-scale
+    GEMMs a second thread mostly spins, and at K=4096 it buys back less wall
+    time than the CPU time it burns. Results do not depend on the count.
+    Does nothing when numpy's OpenBLAS cannot be found."""
     controls = _openblas_threads()
     if controls is None:
         yield

@@ -8,7 +8,7 @@ by the acceptance tests.
 
 import numpy as np
 
-from .contrastive import infonce_loss, mixed_query_loss, simclr_contrastive_loss
+from .contrastive import infonce_loss, mixed_query_loss, queue_losses, simclr_contrastive_loss
 from .encoder import EncoderParams, encode, encoder_backward, init_encoder
 from .numerics import GradCheckReport, finite_difference_check, l2_normalize_rows, seeded_rng
 
@@ -59,7 +59,8 @@ def _mixed_case(seed: int, b: int, k: int, c: int, tau_mix: float):
 def _composite_case(seed: int, b: int, k: int, tau: float, tau_mix: float, mix_weight: float):
     """Total objective as a function of the encoder's parameter vector, taken
     the way the training step takes it: [x_query; x_mixed] through one
-    encode, and the two losses' gradients stacked for one backward pass."""
+    encode, both losses from one `queue_losses` call, and its stacked
+    gradient through one backward pass."""
     rng = seeded_rng(seed)
     layer_sizes = [5, 6, 4]
     params0 = init_encoder(layer_sizes, rng)
@@ -74,11 +75,11 @@ def _composite_case(seed: int, b: int, k: int, tau: float, tau_mix: float, mix_w
     def f(vec):
         params = EncoderParams(layer_sizes, vec)
         v, trace = encode(params, x_stacked)
-        contrast = infonce_loss(v[:b], keys, queue, tau)
-        mix = mixed_query_loss(v[b:], keys, queue, lam, tau_mix)
-        upstream = np.concatenate([contrast.grad, mix_weight * mix.grad])
+        losses = queue_losses(v[:b], keys, queue, tau, v[b:], lam, tau_mix)
+        upstream = losses.grad
+        upstream[b:] *= mix_weight
         grads, _ = encoder_backward(params, trace, upstream)
-        return contrast.value + mix_weight * mix.value, grads
+        return losses.infonce + mix_weight * losses.mixed, grads
 
     return f, params0.vector
 

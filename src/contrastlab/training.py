@@ -7,7 +7,6 @@ augmentation, mixing) so ablations that skip the mixing path leave the other
 streams untouched.
 """
 
-import contextlib
 import math
 import time
 import warnings
@@ -16,9 +15,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .contrastive import (
-    infonce_loss,
     mixed_query_loss,
     mixup_half_batch,
+    queue_losses,
     simclr_contrastive_loss,
     total_loss,
 )
@@ -37,12 +36,6 @@ from .moco import MoCoState, enqueue_dequeue, init_moco, key_forward_no_grad, mo
 from .numerics import Tensor, as_matrix, seeded_rng, single_blas_thread, spawn_rngs
 
 MODES = ("moco", "moco+mix", "simclr", "simclr+mix")
-
-# Largest queue (queue_size x embed_dim elements) that `pretrain` runs on one
-# BLAS thread. With B=64 and C=64 on a 2-core machine, one thread matched two in
-# wall time at K=512 on 60% of the CPU time, and two were 14-22% faster from
-# K=1024 on, where the queue products are large enough to split.
-SINGLE_THREAD_MAX_QUEUE = 512 * 64
 
 
 @dataclass
@@ -151,16 +144,18 @@ def epoch_lr(config: RunConfig, epoch: int) -> float:
 def pretrain(config: RunConfig, dataset: Dataset) -> PretrainResult:
     """Run the full self-supervised loop and return the trained query encoder.
 
-    Labels are never read; the loop sees only the feature matrix. Up to
-    SINGLE_THREAD_MAX_QUEUE, BLAS runs on one thread for the duration (see
-    `numerics.single_blas_thread`); results do not depend on the count.
+    Labels are never read; the loop sees only the feature matrix. BLAS runs
+    on one thread for the duration (see `numerics.single_blas_thread`): on a
+    2-core machine a K=4096, C=64 step took 14-18% longer than on two BLAS
+    threads, on about 60% of their CPU time, and a second thread of the
+    loop's own, computing half of each step's loss rows, was slower still.
+    Results do not depend on the count.
     """
     if dataset.dim != config.input_dim:
         raise ConfigurationError(
             f"dataset dim {dataset.dim} != configured input_dim {config.input_dim}"
         )
-    small = config.queue_size * config.embed_dim <= SINGLE_THREAD_MAX_QUEUE
-    with single_blas_thread() if small else contextlib.nullcontext():
+    with single_blas_thread():
         return _pretrain_features(config, dataset.features)
 
 
@@ -169,36 +164,38 @@ def _loss_and_grads(config, params, state, x_query, x_key, mix_rng, empty_queue)
 
     In the +mix modes the query and mixed rows go through the encoder as one
     [x_query; x_mix] batch and back in one pass, the mixed rows' upstream
-    gradient scaled by mix_weight.
+    gradient scaled by mix_weight. In the moco modes InfoNCE and the
+    mixed-query loss come from one `queue_losses` call over those rows.
     """
     b = x_query.shape[0]
     x = x_query
+    lambdas = None
     if config.mixes:
         x_mix, lambdas = mixup_half_batch(x_query, mix_rng)
         x = np.concatenate([x_query, x_mix])
     v, trace = encode(params, x)
 
+    l_mix = 0.0
     if config.uses_queue:
         keys = key_forward_no_grad(state, x_key)
-        contrast = infonce_loss(v[:b], keys, state.queue, config.temperature)
-        upstream = contrast.grad
-        queue_for_mix = state.queue
+        mixed = v[b:] if config.mixes else None
+        losses = queue_losses(v[:b], keys, state.queue, config.temperature, mixed, lambdas,
+                              config.mix_temperature)
+        l_contrast, l_mix, upstream = losses.infonce, losses.mixed, losses.grad
     else:
         keys, trace_keys = encode(params, x_key)
         contrast = simclr_contrastive_loss(v[:b], keys, config.temperature)
-        upstream = contrast.grad_queries
-        queue_for_mix = empty_queue
-
-    l_mix = 0.0
-    if config.mixes:
-        mix = mixed_query_loss(v[b:], keys, queue_for_mix, lambdas, config.mix_temperature)
-        l_mix = mix.value
-        upstream = np.concatenate([upstream, config.mix_weight * mix.grad])
+        l_contrast, upstream = contrast.value, contrast.grad_queries
+        if config.mixes:
+            mix = mixed_query_loss(v[b:], keys, empty_queue, lambdas, config.mix_temperature)
+            l_mix = mix.value
+            upstream = np.concatenate([upstream, mix.grad])
+    upstream[b:] *= config.mix_weight
     grads, _ = encoder_backward(params, trace, upstream)
     if not config.uses_queue:
         key_grads, _ = encoder_backward(params, trace_keys, contrast.grad_keys)
         grads = add_scaled(grads, key_grads, 1.0)
-    return contrast.value, l_mix, grads, keys
+    return l_contrast, l_mix, grads, keys
 
 
 def _pretrain_features(config: RunConfig, features: Tensor) -> PretrainResult:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from contrastlab.contrastive import (
     mix_rows,
     mixed_query_loss,
     mixup_half_batch,
+    queue_losses,
     simclr_contrastive_loss,
     total_loss,
 )
@@ -409,6 +411,41 @@ class TestNonFiniteInputs:
             with np.errstate(all="ignore"), pytest.raises(DomainError,
                                                           match=f"non-finite {loss} loss"):
                 self.LOSSES[loss](ops)
+
+
+class TestQueueLosses:
+    """One stacked problem for InfoNCE and the mixed-query loss."""
+
+    @staticmethod
+    def instance(seed, b, k, c):
+        rng = seeded_rng(seed)
+        queries, keys = unit_rows(rng, b, c), unit_rows(rng, b, c)
+        queue = unit_rows(rng, k, c) if k else np.zeros((0, c))
+        return queries, keys, queue, 0.2, unit_rows(rng, b // 2, c), rng.uniform(
+            0.05, 0.95, b // 2), 0.05
+
+    @pytest.mark.parametrize("k", [8, 4096])
+    def test_public_losses_are_the_stacked_rows(self, k):
+        queries, keys, queue, tau, mixed, lam, tau_mix = self.instance(31, 8, k, 4)
+        both = queue_losses(queries, keys, queue, tau, mixed, lam, tau_mix)
+        contrast = infonce_loss(queries, keys, queue, tau)
+        mix = mixed_query_loss(mixed, keys, queue, lam, tau_mix)
+        assert (both.infonce, both.mixed) == (contrast.value, mix.value)
+        assert np.array_equal(both.grad, np.concatenate([contrast.grad, mix.grad]))
+
+    @pytest.mark.parametrize("row", [2, 9], ids=["query-row", "mixed-row"])
+    def test_non_finite_rows_raise_under_the_callers_error_state(self, row):
+        queries, keys, queue, tau, mixed, lam, tau_mix = self.instance(32, 8, 8, 4)
+        if row < 8:
+            queries[row] = math.inf
+        else:
+            mixed[row - 8] = math.inf
+        term = "InfoNCE" if row < 8 else "mixed-query"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                    DomainError, match=f"^non-finite {term} loss$"):
+                queue_losses(queries, keys, queue, tau, mixed, lam, tau_mix)
 
 
 class TestTotalLoss:

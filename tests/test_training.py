@@ -212,17 +212,16 @@ class TestBlasThreads:
         assert seen and set(seen) == {1}
         assert two_blas_threads() == 2
 
-    @pytest.mark.parametrize("queue_size, threads", [(512, 1), (528, 2)])
-    def test_queues_above_the_limit_keep_the_thread_count(self, monkeypatch, two_blas_threads,
-                                                          queue_size, threads):
-        assert 512 * 64 == training.SINGLE_THREAD_MAX_QUEUE
+    @pytest.mark.parametrize("queue_size", [512, 528, 4096])
+    def test_queues_of_every_size_run_on_one_thread(self, monkeypatch, two_blas_threads,
+                                                    queue_size):
         seen = []
         real = training._loss_and_grads
         monkeypatch.setattr(training, "_loss_and_grads",
                             lambda *args: seen.append(two_blas_threads()) or real(*args))
         pretrain(small_config(epochs=1, queue_size=queue_size, embed_dim=64),
                  small_dataset(per_mode=40))
-        assert seen and set(seen) == {threads}
+        assert seen and set(seen) == {1}
         assert two_blas_threads() == 2
 
     def test_count_restored_after_divergence(self, two_blas_threads):
@@ -230,7 +229,8 @@ class TestBlasThreads:
             pretrain(small_config(lr=1e12, epochs=5), small_dataset())
         assert two_blas_threads() == 2
 
-    @pytest.mark.parametrize("mode, queue_size", [("moco+mix", 512), ("simclr+mix", 0)])
+    @pytest.mark.parametrize("mode, queue_size", [
+        ("moco+mix", 512), ("moco+mix", 4096), ("simclr+mix", 0)])
     def test_results_do_not_depend_on_the_thread_count(self, monkeypatch, two_blas_threads,
                                                        mode, queue_size):
         ds = small_dataset(per_mode=40)
