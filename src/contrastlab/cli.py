@@ -12,6 +12,7 @@ self-check, 3 file-format or I/O problems.
 
 import argparse
 import fcntl
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -32,7 +33,7 @@ from .errors import (
     FormatError,
 )
 from .fileio import atomic_write
-from .moco import MOCO_MAGIC, load_moco, save_moco
+from .moco import MOCO_MAGIC, MOCO_V1_MAGIC, load_moco, save_moco
 from .numerics import seeded_rng
 from .selfcheck import gradient_suite, worst_relative_error
 from .training import (
@@ -88,6 +89,17 @@ class EvalConfig:
     probe_batch_size: int = 64
     train_fraction: float = 0.8
     seed: int = 0
+
+    def __post_init__(self):
+        # a probe that never steps prints chance accuracy as if it were a result
+        for key, ok, rule in (
+            ("probe_epochs", self.probe_epochs >= 1, ">= 1"),
+            ("probe_lr", 0.0 < self.probe_lr < math.inf, "finite and > 0"),
+            ("probe_batch_size", self.probe_batch_size >= 1, ">= 1"),
+            ("train_fraction", 0.0 < self.train_fraction < 1.0, "in (0, 1)"),
+        ):
+            if not ok:
+                raise ConfigurationError(f"{key} must be {rule}, got {getattr(self, key)!r}")
 
 
 def _parse_value(text: str, target_type):
@@ -218,7 +230,7 @@ def load_any_encoder(path):
     """Read the query encoder out of either checkpoint flavor."""
     with open(path, "rb") as fh:
         magic = fh.readline(64).strip()
-    if magic == MOCO_MAGIC.encode():
+    if magic in (MOCO_MAGIC.encode(), MOCO_V1_MAGIC.encode()):
         state, seed = load_moco(path)
         return state.query, seed
     if magic == ENCODER_MAGIC.encode():

@@ -5,6 +5,7 @@ Labels exist only for evaluation; the pretraining loop receives a plain
 feature matrix and never sees them.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +60,9 @@ class AugmentConfig:
     scale_jitter: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
-        if self.gaussian_noise_sigma < 0.0:
-            raise ConfigurationError(f"noise sigma must be >= 0, got {self.gaussian_noise_sigma}")
+        if not 0.0 <= self.gaussian_noise_sigma < math.inf:
+            raise ConfigurationError(
+                f"noise sigma must be finite and >= 0, got {self.gaussian_noise_sigma}")
         if not 0.0 <= self.mask_fraction < 1.0:
             raise ConfigurationError(f"mask fraction must be in [0, 1), got {self.mask_fraction}")
         lo, hi = self.scale_jitter

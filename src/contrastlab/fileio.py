@@ -2,10 +2,15 @@
 
 Floats are written with `repr`, the shortest decimal that round-trips to the
 same 64-bit value, so save -> load is bit-exact while files stay readable by
-external tools. Whole-file writers go through `atomic_write`, so a reader
-sees either the old file or the complete new one.
+external tools. The one exception is a bulk block that no one reads by eye,
+the moco checkpoint's key queue: its rows are written as the hex digits of
+their little-endian float64 bytes (`hex_line`), which formats and parses
+about 20x faster than `repr` text and is still ASCII, one row per line.
+Whole-file writers go through `atomic_write`, so a reader sees either the old
+file or the complete new one.
 """
 
+import binascii
 import contextlib
 import os
 
@@ -39,7 +44,16 @@ def atomic_write(path):
 
 
 def float_line(values) -> str:
-    return " ".join(repr(float(v)) for v in values)
+    """`values` as space-separated `repr` decimals, one per float64."""
+    return " ".join(map(repr, np.asarray(values, dtype=np.float64).tolist()))
+
+
+def hex_line(values) -> str:
+    """`values` as float64 little-endian bytes, 16 lowercase hex digits each."""
+    return np.asarray(values, dtype="<f8").tobytes().hex()
+
+
+_HEX_DIGITS = b"0123456789abcdef"
 
 
 class LineReader:
@@ -122,6 +136,9 @@ class LineReader:
             raise FormatError(f"non-finite value in {what}")
 
     def expect_eof(self) -> None:
+        """Require that the last line read ended the file, newline included."""
+        if self._pos > len(self._raw):
+            raise FormatError("the last line has no newline", len(self._raw))
         if self._pos < len(self._raw):
             raise FormatError("trailing content after the end of the data", self._pos)
 
@@ -131,3 +148,34 @@ class LineReader:
         for r in range(rows):
             out[r] = self.floats(cols, f"{what} row {r}")
         return out
+
+    def hex_matrix(self, rows: int, cols: int, what: str) -> np.ndarray:
+        """Read `rows` lines of `hex_line` output, each exactly 16 * cols
+        lowercase hex digits and a newline, into a finite (rows, cols) array.
+
+        Rows are decoded one at a time straight into the result, so the block
+        costs no memory beyond the array itself.
+        """
+        width, size = 16 * cols, 8 * cols  # digits and bytes per row
+        start = self._pos
+        if rows < 0 or cols < 0 or rows * (width + 1) > len(self._raw) - start:
+            raise FormatError(f"{what} size {rows} x {cols} does not fit the file", start)
+        out = np.empty((rows, cols), dtype="<f8")
+        dest = memoryview(out.reshape(-1).view(np.uint8))
+        raw = self._raw
+        for r in range(rows):
+            pos = start + r * (width + 1)
+            digits = raw[pos : pos + width]
+            if raw[pos + width] != 0x0A or digits.translate(None, _HEX_DIGITS):
+                raise FormatError(
+                    f"bad {what} row {r}: expected {width} lowercase hex digits and a newline",
+                    pos)
+            dest[r * size : (r + 1) * size] = binascii.a2b_hex(digits)
+        # in slices of rows, so the check's temporaries stay small too
+        for lo in range(0, rows, 256):
+            finite = np.isfinite(out[lo : lo + 256]).all(axis=1)
+            if not finite.all():
+                r = lo + int(np.argmin(finite))
+                raise FormatError(f"non-finite value in {what} row {r}", start + r * (width + 1))
+        self._pos = start + rows * (width + 1)
+        return out.astype(np.float64, copy=False)

@@ -17,10 +17,13 @@ from .encoder import (
     write_params_block,
 )
 from .errors import ConfigurationError, DimensionError, FormatError
-from .fileio import LineReader, atomic_write, float_line
+from .fileio import LineReader, atomic_write, hex_line
 from .numerics import Tensor, as_matrix, l2_normalize_rows
 
-MOCO_MAGIC = "contrastlab-moco 1"
+MOCO_MAGIC = "contrastlab-moco 2"
+# The first layout, still read: the same lines with the queue rows as `repr`
+# text, which took longer to parse than the rest of an eval pass at K=4096.
+MOCO_V1_MAGIC = "contrastlab-moco 1"
 
 
 @dataclass
@@ -100,7 +103,11 @@ def key_forward_no_grad(state: MoCoState, x: Tensor) -> Tensor:
 
 
 def save_moco(state: MoCoState, path, seed: int = 0) -> None:
-    """Checkpoint the full state: both encoders, queue contents, and pointer."""
+    """Checkpoint the full state: both encoders, queue contents, and pointer.
+
+    The queue rows are hex lines (`fileio.hex_line`); the encoder blocks are
+    `repr` text like an encoder checkpoint's.
+    """
     with atomic_write(path) as fh:
         fh.write(MOCO_MAGIC + "\n")
         fh.write(f"seed {int(seed)}\n")
@@ -108,7 +115,7 @@ def save_moco(state: MoCoState, path, seed: int = 0) -> None:
         fh.write(f"queue_ptr {state.queue_ptr}\n")
         fh.write(f"queue {state.queue.shape[0]} {state.queue.shape[1]}\n")
         for row in state.queue:
-            fh.write(float_line(row) + "\n")
+            fh.write(hex_line(row) + "\n")
         fh.write("query\n")
         write_params_block(fh, state.query)
         fh.write("key\n")
@@ -117,8 +124,11 @@ def save_moco(state: MoCoState, path, seed: int = 0) -> None:
 
 
 def load_moco(path) -> tuple[MoCoState, int]:
+    """Read a checkpoint written by `save_moco`, or one in the v1 layout."""
     reader = LineReader(path)
-    reader.expect(MOCO_MAGIC, "magic line")
+    magic = reader.next_line("magic line")
+    if magic not in (MOCO_MAGIC, MOCO_V1_MAGIC):
+        raise FormatError(f"bad magic line: expected {MOCO_MAGIC!r}, got {magic!r}", 0)
     seed = reader.int_after("seed", "seed line")
     ema = reader.float_after("ema_momentum", "ema line")
     ptr = reader.int_after("queue_ptr", "pointer line")
@@ -129,8 +139,11 @@ def load_moco(path) -> tuple[MoCoState, int]:
         rows, cols = int(head[1]), int(head[2])
     except ValueError:
         raise FormatError("malformed queue header", reader.offset) from None
-    queue = reader.matrix(rows, cols, "queue")
-    reader.require_finite(queue, "queue")
+    if magic == MOCO_MAGIC:
+        queue = reader.hex_matrix(rows, cols, "queue")
+    else:
+        queue = reader.matrix(rows, cols, "queue")
+        reader.require_finite(queue, "queue")
     reader.expect("query", "query marker")
     query = read_params_block(reader)
     reader.expect("key", "key marker")

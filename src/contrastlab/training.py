@@ -85,16 +85,24 @@ class RunConfig:
             )
         if self.epochs < 1:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr < 0.0:
-            raise ConfigurationError(f"lr must be >= 0, got {self.lr}")
         if self.lr_schedule not in ("cosine", "constant"):
             raise ConfigurationError(f"lr_schedule must be cosine or constant, got {self.lr_schedule!r}")
-        if self.temperature <= 0.0 or self.mix_temperature <= 0.0:
-            raise ConfigurationError("temperatures must be positive")
-        if self.mix_weight < 0.0:
-            raise ConfigurationError(f"mix_weight must be >= 0, got {self.mix_weight}")
-        if not 0.0 <= self.ema_momentum <= 1.0:
-            raise ConfigurationError(f"ema_momentum must be in [0, 1], got {self.ema_momentum}")
+        # written so that NaN, which fails every comparison, fails each check
+        for key, ok, rule in (
+            ("lr", 0.0 <= self.lr < math.inf, "finite and >= 0"),
+            ("sgd_momentum", 0.0 <= self.sgd_momentum < 1.0, "in [0, 1)"),
+            ("weight_decay", 0.0 <= self.weight_decay < math.inf, "finite and >= 0"),
+            ("ema_momentum", 0.0 <= self.ema_momentum <= 1.0, "in [0, 1]"),
+            ("temperature", 0.0 < self.temperature < math.inf, "finite and > 0"),
+            ("mix_temperature", 0.0 < self.mix_temperature < math.inf, "finite and > 0"),
+            ("mix_weight", 0.0 <= self.mix_weight < math.inf, "finite and >= 0"),
+            ("noise_sigma", 0.0 <= self.noise_sigma < math.inf, "finite and >= 0"),
+            ("mask_fraction", 0.0 <= self.mask_fraction < 1.0, "in [0, 1)"),
+            ("scale_min", 0.0 < self.scale_min < math.inf, "finite and > 0"),
+            ("scale_max", self.scale_min <= self.scale_max < math.inf, "finite and >= scale_min"),
+        ):
+            if not ok:
+                raise ConfigurationError(f"{key} must be {rule}, got {getattr(self, key)!r}")
 
     @property
     def uses_queue(self) -> bool:

@@ -254,6 +254,7 @@ def test_determinism(tmp_path):
     print("\nACCEPTANCE determinism: PASS (checkpoints and metrics bitwise)")
 
 
+@pytest.mark.slow
 def test_desk_scale_learning():
     """10-class D=20 synthetic dataset, [20, 64, 64] MLP, B=64, K=512, 50
     epochs: (a) the training loss falls from epoch 1 to the final epoch for

@@ -227,6 +227,12 @@ class TestPretrainCommand:
         assert "mix_temperature = 0.05" in manifest
 
 
+def edit_queue_row(text, row, edit):
+    """Apply `edit` to the 96 hex digits of queue row `row` (K=20, C=6)."""
+    start = text.index(b"queue 20 6\n") + 11 + row * 97
+    return text[:start] + edit(text[start:start + 96]) + text[start + 96:]
+
+
 @pytest.fixture()
 def trained_run(tiny_data, tmp_path):
     out_dir = tmp_path / "trained"
@@ -266,7 +272,18 @@ class TestEvalCommands:
         lambda text: text.replace(b"queue 20 6\n", b"queue 100000000000 6\n"),
         lambda text: text + b"end\n",
         lambda text: b"\xff\xfe" + text,
-    ], ids=["negative-queue", "oversized-queue", "trailing-content", "binary-magic"])
+        lambda text: edit_queue_row(text, 0, lambda row: row[1:]),
+        lambda text: edit_queue_row(text, 0, lambda row: row + b"0"),
+        lambda text: edit_queue_row(text, 3, lambda row: row[:9] + b"x" + row[10:]),
+        lambda text: edit_queue_row(text, 3, lambda row: row[:32] + b" " + row[33:]),
+        lambda text: text.replace(b"\n", b"\r\n"),
+        lambda text: edit_queue_row(text, 5, lambda row: b"000000000000f87f" + row[16:]),
+        lambda text: edit_queue_row(text, 5, lambda row: row[:80] + b"000000000000f07f"),
+        lambda text: text[:text.index(b"queue 20 6\n") + 11 + 19 * 97 + 50],
+        lambda text: text.replace(b"queue 20 6\n", b"queue %d 6\n" % (len(text) // 97 + 1)),
+    ], ids=["negative-queue", "oversized-queue", "trailing-content", "binary-magic",
+            "short-row", "long-row", "non-hex-row", "space-in-row", "crlf", "nan-in-row",
+            "inf-in-row", "truncated-last-row", "queue-larger-than-file"])
     def test_hostile_checkpoint_exits_three(self, edit, tiny_data, trained_run, capsys):
         text = trained_run.read_bytes()
         assert b"queue 20 6\n" in text
@@ -275,6 +292,37 @@ class TestEvalCommands:
                                "--data", str(tiny_data))
         assert code == 3
         assert "file error" in err
+
+
+class TestConfigBoundary:
+    """Every config value is checked when the config is built: a bad one
+    exits 1 naming its key, before any work starts."""
+
+    @pytest.mark.parametrize("command, setting", [
+        ("pretrain", "temperature=nan"),
+        ("pretrain", "mix_weight=nan"),
+        ("pretrain", "noise_sigma=nan"),
+        ("pretrain", "mix_temperature=inf"),
+        ("pretrain", "lr=nan"),
+        ("pretrain", "lr=inf"),
+        ("pretrain", "weight_decay=nan"),
+        ("pretrain", "sgd_momentum=1.5"),
+        ("linear-eval", "probe_batch_size=0"),
+        ("linear-eval", "probe_epochs=-1"),
+        ("linear-eval", "probe_lr=nan"),
+    ])
+    def test_out_of_range_value_exits_one_naming_the_key(self, command, setting, tiny_data,
+                                                         tmp_path, request, capsys):
+        if command == "pretrain":
+            argv = ["--data", str(tiny_data), "--out", str(tmp_path / "run"), *PRETRAIN_SETS]
+        else:
+            argv = ["--checkpoint", str(request.getfixturevalue("trained_run")),
+                    "--data", str(tiny_data)]
+            capsys.readouterr()
+        code, out, err = run_cli(capsys, command, *argv, "--set", setting)
+        assert code == 1
+        assert f"error: {setting.split('=')[0]} must be" in err
+        assert out == "" and not (tmp_path / "run").exists()
 
 
 class TestGradcheckCommand:

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from contrastlab.cli import main
+from contrastlab.data import generate_spoke_clusters, save_dataset
 from contrastlab.encoder import encode
 from contrastlab.errors import ConfigurationError, FormatError
 from contrastlab.moco import (
@@ -200,3 +204,140 @@ class TestCheckpoint:
         path.write_text("contrastlab-encoder 1\nseed 0\n")
         with pytest.raises(FormatError):
             load_moco(path)
+
+    def test_queue_rows_are_little_endian_float64_hex(self, tmp_path):
+        state = init_moco([4, 6, 3], 8, 0.999, seeded_rng(25))
+        path = tmp_path / "moco.txt"
+        save_moco(state, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "contrastlab-moco 2"
+        assert lines[4] == "queue 8 3"
+        assert lines[5:13] == [row.astype("<f8").tobytes().hex() for row in state.queue]
+        assert lines[13] == "query"
+
+    BAD_ROW = "expected 48 lowercase hex digits and a newline"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda row: row[1:], BAD_ROW),
+        (lambda row: row + b"0", BAD_ROW),
+        (lambda row: row[:7] + b"g" + row[8:], BAD_ROW),
+        (lambda row: row[:16] + b" " + row[17:], BAD_ROW),
+        (lambda row: row.upper(), BAD_ROW),
+        (lambda row: row + b"\r", BAD_ROW),
+        (lambda row: row[:16] + b"000000000000f87f" + row[32:], "non-finite value"),
+        (lambda row: b"000000000000f0ff" + row[16:], "non-finite value"),
+    ], ids=["short", "long", "non-hex", "space", "uppercase", "cr", "nan", "minus-inf"])
+    def test_bad_queue_row_names_the_row_and_offset(self, tmp_path, edit, message):
+        state = init_moco([4, 6, 3], 8, 0.999, seeded_rng(26))
+        path = tmp_path / "moco.txt"
+        save_moco(state, path)
+        text = path.read_bytes()
+        start = text.index(b"queue 8 3\n") + len(b"queue 8 3\n") + 2 * 49  # row 2
+        path.write_bytes(text[:start] + edit(text[start:start + 48]) + text[start + 48:])
+        with pytest.raises(FormatError, match=message) as info:
+            load_moco(path)
+        assert "queue row 2" in str(info.value)
+        assert info.value.offset == start
+
+
+def save_moco_v1(state, path, seed):
+    """Write `state` in the v1 layout: the v2 lines, but every float, the
+    queue rows included, as `repr` text."""
+    def text(values):
+        return " ".join(repr(float(v)) for v in values)
+
+    lines = ["contrastlab-moco 1", f"seed {seed}", f"ema_momentum {state.ema_momentum!r}",
+             f"queue_ptr {state.queue_ptr}", "queue {} {}".format(*state.queue.shape)]
+    lines += [text(row) for row in state.queue]
+    for name, params in (("query", state.query), ("key", state.key)):
+        lines += [name, "layers " + " ".join(map(str, params.layer_sizes))]
+        for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+            lines += [f"W{l} {w.shape[0]} {w.shape[1]}", *map(text, w), f"b{l} {b.size}", text(b)]
+    path.write_text("\n".join(lines + ["end"]) + "\n")
+
+
+def trained_like_state(seed):
+    state = init_moco([4, 6, 3], 8, 0.99, seeded_rng(seed))
+    rng = seeded_rng(seed + 1)
+    for q in all_params(state.query):
+        q += rng.normal(size=q.shape) / 3.0
+    momentum_update(state)
+    enqueue_dequeue(state, l2_normalize_rows(rng.normal(size=(4, 3))))
+    return state
+
+
+def assert_same_state(a, b):
+    assert (a.queue_ptr, a.ema_momentum) == (b.queue_ptr, b.ema_momentum)
+    for x, y in ((a.queue, b.queue), (a.query.vector, b.query.vector), (a.key.vector, b.key.vector)):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+class TestCheckpointV1:
+    def test_loads_bit_identically(self, tmp_path):
+        state = trained_like_state(27)
+        save_moco_v1(state, tmp_path / "v1.txt", seed=4)
+        loaded, seed = load_moco(tmp_path / "v1.txt")
+        assert seed == 4
+        assert_same_state(loaded, state)
+
+    def test_resaving_writes_v2_with_the_same_arrays(self, tmp_path):
+        state = trained_like_state(28)
+        save_moco_v1(state, tmp_path / "v1.txt", seed=4)
+        save_moco(load_moco(tmp_path / "v1.txt")[0], tmp_path / "v2.txt", seed=4)
+        assert (tmp_path / "v2.txt").read_text().startswith("contrastlab-moco 2\n")
+        assert_same_state(load_moco(tmp_path / "v2.txt")[0], state)
+
+    def test_eval_commands_read_it_as_they_read_v2(self, tmp_path, capsys):
+        state = trained_like_state(29)
+        save_moco_v1(state, tmp_path / "v1.txt", seed=0)
+        save_moco(state, tmp_path / "v2.txt", seed=0)
+        data = tmp_path / "data.txt"
+        save_dataset(generate_spoke_clusters(3, 2, 10, 4, 8.0, 1.3, 0.5, seeded_rng(30)), data)
+        export = tmp_path / "emb.txt"
+        results = {}
+        for version in ("v1", "v2"):
+            checkpoint = str(tmp_path / f"{version}.txt")
+            codes = [
+                main(["linear-eval", "--checkpoint", checkpoint, "--data", str(data),
+                      "--set", "probe_epochs=5"]),
+                main(["metrics", "--checkpoint", checkpoint, "--data", str(data)]),
+                main(["export-embeddings", "--checkpoint", checkpoint, "--data", str(data),
+                      "--out", str(export)]),
+            ]
+            results[version] = codes, capsys.readouterr().out, export.read_bytes()
+        assert results["v1"][0] == [0, 0, 0]
+        assert results["v1"] == results["v2"]
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("moco") / "moco.txt"
+    save_moco(trained_like_state(31), path, seed=2)
+    return path, path.read_bytes()
+
+
+class TestCheckpointCorruption:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_any_truncation_is_a_format_error(self, checkpoint_bytes, data):
+        path, text = checkpoint_bytes
+        cut = data.draw(st.integers(0, len(text) - 1))
+        damaged = path.with_name("damaged.txt")
+        damaged.write_bytes(text[:cut])
+        with pytest.raises(FormatError):
+            load_moco(damaged)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_any_byte_substitution_is_rejected_or_loads_finite(self, checkpoint_bytes, data):
+        path, text = checkpoint_bytes
+        at = data.draw(st.integers(0, len(text) - 1))
+        byte = data.draw(st.integers(0, 255))
+        damaged = path.with_name("damaged.txt")
+        damaged.write_bytes(text[:at] + bytes([byte]) + text[at + 1:])
+        try:
+            state, _ = load_moco(damaged)
+        except FormatError:
+            return
+        for values in (state.queue, state.query.vector, state.key.vector):
+            assert np.isfinite(values).all()
