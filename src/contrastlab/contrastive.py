@@ -1,10 +1,13 @@
 """Contrastive objectives: InfoNCE against a key queue, the in-batch-negatives
-variant, and the mixed-query soft-target loss with its logits/targets builders.
+(SimCLR) loss, and the mixed-query soft-target loss.
 
-All losses return their value together with analytic gradients wrt the
-query-side embeddings; key and queue entries are treated as constants. They
-share one sparse-target soft cross-entropy kernel; InfoNCE and the mixed-query
-loss are both computed by `queue_losses`; the builders are references.
+Every loss returns its value with analytic gradients, and all of them share
+one sparse-target soft cross-entropy kernel. Against a queue (the moco modes)
+the keys come from the EMA encoder and are constants: InfoNCE and the
+mixed-query loss are both computed by `queue_losses`, with gradients wrt the
+query-side rows only. In batch (the simclr modes) both views train: the
+SimCLR loss and the mixed term against the batch keys share one kernel that
+returns gradients to the queries and to the keys.
 """
 
 import math
@@ -22,7 +25,6 @@ class LossResult:
 
     value: float
     grad: Tensor
-    degenerate: bool = False
 
 
 @dataclass
@@ -94,27 +96,57 @@ def infonce_loss(queries: Tensor, keys: Tensor, queue: Tensor, temperature: floa
     """Queue-negative InfoNCE: positive q_i . k_i at column 0, then K negatives.
 
     Mean over rows of -log softmax(logits / temperature)[0]. With an empty
-    queue the softmax has a single entry, so the loss is identically 0 and
-    the result is flagged degenerate.
+    queue the softmax has a single entry, so the loss and its gradient are
+    exactly 0.
     """
-    queries, keys, queue = _infonce_operands(queries, keys, queue, temperature)
-    if queue.shape[0] == 0:
-        return LossResult(0.0, np.zeros_like(queries), degenerate=True)
     res = queue_losses(queries, keys, queue, temperature)
     return LossResult(res.infonce, res.grad)
 
 
-def _infonce_operands(queries, keys, queue, temperature: float):
+def _infonce_operands(queries, keys: Tensor, temperature: float) -> Tensor:
     if temperature <= 0.0:
         raise ConfigurationError(f"temperature must be positive, got {temperature}")
     queries = as_matrix(queries, "queries")
-    keys = as_matrix(keys, "keys")
-    queue = as_matrix(queue, "queue")
     if keys.shape != queries.shape:
         raise DimensionError(f"keys {keys.shape} do not match queries {queries.shape}")
-    if queue.shape[1] != queries.shape[1]:
-        raise DimensionError(f"queue width {queue.shape[1]} != embedding dim {queries.shape[1]}")
-    return queries, keys, queue
+    return queries
+
+
+def _mixed_operands(mixed_queries, keys: Tensor, lambdas, mix_temperature: float):
+    """The mixed rows and their coefficients, checked against the B keys."""
+    if mix_temperature <= 0.0:
+        raise ConfigurationError(f"mix temperature must be positive, got {mix_temperature}")
+    mixed_queries = as_matrix(mixed_queries, "mixed queries")
+    (b, c), half = keys.shape, keys.shape[0] // 2
+    if b < 2 or b % 2:
+        raise ConfigurationError(f"batch size must be even and >= 2, got {b}")
+    if mixed_queries.shape != (half, c):
+        raise DimensionError(f"need {half} mixed queries of width {c}, got {mixed_queries.shape}")
+    lam = as_f64(lambdas)
+    if lam.shape != (half,):
+        raise DimensionError(f"need {half} coefficients, got shape {lam.shape}")
+    if (lam <= 0.0).any() or (lam >= 1.0).any():
+        raise ContractError("mixing coefficients must lie strictly inside (0, 1)")
+    return mixed_queries, lam
+
+
+def _mixed_targets(lam: Tensor):
+    """Mixed row i credits lambda_i to key i and 1 - lambda_i to key i + B/2."""
+    cols = np.arange(lam.size)
+    return [(cols, lam), (cols + lam.size, 1.0 - lam)]
+
+
+def _in_batch_loss(queries: Tensor, keys: Tensor, temperature: float, targets,
+                   term: str) -> PairLossResult:
+    """Soft cross-entropy of the rows of queries . keys^T / temperature against
+    sparse `targets`, with gradients wrt both the queries and the keys."""
+    n = queries.shape[0]
+    logits = (queries / temperature) @ keys.T
+    value = _soft_cross_entropy(logits, targets)
+    grad_queries = logits @ keys / (n * temperature)
+    grad_keys = logits.T @ queries / (n * temperature)
+    _require_finite(term, value, grad_queries, grad_keys)
+    return PairLossResult(value, grad_queries, grad_keys)
 
 
 def simclr_contrastive_loss(queries: Tensor, keys: Tensor, temperature: float) -> PairLossResult:
@@ -123,79 +155,25 @@ def simclr_contrastive_loss(queries: Tensor, keys: Tensor, temperature: float) -
     Mean over rows of -log softmax(q K^T / temperature)[i]. Gradients flow to
     both views.
     """
-    if temperature <= 0.0:
-        raise ConfigurationError(f"temperature must be positive, got {temperature}")
-    queries = as_matrix(queries, "queries")
     keys = as_matrix(keys, "keys")
-    if keys.shape != queries.shape:
-        raise DimensionError(f"keys {keys.shape} do not match queries {queries.shape}")
+    queries = _infonce_operands(queries, keys, temperature)
     b = queries.shape[0]
     if b < 2:
         raise ConfigurationError(f"need a batch of >= 2 for in-batch negatives, got {b}")
-    logits = (queries / temperature) @ keys.T
-    value = _soft_cross_entropy(logits, [(np.arange(b), 1.0)])
-    grad_queries = logits @ keys / (b * temperature)
-    grad_keys = logits.T @ queries / (b * temperature)
-    _require_finite("SimCLR", value, grad_queries, grad_keys)
-    return PairLossResult(value, grad_queries, grad_keys)
+    return _in_batch_loss(queries, keys, temperature, [(np.arange(b), 1.0)], "SimCLR")
 
 
-def _mixed_operands(mixed_queries, keys, queue, mix_temperature: float):
-    if mix_temperature <= 0.0:
-        raise ConfigurationError(f"mix temperature must be positive, got {mix_temperature}")
-    mixed_queries = as_matrix(mixed_queries, "mixed queries")
+def mixed_in_batch_loss(
+    mixed_queries: Tensor, keys: Tensor, lambdas, mix_temperature: float
+) -> PairLossResult:
+    """The mixed-query loss against the B batch keys alone: the simclr modes'
+    mixed term. There the keys come from the trainable encoder, so gradients
+    flow to both the mixed queries and the keys.
+    """
     keys = as_matrix(keys, "keys")
-    queue = as_matrix(queue, "queue")
-    if keys.shape[1] != mixed_queries.shape[1] or queue.shape[1] != mixed_queries.shape[1]:
-        raise DimensionError(
-            f"embedding dims differ: mixed {mixed_queries.shape}, keys {keys.shape}, "
-            f"queue {queue.shape}"
-        )
-    return mixed_queries, keys, queue
-
-
-def _mixed_lambdas(lambdas, batch_size: int, queue_size: int) -> Tensor:
-    lam = as_f64(lambdas)
-    if batch_size < 2 or batch_size % 2:
-        raise ConfigurationError(f"batch size must be even and >= 2, got {batch_size}")
-    if queue_size < 0:
-        raise ConfigurationError(f"queue size must be >= 0, got {queue_size}")
-    if lam.shape != (batch_size // 2,):
-        raise DimensionError(f"need {batch_size // 2} coefficients, got shape {lam.shape}")
-    if (lam <= 0.0).any() or (lam >= 1.0).any():
-        raise ContractError("mixing coefficients must lie strictly inside (0, 1)")
-    return lam
-
-
-def build_mixed_logits(
-    mixed_queries: Tensor, keys: Tensor, queue: Tensor, mix_temperature: float
-) -> Tensor:
-    """Similarity logits of mixed queries against all batch keys then the queue.
-
-    Columns 0..B-1 are mixed . keys^T, columns B.. are mixed . queue^T, all
-    divided by mix_temperature. Rows are expected to be unit-norm.
-    """
-    mixed_queries, keys, queue = _mixed_operands(mixed_queries, keys, queue, mix_temperature)
-    return (
-        np.concatenate([mixed_queries @ keys.T, mixed_queries @ queue.T], axis=1)
-        / mix_temperature
-    )
-
-
-def build_mixed_targets(lambdas, batch_size: int, queue_size: int) -> Tensor:
-    """Soft-target matrix for mixed queries.
-
-    Row i carries lambdas[i] at column i and 1 - lambdas[i] at column
-    i + B/2; all other columns, including every queue column, are zero, so
-    each row sums to exactly 1.
-    """
-    lam = _mixed_lambdas(lambdas, batch_size, queue_size)
-    half = batch_size // 2
-    targets = np.zeros((half, batch_size + queue_size))
-    idx = np.arange(half)
-    targets[idx, idx] = lam
-    targets[idx, idx + half] = 1.0 - lam
-    return targets
+    mixed_queries, lam = _mixed_operands(mixed_queries, keys, lambdas, mix_temperature)
+    return _in_batch_loss(mixed_queries, keys, mix_temperature, _mixed_targets(lam),
+                          "mixed-query")
 
 
 def mixed_query_loss(
@@ -206,8 +184,8 @@ def mixed_query_loss(
     mix_temperature: float,
 ) -> LossResult:
     """Soft-target cross-entropy of mixed queries against batch keys plus the
-    queue. Keys and queue entries are constants; the gradient is wrt the
-    mixed queries only.
+    queue. Keys and queue entries are constants (the moco contract: keys come
+    from the EMA encoder); the gradient is wrt the mixed queries only.
     """
     res = queue_losses(None, keys, queue, None, mixed_queries, lambdas, mix_temperature)
     return LossResult(res.mixed, res.grad)
@@ -242,17 +220,18 @@ def queue_losses(
     column 0 without mixed rows); a mixed row holds the batch keys in columns
     0..B-1 (targets lambda_i at i, 1 - lambda_i at i + B/2), then the queue.
     """
+    keys = as_matrix(keys, "keys")
+    queue = as_matrix(queue, "queue")
+    (b, c), k = keys.shape, queue.shape[0]
+    if queue.shape[1] != c:
+        raise DimensionError(f"queue width {queue.shape[1]} != embedding dim {c}")
     n_query = half = 0
     if queries is not None:
-        queries, keys, queue = _infonce_operands(queries, keys, queue, temperature)
-        n_query = queries.shape[0]
+        queries = _infonce_operands(queries, keys, temperature)
+        n_query = b
     if mixed_queries is not None:
-        mixed_queries, keys, queue = _mixed_operands(mixed_queries, keys, queue, mix_temperature)
-        lam = _mixed_lambdas(lambdas, keys.shape[0], queue.shape[0])
-        half = keys.shape[0] // 2
-        if mixed_queries.shape[0] != half:
-            raise DimensionError(f"need {half} mixed queries, got {mixed_queries.shape[0]}")
-    (b, c), k = keys.shape, queue.shape[0]
+        mixed_queries, lam = _mixed_operands(mixed_queries, keys, lambdas, mix_temperature)
+        half = b // 2
     n = n_query + half
     first = b if half else 1  # first queue column; a query row's positive sits before it
     scaled = np.empty((n, c))
@@ -271,8 +250,7 @@ def queue_losses(
     if half:
         own = logits[n_query:]
         np.matmul(scaled[n_query:], keys.T, out=own[:, :b])
-        cols = np.arange(half)
-        mixed = _soft_cross_entropy(own, [(cols, lam), (cols + half, 1.0 - lam)])
+        mixed = _soft_cross_entropy(own, _mixed_targets(lam))
     grad = logits[:, first:] @ queue
 
     if n_query:
@@ -290,6 +268,4 @@ def queue_losses(
 
 def total_loss(l_contrast: float, l_mixed: float, mix_weight: float) -> float:
     """Combined objective: contrastive term plus mix_weight times the mixed term."""
-    if mix_weight < 0.0:
-        raise ConfigurationError(f"mix weight must be >= 0, got {mix_weight}")
     return l_contrast + mix_weight * l_mixed

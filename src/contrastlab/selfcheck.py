@@ -1,16 +1,26 @@
 """Built-in gradient-verification suite.
 
-Runs central finite differences against the analytic gradients of every loss,
-including the full composite objective backpropagated through an encoder, on
-a fixed set of seeded random instances. Used by `contrastlab gradcheck` and
-by the acceptance tests.
+Runs central finite differences against the analytic gradients of every loss
+and of the training step itself, on a fixed set of seeded random instances.
+A step case differentiates `training._loss_and_grads`, the function
+`pretrain` calls, wrt the query encoder's parameter vector, in each of the
+four modes. Used by `contrastlab gradcheck` and by the acceptance tests.
 """
 
 import numpy as np
 
-from .contrastive import infonce_loss, mixed_query_loss, queue_losses, simclr_contrastive_loss
-from .encoder import EncoderParams, encode, encoder_backward, init_encoder
-from .numerics import GradCheckReport, finite_difference_check, l2_normalize_rows, seeded_rng
+from .contrastive import infonce_loss, mixed_query_loss, mixup_half_batch, simclr_contrastive_loss
+from .encoder import EncoderParams, encode, init_encoder
+from .errors import ContractError
+from .moco import init_moco
+from .numerics import (
+    GradCheckReport,
+    finite_difference_check,
+    l2_normalize_rows,
+    seeded_rng,
+    spawn_rngs,
+)
+from .training import RunConfig, _loss_and_grads, total_loss
 
 
 def _unit_rows(rng, rows, cols):
@@ -56,32 +66,49 @@ def _mixed_case(seed: int, b: int, k: int, c: int, tau_mix: float):
     return f, mixed.ravel()
 
 
-def _composite_case(seed: int, b: int, k: int, tau: float, tau_mix: float, mix_weight: float):
-    """Total objective as a function of the encoder's parameter vector, taken
-    the way the training step takes it: [x_query; x_mixed] through one
-    encode, both losses from one `queue_losses` call, and its stacked
-    gradient through one backward pass."""
-    rng = seeded_rng(seed)
-    layer_sizes = [5, 6, 4]
-    params0 = init_encoder(layer_sizes, rng)
-    x_query = rng.normal(size=(b, layer_sizes[0]))
-    x_key = rng.normal(size=(b, layer_sizes[0]))
-    queue = _unit_rows(rng, k, layer_sizes[-1])
-    lam = rng.uniform(0.05, 0.95, b // 2)
-    x_mixed = lam[:, None] * x_query[: b // 2] + (1.0 - lam)[:, None] * x_query[b // 2 :]
-    x_stacked = np.concatenate([x_query, x_mixed])
-    keys = encode(params0, x_key)[0]  # fixed key embeddings: no grad flows to them
+def _step_case(mode: str, seed: int, b: int, k: int, mix_weight: float):
+    """`training._loss_and_grads`'s total loss as a function of a [5, 6, 4]
+    query encoder's parameter vector, the mixing stream re-seeded on every
+    call. A start point where an encoded row has zero norm, at which row
+    normalisation is not differentiable, raises ContractError."""
+    config = RunConfig(mode=mode, batch_size=b, queue_size=k, input_dim=5, hidden_dims=(6,),
+                       embed_dim=4, mix_weight=mix_weight, seed=seed)
+    rng, _ = spawn_rngs(seed, 2)
 
-    def f(vec):
-        params = EncoderParams(layer_sizes, vec)
-        v, trace = encode(params, x_stacked)
-        losses = queue_losses(v[:b], keys, queue, tau, v[b:], lam, tau_mix)
-        upstream = losses.grad
-        upstream[b:] *= mix_weight
-        grads, _ = encoder_backward(params, trace, upstream)
-        return losses.infonce + mix_weight * losses.mixed, grads
+    def mix_stream():  # the same coefficients on every call
+        return spawn_rngs(seed, 2)[1]
+
+    state = None
+    if config.uses_queue:
+        state = init_moco(config.layer_sizes, k, config.ema_momentum, rng)
+        params0 = state.query
+    else:
+        params0 = init_encoder(config.layer_sizes, rng)
+    x_query, x_key = rng.normal(size=(2, b, config.input_dim))
+    rows = [x_query, x_key]
+    if config.mixes:
+        rows.append(mixup_half_batch(x_query, mix_stream())[0])
+    if encode(params0, np.concatenate(rows))[1].degenerate_rows.any():
+        raise ContractError(f"step case {mode} seed {seed}: an encoded row has zero norm")
+
+    def f(vector):
+        params = EncoderParams(config.layer_sizes, vector)
+        l_contrast, l_mix, grads, _ = _loss_and_grads(config, params, state, x_query, x_key,
+                                                      mix_stream())
+        return total_loss(l_contrast, l_mix, mix_weight), grads
 
     return f, params0.vector
+
+
+# (mode, seed, B, K, mix weight). Seed 409 replaces 401, where one row's output
+# does not depend on a hidden unit's weights (exact gradient 0, roundoff 1e-16
+# reads 1.4e-4); 415 replaces 407, where an encoded row has zero norm.
+STEP_CASES = [
+    ("moco", 400, 4, 4, 1.0), ("moco", 409, 4, 8, 1.0),
+    ("moco+mix", 402, 4, 8, 1.0), ("moco+mix", 403, 6, 6, 0.5),
+    ("simclr", 404, 4, 0, 1.0), ("simclr", 405, 6, 0, 1.0),
+    ("simclr+mix", 406, 4, 0, 1.0), ("simclr+mix", 415, 6, 0, 0.5),
+]
 
 
 def gradient_suite(step: float = 1e-5) -> list[tuple[str, GradCheckReport]]:
@@ -93,8 +120,9 @@ def gradient_suite(step: float = 1e-5) -> list[tuple[str, GradCheckReport]]:
         cases.append((f"simclr b{b} c{c}", *_simclr_case(200 + i, b, c, 0.2)))
     for i, (b, k, c) in enumerate([(2, 2, 2), (4, 2, 4), (4, 8, 3), (8, 8, 8), (6, 4, 6), (8, 0, 4), (8, 512, 8)]):
         cases.append((f"mixed b{b} k{k} c{c}", *_mixed_case(300 + i, b, k, c, 0.05)))
-    for i, (b, k) in enumerate([(4, 4), (4, 8), (6, 6), (8, 4)]):
-        cases.append((f"composite b{b} k{k}", *_composite_case(400 + i, b, k, 0.2, 0.05, 1.0)))
+    for mode, seed, b, k, mix_weight in STEP_CASES:
+        cases.append((f"step {mode} b{b} k{k} w{mix_weight:g}",
+                      *_step_case(mode, seed, b, k, mix_weight)))
     return [(name, finite_difference_check(f, point, step)) for name, f, point in cases]
 
 

@@ -15,21 +15,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .contrastive import (
-    mixed_query_loss,
+    mixed_in_batch_loss,
     mixup_half_batch,
     queue_losses,
     simclr_contrastive_loss,
     total_loss,
 )
 from .data import AugmentConfig, Dataset, epoch_batches, two_views
-from .encoder import (
-    EncoderParams,
-    add_scaled,
-    apply_sgd_step,
-    encode,
-    encoder_backward,
-    init_encoder,
-)
+from .encoder import EncoderParams, apply_sgd_step, encode, encoder_backward, init_encoder
 from .errors import ConfigurationError, DivergedRunError, DomainError
 from .fileio import atomic_write, float_line
 from .moco import MoCoState, enqueue_dequeue, init_moco, key_forward_no_grad, momentum_update
@@ -167,42 +160,44 @@ def pretrain(config: RunConfig, dataset: Dataset) -> PretrainResult:
         return _pretrain_features(config, dataset.features)
 
 
-def _loss_and_grads(config, params, state, x_query, x_key, mix_rng, empty_queue):
+def _loss_and_grads(config, params, state, x_query, x_key, mix_rng):
     """Loss terms, query-encoder gradients, and keys for one batch.
 
-    In the +mix modes the query and mixed rows go through the encoder as one
-    [x_query; x_mix] batch and back in one pass, the mixed rows' upstream
-    gradient scaled by mix_weight. In the moco modes InfoNCE and the
-    mixed-query loss come from one `queue_losses` call over those rows.
+    Every row that takes a gradient goes through the encoder once, in one
+    batch, and back in one pass: [x_query; x_mix] in the moco modes, where
+    the keys come from the EMA encoder, and [x_query; x_key; x_mix] in the
+    simclr modes, where both views train. The mixed term's upstream
+    gradients (to the mixed rows, and in the simclr modes to the keys) are
+    scaled by mix_weight. In the moco modes InfoNCE and the mixed-query loss
+    come from one `queue_losses` call.
     """
     b = x_query.shape[0]
-    x = x_query
+    x = x_query if config.uses_queue else np.concatenate([x_query, x_key])
     lambdas = None
     if config.mixes:
         x_mix, lambdas = mixup_half_batch(x_query, mix_rng)
-        x = np.concatenate([x_query, x_mix])
+        x = np.concatenate([x, x_mix])
     v, trace = encode(params, x)
 
-    l_mix = 0.0
     if config.uses_queue:
         keys = key_forward_no_grad(state, x_key)
         mixed = v[b:] if config.mixes else None
         losses = queue_losses(v[:b], keys, state.queue, config.temperature, mixed, lambdas,
                               config.mix_temperature)
         l_contrast, l_mix, upstream = losses.infonce, losses.mixed, losses.grad
+        upstream[b:] *= config.mix_weight
     else:
-        keys, trace_keys = encode(params, x_key)
+        keys = v[b : 2 * b]
         contrast = simclr_contrastive_loss(v[:b], keys, config.temperature)
-        l_contrast, upstream = contrast.value, contrast.grad_queries
+        l_contrast, l_mix = contrast.value, 0.0
+        upstream = [contrast.grad_queries, contrast.grad_keys]
         if config.mixes:
-            mix = mixed_query_loss(v[b:], keys, empty_queue, lambdas, config.mix_temperature)
+            mix = mixed_in_batch_loss(v[2 * b :], keys, lambdas, config.mix_temperature)
             l_mix = mix.value
-            upstream = np.concatenate([upstream, mix.grad])
-    upstream[b:] *= config.mix_weight
+            upstream[1] += config.mix_weight * mix.grad_keys
+            upstream.append(config.mix_weight * mix.grad_queries)
+        upstream = np.concatenate(upstream)
     grads, _ = encoder_backward(params, trace, upstream)
-    if not config.uses_queue:
-        key_grads, _ = encoder_backward(params, trace_keys, contrast.grad_keys)
-        grads = add_scaled(grads, key_grads, 1.0)
     return l_contrast, l_mix, grads, keys
 
 
@@ -222,7 +217,6 @@ def _pretrain_features(config: RunConfig, features: Tensor) -> PretrainResult:
         params = init_encoder(config.layer_sizes, init_rng)
     velocity = np.zeros_like(params.vector)
 
-    empty_queue = np.zeros((0, config.embed_dim))
     records: list[MetricsRecord] = []
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
@@ -236,7 +230,7 @@ def _pretrain_features(config: RunConfig, features: Tensor) -> PretrainResult:
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
                     l_contrast, l_mix, grads, keys = _loss_and_grads(
-                        config, params, state, x_query, x_key, mix_rng, empty_queue
+                        config, params, state, x_query, x_key, mix_rng
                     )
             except DomainError as exc:
                 raise DivergedRunError(str(exc), epoch, batch_index) from None

@@ -1,10 +1,16 @@
-"""Independent scalar-loop reference implementations used as test oracles.
+"""Independent reference implementations used as test oracles.
 
-Everything here is written with plain Python loops and math.* calls so it
-shares no code path with the vectorized library under test.
+The `*_direct` functions are written with plain Python loops and math.*
+calls so they share no code path with the vectorized library under test. The
+dense mixed-query logits and targets builders are numpy references for the
+sparse-target kernel: they materialise every column, queue included.
 """
 
 import math
+
+import numpy as np
+
+from contrastlab.errors import ConfigurationError, ContractError
 
 
 def infonce_direct(queries, keys, queue, tau):
@@ -47,6 +53,40 @@ def mixed_direct(mixed, keys, queue, lambdas, tau):
         sim_second = math.exp(_dot(mixed[i], keys[i + half]) / tau) / denom
         total += lambdas[i] * math.log(sim_first) + (1.0 - lambdas[i]) * math.log(sim_second)
     return -total / n
+
+
+def build_mixed_logits(mixed_queries, keys, queue, mix_temperature):
+    """Similarity logits of mixed queries against all batch keys then the queue.
+
+    Columns 0..B-1 are mixed . keys^T, columns B.. are mixed . queue^T, all
+    divided by mix_temperature. Rows are expected to be unit-norm.
+    """
+    if mix_temperature <= 0.0:
+        raise ConfigurationError(f"mix temperature must be positive, got {mix_temperature}")
+    mixed_queries, keys, queue = (np.asarray(m, dtype=np.float64)
+                                  for m in (mixed_queries, keys, queue))
+    return (
+        np.concatenate([mixed_queries @ keys.T, mixed_queries @ queue.T], axis=1)
+        / mix_temperature
+    )
+
+
+def build_mixed_targets(lambdas, batch_size, queue_size):
+    """Soft-target matrix for mixed queries.
+
+    Row i carries lambdas[i] at column i and 1 - lambdas[i] at column
+    i + B/2; all other columns, including every queue column, are zero, so
+    each row sums to exactly 1.
+    """
+    lam = np.asarray(lambdas, dtype=np.float64)
+    if (lam <= 0.0).any() or (lam >= 1.0).any():
+        raise ContractError("mixing coefficients must lie strictly inside (0, 1)")
+    half = batch_size // 2
+    targets = np.zeros((half, batch_size + queue_size))
+    idx = np.arange(half)
+    targets[idx, idx] = lam
+    targets[idx, idx + half] = 1.0 - lam
+    return targets
 
 
 def soft_cross_entropy_direct(logits, targets):

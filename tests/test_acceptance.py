@@ -13,8 +13,6 @@ import numpy as np
 import pytest
 
 from contrastlab.contrastive import (
-    build_mixed_logits,
-    build_mixed_targets,
     infonce_loss,
     mixed_query_loss,
     total_loss,
@@ -38,6 +36,7 @@ from contrastlab.moco import (
 from contrastlab.numerics import l2_normalize_rows, seeded_rng
 from contrastlab.selfcheck import gradient_suite, worst_relative_error
 from contrastlab.training import (
+    MODES,
     RunConfig,
     calinski_harabasz,
     davies_bouldin,
@@ -46,6 +45,8 @@ from contrastlab.training import (
     write_metrics,
 )
 from oracles import (
+    build_mixed_logits,
+    build_mixed_targets,
     calinski_harabasz_direct,
     davies_bouldin_direct,
     infonce_direct,
@@ -60,12 +61,14 @@ def unit_rows(rng, rows, cols):
 
 
 def test_gradient_suite():
-    """Analytic gradients of every loss, and of the composite objective
-    through the encoder, match central finite differences at < 1e-5."""
+    """Analytic gradients of every loss, and of the training step itself in
+    each of the four modes, match central finite differences at < 1e-5."""
     started = time.perf_counter()
     results = gradient_suite(step=1e-5)
     elapsed = time.perf_counter() - started
     assert len(results) >= 20
+    for mode in MODES:
+        assert sum(name.startswith(f"step {mode} ") for name, _ in results) >= 2, mode
     worst = worst_relative_error(results)
     assert worst < 1e-5, f"worst relative error {worst:.3e}"
     assert elapsed < 30.0, f"gradient suite took {elapsed:.1f}s"
@@ -112,9 +115,9 @@ def test_loss_identities():
     identical gradients; (e) zero mix weight reduces to the contrastive loss."""
     rng = seeded_rng(11)
 
-    # (a) no negatives: loss identically zero, flagged degenerate
+    # (a) no negatives: loss and gradient identically zero
     res = infonce_loss(unit_rows(rng, 4, 3), unit_rows(rng, 4, 3), np.zeros((0, 3)), 0.2)
-    assert res.value == 0.0 and res.degenerate
+    assert res.value == 0.0 and np.array_equal(res.grad, np.zeros((4, 3)))
 
     # (b) all logits equal -> log(K+1)
     e1 = np.zeros((2, 3))

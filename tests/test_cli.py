@@ -1,5 +1,7 @@
 import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -10,7 +12,8 @@ import pytest
 from contrastlab.cli import OutputDirLock, main
 from contrastlab.data import load_dataset
 from contrastlab.moco import load_moco
-from contrastlab.encoder import load_encoder
+from contrastlab.encoder import init_encoder, load_encoder, write_params_block
+from contrastlab.numerics import seeded_rng
 
 
 def run_cli(capsys, *argv):
@@ -233,6 +236,28 @@ def edit_queue_row(text, row, edit):
     return text[:start] + edit(text[start:start + 96]) + text[start + 96:]
 
 
+def set_header(text, key, value):
+    """Replace the value on the `key` line of a checkpoint."""
+    return re.sub(rb"(?m)^" + key + rb" .*$", key + b" " + value, text, count=1)
+
+
+def widen_queue(text):
+    """Regroup the K=20, C=6 queue as 10 well-formed hex rows of width 12,
+    wider than the encoder's 6 outputs."""
+    start = text.index(b"queue 20 6\n") + 11
+    rows = text[start:start + 20 * 97].split(b"\n")
+    block = b"".join(rows[i] + rows[i + 1] + b"\n" for i in range(0, 20, 2))
+    return text[:start - 11] + b"queue 10 12\n" + block + text[start + 20 * 97:]
+
+
+def resize_key_encoder(text):
+    """Replace the [6, 8, 6] key encoder block with a well-formed [6, 9, 6] one."""
+    block = io.StringIO()
+    write_params_block(block, init_encoder([6, 9, 6], seeded_rng(0)))
+    start = text.index(b"\nkey\n") + 5
+    return text[:start] + block.getvalue().encode() + b"end\n"
+
+
 @pytest.fixture()
 def trained_run(tiny_data, tmp_path):
     out_dir = tmp_path / "trained"
@@ -281,9 +306,19 @@ class TestEvalCommands:
         lambda text: edit_queue_row(text, 5, lambda row: row[:80] + b"000000000000f07f"),
         lambda text: text[:text.index(b"queue 20 6\n") + 11 + 19 * 97 + 50],
         lambda text: text.replace(b"queue 20 6\n", b"queue %d 6\n" % (len(text) // 97 + 1)),
+        lambda text: set_header(text, b"queue_ptr", b"99"),
+        lambda text: set_header(text, b"queue_ptr", b"20"),
+        lambda text: set_header(text, b"queue_ptr", b"-5"),
+        lambda text: set_header(text, b"ema_momentum", b"nan"),
+        lambda text: set_header(text, b"ema_momentum", b"7.5"),
+        lambda text: set_header(text, b"ema_momentum", b"-0.5"),
+        widen_queue,
+        resize_key_encoder,
     ], ids=["negative-queue", "oversized-queue", "trailing-content", "binary-magic",
             "short-row", "long-row", "non-hex-row", "space-in-row", "crlf", "nan-in-row",
-            "inf-in-row", "truncated-last-row", "queue-larger-than-file"])
+            "inf-in-row", "truncated-last-row", "queue-larger-than-file", "pointer-past-queue",
+            "pointer-at-queue-size", "negative-pointer", "nan-ema", "ema-above-one",
+            "negative-ema", "queue-wider-than-encoder", "key-layer-sizes"])
     def test_hostile_checkpoint_exits_three(self, edit, tiny_data, trained_run, capsys):
         text = trained_run.read_bytes()
         assert b"queue 20 6\n" in text

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from contrastlab import numerics, training
+from contrastlab import numerics, selfcheck, training
+from contrastlab.contrastive import simclr_contrastive_loss
 from contrastlab.data import Dataset, generate_spoke_clusters, split_dataset
 from contrastlab.encoder import EncoderParams, encode, init_encoder
-from contrastlab.errors import ConfigurationError, DivergedRunError
+from contrastlab.errors import ConfigurationError, ContractError, DivergedRunError
 from contrastlab.numerics import seeded_rng
 from contrastlab.training import (
     RunConfig,
@@ -65,6 +66,10 @@ class TestRunConfig:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ConfigurationError):
             RunConfig(mode="byol")
+
+    def test_rejects_negative_mix_weight(self):
+        with pytest.raises(ConfigurationError, match="mix_weight"):
+            RunConfig(mix_weight=-0.5)
 
 
 class TestPretrain:
@@ -195,6 +200,60 @@ def two_blas_threads():
     set_(2)
     yield get
     set_(previous)
+
+
+class TestStep:
+    """`training._loss_and_grads`, the step every mode trains with."""
+
+    @pytest.mark.parametrize("mode, queue_size", [
+        ("moco", 32), ("moco+mix", 32), ("simclr", 0), ("simclr+mix", 0)])
+    def test_one_encode_and_one_backward_per_step(self, monkeypatch, mode, queue_size):
+        calls = {"encode": 0, "encoder_backward": 0}
+        for name in calls:
+            def spy(*args, _name=name, _real=getattr(training, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(training, name, spy)
+        ds = small_dataset()
+        config = small_config(mode=mode, queue_size=queue_size)
+        pretrain(config, ds)
+        steps = config.epochs * (ds.sample_count // config.batch_size)
+        assert calls == {"encode": steps, "encoder_backward": steps}
+
+    def test_simclr_mix_with_zero_weight_adds_exact_zeros(self, monkeypatch):
+        # the mixed rows' upstream gradient and the mixed term's key gradient
+        # are scaled by mix_weight: at 0 the backward sees only the SimCLR term
+        seen = {}
+        real_encode, real_backward = training.encode, training.encoder_backward
+
+        def spy_encode(params, x):
+            seen["v"], trace = real_encode(params, x)
+            return seen["v"], trace
+
+        def spy_backward(params, trace, upstream):
+            seen["upstream"] = upstream.copy()
+            return real_backward(params, trace, upstream)
+
+        monkeypatch.setattr(training, "encode", spy_encode)
+        monkeypatch.setattr(training, "encoder_backward", spy_backward)
+        config = small_config(mode="simclr+mix", queue_size=0, mix_weight=0.0)
+        rng = seeded_rng(3)
+        params = init_encoder(config.layer_sizes, rng)
+        x_query, x_key = rng.normal(size=(2, 16, 8))
+        l_contrast, l_mix, _, _ = training._loss_and_grads(
+            config, params, None, x_query, x_key, seeded_rng(4))
+        v, upstream, b = seen["v"], seen["upstream"], config.batch_size
+        contrast = simclr_contrastive_loss(v[:b], v[b:2 * b], config.temperature)
+        assert l_contrast == contrast.value and l_mix > 0.0
+        assert np.array_equal(upstream[:b], contrast.grad_queries)
+        assert np.array_equal(upstream[b:2 * b], contrast.grad_keys)
+        assert upstream.shape == (2 * b + b // 2, 8)
+        assert not upstream[2 * b:].any()
+
+    def test_gradient_suite_rejects_a_degenerate_start_point(self):
+        # at this seed the [5, 6, 4] encoder maps one of the rows to zero
+        with pytest.raises(ContractError, match="zero norm"):
+            selfcheck._step_case("simclr+mix", 407, 6, 0, 0.5)
 
 
 class TestBlasThreads:
