@@ -79,6 +79,11 @@ class DataGenConfig:
     # shared
     within_sigma: float = 0.5
 
+    def __post_init__(self):
+        # the generators check the other knobs
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+
 
 @dataclass
 class EvalConfig:
@@ -97,6 +102,7 @@ class EvalConfig:
             ("probe_lr", 0.0 < self.probe_lr < math.inf, "finite and > 0"),
             ("probe_batch_size", self.probe_batch_size >= 1, ">= 1"),
             ("train_fraction", 0.0 < self.train_fraction < 1.0, "in (0, 1)"),
+            ("seed", self.seed >= 0, ">= 0"),
         ):
             if not ok:
                 raise ConfigurationError(f"{key} must be {rule}, got {getattr(self, key)!r}")

@@ -1,13 +1,16 @@
-"""Contrastive objectives: InfoNCE against a key queue, the in-batch-negatives
-(SimCLR) loss, and the mixed-query soft-target loss.
+"""Contrastive objectives: InfoNCE against a key queue (MoCo), the
+in-batch-negatives loss (SimCLR), and the mixed-query soft-target loss added
+to either.
 
-Every loss returns its value with analytic gradients, and all of them share
-one sparse-target soft cross-entropy kernel. Against a queue (the moco modes)
-the keys come from the EMA encoder and are constants: InfoNCE and the
-mixed-query loss are both computed by `queue_losses`, with gradients wrt the
-query-side rows only. In batch (the simclr modes) both views train: the
-SimCLR loss and the mixed term against the batch keys share one kernel that
-returns gradients to the queries and to the keys.
+For a query row the two base methods differ only in their negatives: MoCo's
+are the queue, SimCLR's are the other batch keys. One private kernel,
+`_contrast`, computes every loss from one logits layout, rows [queries; mixed
+queries] against columns [batch keys; queue]. With a queue, a query row's
+other batch keys are masked out and the keys, which come from the EMA
+encoder, are constants. Without one, the batch keys are the negatives, both
+views train, and the kernel also returns the key gradient. The public losses
+check their operands and call the kernel; the training step calls it
+directly, on operands its config has checked.
 """
 
 import math
@@ -36,20 +39,28 @@ class PairLossResult:
     grad_keys: Tensor
 
 
+def _half_batch(b: int) -> int:
+    if b < 2 or b % 2:
+        raise ConfigurationError(f"batch size must be even and >= 2, got {b}")
+    return b // 2
+
+
+def _mix(x: Tensor, lam: Tensor) -> Tensor:
+    half = lam.size
+    lam = lam[:, None]
+    return lam * x[:half] + (1.0 - lam) * x[half:]
+
+
 def mix_rows(x: Tensor, lambdas) -> Tensor:
     """Convex combination of row i with row i + B/2, weights lambdas[i]."""
     x = as_matrix(x)
-    b = x.shape[0]
-    if b < 2 or b % 2:
-        raise ConfigurationError(f"batch size must be even and >= 2, got {b}")
+    half = _half_batch(x.shape[0])
     lam = as_f64(lambdas)
-    half = b // 2
     if lam.shape != (half,):
         raise DimensionError(f"need {half} coefficients, got shape {lam.shape}")
     if (lam < 0.0).any() or (lam > 1.0).any():
         raise ContractError("mixing coefficients must lie in [0, 1]")
-    lam = lam[:, None]
-    return lam * x[:half] + (1.0 - lam) * x[half:]
+    return _mix(x, lam)
 
 
 def mixup_half_batch(x: Tensor, rng: np.random.Generator) -> tuple[Tensor, Tensor]:
@@ -57,33 +68,51 @@ def mixup_half_batch(x: Tensor, rng: np.random.Generator) -> tuple[Tensor, Tenso
 
     Returns (x_mix, lambdas): row i of x_mix is lambdas[i] * x[i] +
     (1 - lambdas[i]) * x[i + B/2]. One coefficient is drawn per mixed row;
-    exact zeros are redrawn so every lambda lies in the open interval.
+    exact zeros are redrawn so every lambda lies in the open interval. `x` is
+    not coerced (the training step calls this on every batch).
     """
-    x = as_matrix(x)
-    b = x.shape[0]
-    if b < 2 or b % 2:
-        raise ConfigurationError(f"batch size must be even and >= 2, got {b}")
-    lam = rng.random(b // 2)
+    if x.ndim != 2:
+        raise DimensionError(f"input must be 2-D, got shape {x.shape}")
+    lam = rng.random(_half_batch(x.shape[0]))
     while (lam == 0.0).any():
         zero = lam == 0.0
         lam[zero] = rng.random(int(zero.sum()))
-    return mix_rows(x, lam), lam
+    return _mix(x, lam), lam
 
 
-def _soft_cross_entropy(logits: Tensor, targets) -> float:
-    """Mean soft cross-entropy of `logits` rows; overwrites the buffer with
-    softmax(logits) - targets. `targets` lists (columns, weights) pairs: row i
-    gets weights[i] at column columns[i]; each row's weights sum to 1."""
-    rows = np.arange(logits.shape[0])
-    picked = sum(weights * logits[rows, columns] for columns, weights in targets)
-    peak = logits.max(axis=1, keepdims=True)
-    np.subtract(logits, peak, out=logits)
-    np.exp(logits, out=logits)
-    total = logits.sum(axis=1, keepdims=True)
-    np.divide(logits, total, out=logits)
-    for columns, weights in targets:
-        logits[rows, columns] -= weights
-    return float((peak[:, 0] + np.log(total[:, 0]) - picked).mean())
+def _check_temperature(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:  # NaN fails too
+        raise ConfigurationError(f"{name} must be finite and positive, got {value}")
+
+
+def _query_operands(queries, keys, temperature: float) -> tuple[Tensor, Tensor]:
+    _check_temperature("temperature", temperature)
+    queries, keys = as_matrix(queries, "queries"), as_matrix(keys, "keys")
+    if keys.shape != queries.shape:
+        raise DimensionError(f"keys {keys.shape} do not match queries {queries.shape}")
+    return queries, keys
+
+
+def _mixed_operands(mixed_queries, keys, lambdas, mix_temperature: float):
+    """The mixed rows, the B keys and the coefficients, checked together."""
+    _check_temperature("mix temperature", mix_temperature)
+    mixed_queries, keys = as_matrix(mixed_queries, "mixed queries"), as_matrix(keys, "keys")
+    half, c = _half_batch(keys.shape[0]), keys.shape[1]
+    if mixed_queries.shape != (half, c):
+        raise DimensionError(f"need {half} mixed queries of width {c}, got {mixed_queries.shape}")
+    lam = as_f64(lambdas)
+    if lam.shape != (half,):
+        raise DimensionError(f"need {half} coefficients, got shape {lam.shape}")
+    if (lam <= 0.0).any() or (lam >= 1.0).any():
+        raise ContractError("mixing coefficients must lie strictly inside (0, 1)")
+    return mixed_queries, keys, lam
+
+
+def _queue_operand(queue, keys: Tensor) -> Tensor:
+    queue = as_matrix(queue, "queue")
+    if queue.shape[1] != keys.shape[1]:
+        raise DimensionError(f"queue width {queue.shape[1]} != embedding dim {keys.shape[1]}")
+    return queue
 
 
 def _require_finite(loss: str, value: float, *grads: Tensor) -> None:
@@ -92,61 +121,96 @@ def _require_finite(loss: str, value: float, *grads: Tensor) -> None:
         raise DomainError(f"non-finite {loss} loss")
 
 
-def infonce_loss(queries: Tensor, keys: Tensor, queue: Tensor, temperature: float) -> LossResult:
-    """Queue-negative InfoNCE: positive q_i . k_i at column 0, then K negatives.
+@dataclass
+class _Contrast:
+    """Both terms' values (0.0 for an empty row block), the gradient wrt the
+    stacked [queries; mixed] rows, and without a queue the key gradient."""
 
-    Mean over rows of -log softmax(logits / temperature)[0]. With an empty
-    queue the softmax has a single entry, so the loss and its gradient are
-    exactly 0.
+    contrast: float
+    mixed: float
+    grad: Tensor
+    grad_keys: Tensor | None
+
+
+def _contrast(queries: Tensor, keys: Tensor, queue: Tensor | None, temperature: float,
+              mixed: Tensor, lambdas: Tensor, mix_temperature: float,
+              mix_weight: float = 1.0) -> _Contrast:
+    """The contrastive term of `queries` and the mixed-query term of `mixed`
+    from one logits buffer: rows [queries; mixed], each divided by its
+    term's temperature, against columns [keys; queue] (the keys alone when
+    `queue` is None). Either row block may be empty.
+
+    Query row i targets key i. With a queue its other batch keys are set to
+    -inf, so only k_i and the queue enter its softmax (InfoNCE); without one
+    they are its negatives (SimCLR). Mixed row m targets key m with weight
+    lambdas[m] and key m + B/2 with 1 - lambdas[m], against every column.
+    The mixed rows' gradient, and their share of the key gradient, are
+    scaled by mix_weight.
+
+    Operands are not checked here, so the training step pays for no checks:
+    the public losses check theirs, and `RunConfig` the step's. A non-finite
+    value or gradient raises DomainError naming its term.
     """
-    res = queue_losses(queries, keys, queue, temperature)
-    return LossResult(res.infonce, res.grad)
+    (b, c), nq, half = keys.shape, queries.shape[0], mixed.shape[0]
+    rows = np.arange(nq + half)
+    scaled = np.empty((rows.size, c))
+    np.divide(queries, temperature, out=scaled[:nq])
+    np.divide(mixed, mix_temperature, out=scaled[nq:])
+    logits = np.empty((rows.size, b + (0 if queue is None else queue.shape[0])))
+    np.matmul(scaled, keys.T, out=logits[:, :b])
+    own = rows[:nq]
+    if queue is not None:
+        np.matmul(scaled, queue.T, out=logits[:, b:])
+        positives = logits[own, own]
+        logits[:nq, :b] = -np.inf
+        logits[own, own] = positives
+    # row r credits weight[r] to column first[r] and rest[r] to second[r]
+    weight = np.concatenate([np.ones(nq), lambdas])
+    rest = 1.0 - weight
+    first = np.concatenate([own, rows[:half]])
+    second = np.concatenate([own, rows[:half] + half])
+    picked = weight * logits[rows, first] + rest * logits[rows, second]
+    peak = logits.max(axis=1, keepdims=True)
+    np.subtract(logits, peak, out=logits)
+    np.exp(logits, out=logits)
+    total = logits.sum(axis=1)
+    losses = peak[:, 0] + np.log(total) - picked
+    # softmax - targets, each row times d(term mean)/d(logit); max(., 1)
+    # keeps an empty block's unused factor finite
+    scale = np.full(rows.size, 1.0 / (max(nq, 1) * temperature))
+    scale[nq:] = mix_weight / (max(half, 1) * mix_temperature)
+    np.multiply(logits, (scale / total)[:, None], out=logits)
+    logits[rows, first] -= weight * scale
+    logits[rows, second] -= rest * scale
+
+    grad = logits[:, :b] @ keys
+    grad_keys = None
+    if queue is None:
+        grad_keys = logits[:nq].T @ queries + logits[nq:].T @ mixed
+    else:
+        grad += logits[:, b:] @ queue
+    contrast = float(losses[:nq].mean()) if nq else 0.0
+    mixed_value = float(losses[nq:].mean()) if half else 0.0
+    term = "InfoNCE" if queue is not None else "SimCLR"
+    _require_finite(term, contrast, grad[:nq])
+    _require_finite("mixed-query", mixed_value, grad[nq:])
+    if grad_keys is not None:
+        _require_finite("mixed-query" if half else term, 0.0, grad_keys)
+    return _Contrast(contrast, mixed_value, grad, grad_keys)
 
 
-def _infonce_operands(queries, keys: Tensor, temperature: float) -> Tensor:
-    if temperature <= 0.0:
-        raise ConfigurationError(f"temperature must be positive, got {temperature}")
-    queries = as_matrix(queries, "queries")
-    if keys.shape != queries.shape:
-        raise DimensionError(f"keys {keys.shape} do not match queries {queries.shape}")
-    return queries
+def infonce_loss(queries: Tensor, keys: Tensor, queue: Tensor, temperature: float) -> LossResult:
+    """Queue-negative InfoNCE: row i's positive is q_i . k_i, its negatives
+    the K queue entries.
 
-
-def _mixed_operands(mixed_queries, keys: Tensor, lambdas, mix_temperature: float):
-    """The mixed rows and their coefficients, checked against the B keys."""
-    if mix_temperature <= 0.0:
-        raise ConfigurationError(f"mix temperature must be positive, got {mix_temperature}")
-    mixed_queries = as_matrix(mixed_queries, "mixed queries")
-    (b, c), half = keys.shape, keys.shape[0] // 2
-    if b < 2 or b % 2:
-        raise ConfigurationError(f"batch size must be even and >= 2, got {b}")
-    if mixed_queries.shape != (half, c):
-        raise DimensionError(f"need {half} mixed queries of width {c}, got {mixed_queries.shape}")
-    lam = as_f64(lambdas)
-    if lam.shape != (half,):
-        raise DimensionError(f"need {half} coefficients, got shape {lam.shape}")
-    if (lam <= 0.0).any() or (lam >= 1.0).any():
-        raise ContractError("mixing coefficients must lie strictly inside (0, 1)")
-    return mixed_queries, lam
-
-
-def _mixed_targets(lam: Tensor):
-    """Mixed row i credits lambda_i to key i and 1 - lambda_i to key i + B/2."""
-    cols = np.arange(lam.size)
-    return [(cols, lam), (cols + lam.size, 1.0 - lam)]
-
-
-def _in_batch_loss(queries: Tensor, keys: Tensor, temperature: float, targets,
-                   term: str) -> PairLossResult:
-    """Soft cross-entropy of the rows of queries . keys^T / temperature against
-    sparse `targets`, with gradients wrt both the queries and the keys."""
-    n = queries.shape[0]
-    logits = (queries / temperature) @ keys.T
-    value = _soft_cross_entropy(logits, targets)
-    grad_queries = logits @ keys / (n * temperature)
-    grad_keys = logits.T @ queries / (n * temperature)
-    _require_finite(term, value, grad_queries, grad_keys)
-    return PairLossResult(value, grad_queries, grad_keys)
+    Mean over rows of -log softmax(logits / temperature) at the positive.
+    With an empty queue the softmax has a single entry, so the loss and its
+    gradient are exactly 0.
+    """
+    queries, keys = _query_operands(queries, keys, temperature)
+    queue = _queue_operand(queue, keys)
+    res = _contrast(queries, keys, queue, temperature, keys[:0], np.empty(0), 1.0)
+    return LossResult(res.contrast, res.grad)
 
 
 def simclr_contrastive_loss(queries: Tensor, keys: Tensor, temperature: float) -> PairLossResult:
@@ -155,12 +219,12 @@ def simclr_contrastive_loss(queries: Tensor, keys: Tensor, temperature: float) -
     Mean over rows of -log softmax(q K^T / temperature)[i]. Gradients flow to
     both views.
     """
-    keys = as_matrix(keys, "keys")
-    queries = _infonce_operands(queries, keys, temperature)
-    b = queries.shape[0]
-    if b < 2:
-        raise ConfigurationError(f"need a batch of >= 2 for in-batch negatives, got {b}")
-    return _in_batch_loss(queries, keys, temperature, [(np.arange(b), 1.0)], "SimCLR")
+    queries, keys = _query_operands(queries, keys, temperature)
+    if queries.shape[0] < 2:
+        raise ConfigurationError(
+            f"need a batch of >= 2 for in-batch negatives, got {queries.shape[0]}")
+    res = _contrast(queries, keys, None, temperature, keys[:0], np.empty(0), 1.0)
+    return PairLossResult(res.contrast, res.grad, res.grad_keys)
 
 
 def mixed_in_batch_loss(
@@ -170,10 +234,9 @@ def mixed_in_batch_loss(
     mixed term. There the keys come from the trainable encoder, so gradients
     flow to both the mixed queries and the keys.
     """
-    keys = as_matrix(keys, "keys")
-    mixed_queries, lam = _mixed_operands(mixed_queries, keys, lambdas, mix_temperature)
-    return _in_batch_loss(mixed_queries, keys, mix_temperature, _mixed_targets(lam),
-                          "mixed-query")
+    mixed_queries, keys, lam = _mixed_operands(mixed_queries, keys, lambdas, mix_temperature)
+    res = _contrast(keys[:0], keys, None, 1.0, mixed_queries, lam, mix_temperature)
+    return PairLossResult(res.mixed, res.grad, res.grad_keys)
 
 
 def mixed_query_loss(
@@ -187,83 +250,10 @@ def mixed_query_loss(
     queue. Keys and queue entries are constants (the moco contract: keys come
     from the EMA encoder); the gradient is wrt the mixed queries only.
     """
-    res = queue_losses(None, keys, queue, None, mixed_queries, lambdas, mix_temperature)
+    mixed_queries, keys, lam = _mixed_operands(mixed_queries, keys, lambdas, mix_temperature)
+    queue = _queue_operand(queue, keys)
+    res = _contrast(keys[:0], keys, queue, 1.0, mixed_queries, lam, mix_temperature)
     return LossResult(res.mixed, res.grad)
-
-
-@dataclass
-class QueueLossResult:
-    """InfoNCE and mixed-query values and the gradient wrt the stacked
-    [queries; mixed queries] rows."""
-
-    infonce: float
-    mixed: float
-    grad: Tensor
-
-
-def queue_losses(
-    queries: Tensor | None,
-    keys: Tensor,
-    queue: Tensor,
-    temperature: float | None,
-    mixed_queries: Tensor | None = None,
-    lambdas=None,
-    mix_temperature: float | None = None,
-) -> QueueLossResult:
-    """InfoNCE of `queries` and the mixed-query loss of `mixed_queries`
-    against the B batch keys and the K-entry queue, from one stacked logits
-    buffer, so that one queue product each way serves both terms. Either
-    term may be None (its value is then 0.0).
-
-    The buffer holds the B query rows, then the B/2 mixed rows. A query row
-    holds its positive q_i . k_i and then the queue, from column B - 1 (from
-    column 0 without mixed rows); a mixed row holds the batch keys in columns
-    0..B-1 (targets lambda_i at i, 1 - lambda_i at i + B/2), then the queue.
-    """
-    keys = as_matrix(keys, "keys")
-    queue = as_matrix(queue, "queue")
-    (b, c), k = keys.shape, queue.shape[0]
-    if queue.shape[1] != c:
-        raise DimensionError(f"queue width {queue.shape[1]} != embedding dim {c}")
-    n_query = half = 0
-    if queries is not None:
-        queries = _infonce_operands(queries, keys, temperature)
-        n_query = b
-    if mixed_queries is not None:
-        mixed_queries, lam = _mixed_operands(mixed_queries, keys, lambdas, mix_temperature)
-        half = b // 2
-    n = n_query + half
-    first = b if half else 1  # first queue column; a query row's positive sits before it
-    scaled = np.empty((n, c))
-    if n_query:
-        np.divide(queries, temperature, out=scaled[:n_query])
-    if half:
-        np.divide(mixed_queries, mix_temperature, out=scaled[n_query:])
-    logits = np.empty((n, first + k))
-    np.matmul(scaled, queue.T, out=logits[:, first:])
-
-    infonce = mixed = 0.0
-    if n_query:
-        own = logits[:n_query, first - 1 :]
-        np.sum(scaled[:n_query] * keys[:n_query], axis=1, out=own[:, 0])
-        infonce = _soft_cross_entropy(own, [(0, 1.0)])
-    if half:
-        own = logits[n_query:]
-        np.matmul(scaled[n_query:], keys.T, out=own[:, :b])
-        mixed = _soft_cross_entropy(own, _mixed_targets(lam))
-    grad = logits[:, first:] @ queue
-
-    if n_query:
-        own = grad[:n_query]
-        own += logits[:n_query, first - 1 : first] * keys
-        own /= n_query * temperature
-        _require_finite("InfoNCE", infonce, own)
-    if half:
-        own = grad[n_query:]
-        own += logits[n_query:, :b] @ keys
-        own /= half * mix_temperature
-        _require_finite("mixed-query", mixed, own)
-    return QueueLossResult(infonce, mixed, grad)
 
 
 def total_loss(l_contrast: float, l_mixed: float, mix_weight: float) -> float:

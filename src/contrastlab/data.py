@@ -93,9 +93,12 @@ def generate_gaussian_clusters(
             f"counts must be positive with >= 2 classes, got classes={class_count}, "
             f"per_class={per_class}, dim={dim}"
         )
-    if center_spread <= 0.0 or within_sigma <= 0.0:
+    # written so that NaN, which fails every comparison, fails each check
+    if not (math.isfinite(center_offset) and 0.0 < center_spread < math.inf
+            and 0.0 < within_sigma < math.inf):
         raise ConfigurationError(
-            f"center_spread and within_sigma must be positive, got {center_spread}, {within_sigma}"
+            "need a finite center_offset, and center_spread and within_sigma finite and "
+            f"positive, got {center_offset}, {center_spread}, {within_sigma}"
         )
     centers = rng.uniform(center_offset, center_offset + center_spread, size=(class_count, dim))
     n = class_count * per_class
@@ -127,9 +130,10 @@ def generate_spoke_clusters(
             f"counts must be positive with >= 2 classes, got classes={class_count}, "
             f"spokes={spokes}, per_mode={per_mode}, dim={dim}"
         )
-    if base_radius <= 0.0 or radius_growth <= 1.0 or within_sigma <= 0.0:
+    if not (0.0 < base_radius < math.inf and 1.0 < radius_growth < math.inf
+            and 0.0 < within_sigma < math.inf):
         raise ConfigurationError(
-            "need base_radius > 0, radius_growth > 1, and within_sigma > 0, got "
+            "need finite base_radius > 0, radius_growth > 1, and within_sigma > 0, got "
             f"{base_radius}, {radius_growth}, {within_sigma}"
         )
     raw = rng.standard_normal((spokes, dim))

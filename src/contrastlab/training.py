@@ -14,13 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .contrastive import (
-    mixed_in_batch_loss,
-    mixup_half_batch,
-    queue_losses,
-    simclr_contrastive_loss,
-    total_loss,
-)
+from .contrastive import _contrast, mixup_half_batch, total_loss
 from .data import AugmentConfig, Dataset, epoch_batches, two_views
 from .encoder import EncoderParams, apply_sgd_step, encode, encoder_backward, init_encoder
 from .errors import ConfigurationError, DivergedRunError, DomainError
@@ -93,6 +87,7 @@ class RunConfig:
             ("mask_fraction", 0.0 <= self.mask_fraction < 1.0, "in [0, 1)"),
             ("scale_min", 0.0 < self.scale_min < math.inf, "finite and > 0"),
             ("scale_max", self.scale_min <= self.scale_max < math.inf, "finite and >= scale_min"),
+            ("seed", self.seed >= 0, ">= 0"),
         ):
             if not ok:
                 raise ConfigurationError(f"{key} must be {rule}, got {getattr(self, key)!r}")
@@ -166,39 +161,30 @@ def _loss_and_grads(config, params, state, x_query, x_key, mix_rng):
     Every row that takes a gradient goes through the encoder once, in one
     batch, and back in one pass: [x_query; x_mix] in the moco modes, where
     the keys come from the EMA encoder, and [x_query; x_key; x_mix] in the
-    simclr modes, where both views train. The mixed term's upstream
-    gradients (to the mixed rows, and in the simclr modes to the keys) are
-    scaled by mix_weight. In the moco modes InfoNCE and the mixed-query loss
-    come from one `queue_losses` call.
+    simclr modes, where both views train. Both loss terms come from one
+    `contrastive._contrast` call in every mode, on operands `RunConfig` has
+    checked; it scales the mixed term's gradients by mix_weight. The only
+    per-mode choices are where the keys come from and whether their gradient
+    joins the upstream.
     """
     b = x_query.shape[0]
     x = x_query if config.uses_queue else np.concatenate([x_query, x_key])
-    lambdas = None
+    lambdas = np.empty(0)
     if config.mixes:
         x_mix, lambdas = mixup_half_batch(x_query, mix_rng)
         x = np.concatenate([x, x_mix])
     v, trace = encode(params, x)
-
     if config.uses_queue:
-        keys = key_forward_no_grad(state, x_key)
-        mixed = v[b:] if config.mixes else None
-        losses = queue_losses(v[:b], keys, state.queue, config.temperature, mixed, lambdas,
-                              config.mix_temperature)
-        l_contrast, l_mix, upstream = losses.infonce, losses.mixed, losses.grad
-        upstream[b:] *= config.mix_weight
+        keys, queue, mixed = key_forward_no_grad(state, x_key), state.queue, v[b:]
     else:
-        keys = v[b : 2 * b]
-        contrast = simclr_contrastive_loss(v[:b], keys, config.temperature)
-        l_contrast, l_mix = contrast.value, 0.0
-        upstream = [contrast.grad_queries, contrast.grad_keys]
-        if config.mixes:
-            mix = mixed_in_batch_loss(v[2 * b :], keys, lambdas, config.mix_temperature)
-            l_mix = mix.value
-            upstream[1] += config.mix_weight * mix.grad_keys
-            upstream.append(config.mix_weight * mix.grad_queries)
-        upstream = np.concatenate(upstream)
+        keys, queue, mixed = v[b : 2 * b], None, v[2 * b :]
+    res = _contrast(v[:b], keys, queue, config.temperature, mixed, lambdas,
+                    config.mix_temperature, config.mix_weight)
+    upstream = res.grad
+    if res.grad_keys is not None:
+        upstream = np.concatenate([res.grad[:b], res.grad_keys, res.grad[b:]])
     grads, _ = encoder_backward(params, trace, upstream)
-    return l_contrast, l_mix, grads, keys
+    return res.contrast, res.mixed, grads, keys
 
 
 def _pretrain_features(config: RunConfig, features: Tensor) -> PretrainResult:

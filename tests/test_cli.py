@@ -61,6 +61,19 @@ class TestGenData:
         assert code == 0
         assert load_dataset(out).sample_count == 21
 
+    @pytest.mark.parametrize("settings", [
+        ["within_sigma=nan"], ["base_radius=inf"], ["radius_growth=nan"],
+        ["kind=gaussian", "center_offset=nan"], ["kind=gaussian", "center_spread=inf"],
+    ])
+    def test_non_finite_generator_value_exits_one_and_writes_nothing(self, settings, tmp_path,
+                                                                     capsys):
+        out = tmp_path / "d.txt"
+        code, stdout, err = run_cli(capsys, "gen-data", "--out", str(out),
+                                    *[a for kv in settings for a in ("--set", kv)])
+        assert code == 1
+        assert err.startswith("error: ") and stdout == ""
+        assert not list(tmp_path.iterdir())
+
     def test_unknown_key_exits_one(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "gen-data", "--out", str(tmp_path / "x.txt"),
                                "--set", "bogus=1")
@@ -345,11 +358,16 @@ class TestConfigBoundary:
         ("linear-eval", "probe_batch_size=0"),
         ("linear-eval", "probe_epochs=-1"),
         ("linear-eval", "probe_lr=nan"),
+        ("pretrain", "seed=-1"),
+        ("gen-data", "seed=-3"),
+        ("linear-eval", "seed=-5"),
     ])
     def test_out_of_range_value_exits_one_naming_the_key(self, command, setting, tiny_data,
                                                          tmp_path, request, capsys):
         if command == "pretrain":
             argv = ["--data", str(tiny_data), "--out", str(tmp_path / "run"), *PRETRAIN_SETS]
+        elif command == "gen-data":
+            argv = ["--out", str(tmp_path / "run")]
         else:
             argv = ["--checkpoint", str(request.getfixturevalue("trained_run")),
                     "--data", str(tiny_data)]
@@ -357,7 +375,7 @@ class TestConfigBoundary:
         code, out, err = run_cli(capsys, command, *argv, "--set", setting)
         assert code == 1
         assert f"error: {setting.split('=')[0]} must be" in err
-        assert out == "" and not (tmp_path / "run").exists()
+        assert out == "" and not list(tmp_path.glob("run*"))
 
 
 class TestGradcheckCommand:

@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contrastlab.contrastive import (
+    _contrast,
     infonce_loss,
     mix_rows,
+    mixed_in_batch_loss,
     mixed_query_loss,
     mixup_half_batch,
-    queue_losses,
     simclr_contrastive_loss,
     total_loss,
 )
@@ -392,10 +393,14 @@ class TestDenseReferences:
 
 class TestNonFiniteInputs:
     LOSSES = {
-        "InfoNCE": lambda ops: infonce_loss(ops["queries"], ops["keys"], ops["queue"], 0.2),
-        "mixed-query": lambda ops: mixed_query_loss(
-            ops["queries"][:2], ops["keys"], ops["queue"], [0.3, 0.6], 0.05),
-        "SimCLR": lambda ops: simclr_contrastive_loss(ops["queries"], ops["keys"], 0.2),
+        "InfoNCE": ("InfoNCE", lambda ops: infonce_loss(
+            ops["queries"], ops["keys"], ops["queue"], 0.2)),
+        "mixed-query": ("mixed-query", lambda ops: mixed_query_loss(
+            ops["queries"][:2], ops["keys"], ops["queue"], [0.3, 0.6], 0.05)),
+        "SimCLR": ("SimCLR", lambda ops: simclr_contrastive_loss(
+            ops["queries"], ops["keys"], 0.2)),
+        "mixed-in-batch": ("mixed-query", lambda ops: mixed_in_batch_loss(
+            ops["queries"][:2], ops["keys"], [0.3, 0.6], 0.05)),
     }
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -403,22 +408,28 @@ class TestNonFiniteInputs:
         ("InfoNCE", "queries"), ("InfoNCE", "keys"), ("InfoNCE", "queue"),
         ("mixed-query", "queries"), ("mixed-query", "keys"), ("mixed-query", "queue"),
         ("SimCLR", "queries"), ("SimCLR", "keys"),
+        ("mixed-in-batch", "queries"), ("mixed-in-batch", "keys"),
     ])
     def test_any_entry_raises_domain_error_naming_the_loss(self, loss, operand, bad):
         rng = seeded_rng(22)
         clean = {"queries": unit_rows(rng, 4, 3), "keys": unit_rows(rng, 4, 3),
                  "queue": unit_rows(rng, 6, 3)}
-        rows = 2 if (loss, operand) == ("mixed-query", "queries") else clean[operand].shape[0]
+        term, call = self.LOSSES[loss]
+        rows = 2 if loss.startswith("mixed") and operand == "queries" else clean[operand].shape[0]
         for idx in np.ndindex(rows, 3):
             ops = {name: m.copy() for name, m in clean.items()}
             ops[operand][idx] = bad
             with np.errstate(all="ignore"), pytest.raises(DomainError,
-                                                          match=f"non-finite {loss} loss"):
-                self.LOSSES[loss](ops)
+                                                          match=f"non-finite {term} loss"):
+                call(ops)
 
 
-class TestQueueLosses:
-    """One stacked problem for InfoNCE and the mixed-query loss."""
+MODES = ("moco", "moco+mix", "simclr", "simclr+mix")
+
+
+class TestContrastKernel:
+    """`_contrast`, the one kernel behind every loss and the training step:
+    rows [queries; mixed], columns [batch keys; queue]."""
 
     @staticmethod
     def instance(seed, b, k, c):
@@ -428,28 +439,68 @@ class TestQueueLosses:
         return queries, keys, queue, 0.2, unit_rows(rng, b // 2, c), rng.uniform(
             0.05, 0.95, b // 2), 0.05
 
-    @pytest.mark.parametrize("k", [8, 4096])
-    def test_public_losses_are_the_stacked_rows(self, k):
-        queries, keys, queue, tau, mixed, lam, tau_mix = self.instance(31, 8, k, 4)
-        both = queue_losses(queries, keys, queue, tau, mixed, lam, tau_mix)
-        contrast = infonce_loss(queries, keys, queue, tau)
-        mix = mixed_query_loss(mixed, keys, queue, lam, tau_mix)
-        assert (both.infonce, both.mixed) == (contrast.value, mix.value)
-        assert np.array_equal(both.grad, np.concatenate([contrast.grad, mix.grad]))
+    @pytest.mark.parametrize("mode, k", [
+        *[(mode, k) for mode in MODES[:2] for k in (0, 8, 4096)],
+        ("simclr", None), ("simclr+mix", None)])
+    def test_public_losses_are_the_stacked_rows(self, mode, k):
+        queries, keys, queue, tau, mixed, lam, tau_mix = self.instance(31, 8, k or 0, 4)
+        if not mode.endswith("+mix"):
+            mixed, lam = mixed[:0], lam[:0]
+        if k is None:
+            queue = None
+        both = _contrast(queries, keys, queue, tau, mixed, lam, tau_mix)
+        if queue is None:
+            contrast = simclr_contrastive_loss(queries, keys, tau)
+            parts = [(contrast.value, contrast.grad_queries, contrast.grad_keys)]
+        else:
+            contrast = infonce_loss(queries, keys, queue, tau)
+            parts = [(contrast.value, contrast.grad, None)]
+        if lam.size:
+            if queue is None:
+                mix = mixed_in_batch_loss(mixed, keys, lam, tau_mix)
+                parts.append((mix.value, mix.grad_queries, mix.grad_keys))
+            else:
+                mix = mixed_query_loss(mixed, keys, queue, lam, tau_mix)
+                parts.append((mix.value, mix.grad, None))
+        assert (both.contrast, both.mixed) == (parts[0][0], parts[1][0] if lam.size else 0.0)
+        assert np.array_equal(both.grad, np.concatenate([p[1] for p in parts]))
+        if queue is None:
+            key_grad = sum(p[2] for p in parts)
+            assert np.abs(both.grad_keys - key_grad).max() <= 1e-12
+        else:
+            assert both.grad_keys is None
 
+    @pytest.mark.parametrize("k", [8, None], ids=["queue", "in-batch"])
+    def test_other_batch_keys_count_only_without_a_queue(self, k):
+        # query row 0 targets key 0; keys 1..B-1 are its other batch keys
+        queries, keys, queue, tau, mixed, _, tau_mix = self.instance(33, 8, k or 0, 4)
+        queue = None if k is None else queue
+        replaced = keys.copy()
+        replaced[1:] = unit_rows(seeded_rng(34), 7, 4)
+        base, moved = (_contrast(queries[:1], ks, queue, tau, mixed[:0], np.empty(0), tau_mix)
+                       for ks in (keys, replaced))
+        if queue is not None:
+            assert base.contrast == moved.contrast
+            assert np.array_equal(base.grad, moved.grad)
+        else:
+            assert base.contrast != moved.contrast
+            assert not np.array_equal(base.grad, moved.grad)
+
+    @pytest.mark.parametrize("k", [8, None], ids=["queue", "in-batch"])
     @pytest.mark.parametrize("row", [2, 9], ids=["query-row", "mixed-row"])
-    def test_non_finite_rows_raise_under_the_callers_error_state(self, row):
-        queries, keys, queue, tau, mixed, lam, tau_mix = self.instance(32, 8, 8, 4)
+    def test_non_finite_rows_raise_under_the_callers_error_state(self, row, k):
+        queries, keys, queue, tau, mixed, lam, tau_mix = self.instance(32, 8, k or 0, 4)
+        queue = None if k is None else queue
         if row < 8:
             queries[row] = math.inf
         else:
             mixed[row - 8] = math.inf
-        term = "InfoNCE" if row < 8 else "mixed-query"
+        term = "mixed-query" if row >= 8 else "InfoNCE" if k else "SimCLR"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                     DomainError, match=f"^non-finite {term} loss$"):
-                queue_losses(queries, keys, queue, tau, mixed, lam, tau_mix)
+                _contrast(queries, keys, queue, tau, mixed, lam, tau_mix)
 
 
 class TestTotalLoss:

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contrastlab.cli import main
-from contrastlab.data import generate_spoke_clusters, save_dataset
-from contrastlab.encoder import encode
+from contrastlab.data import generate_spoke_clusters, load_dataset, save_dataset
+from contrastlab.encoder import encode, load_encoder, save_encoder
 from contrastlab.errors import ConfigurationError, FormatError
 from contrastlab.moco import (
     enqueue_dequeue,
@@ -309,35 +309,58 @@ class TestCheckpointV1:
         assert results["v1"] == results["v2"]
 
 
-@pytest.fixture(scope="module")
-def checkpoint_bytes(tmp_path_factory):
-    path = tmp_path_factory.mktemp("moco") / "moco.txt"
+def _saved_moco(path):
     save_moco(trained_like_state(31), path, seed=2)
-    return path, path.read_bytes()
+    return lambda loaded: (loaded[0].queue, loaded[0].query.vector, loaded[0].key.vector)
 
 
-class TestCheckpointCorruption:
+def _saved_encoder(path):
+    save_encoder(trained_like_state(32).query, path, seed=3)
+    return lambda loaded: (loaded[0].vector,)
+
+
+def _saved_dataset(path):
+    save_dataset(generate_spoke_clusters(3, 2, 2, 4, 8.0, 1.3, 0.5, seeded_rng(33)), path)
+    return lambda loaded: (loaded.features,)
+
+
+# each file kind: (loader, writer returning the loaded arrays to check)
+FILE_KINDS = {"moco": (load_moco, _saved_moco), "encoder": (load_encoder, _saved_encoder),
+              "dataset": (load_dataset, _saved_dataset)}
+
+
+@pytest.fixture(scope="module", params=sorted(FILE_KINDS))
+def saved_file(request, tmp_path_factory):
+    path = tmp_path_factory.mktemp(request.param) / "file.txt"
+    load, save = FILE_KINDS[request.param]
+    arrays = save(path)
+    return path, path.read_bytes(), load, arrays
+
+
+class TestFileCorruption:
+    """Every loader (moco and encoder checkpoints, datasets) under damage."""
+
     @given(st.data())
     @settings(max_examples=200, deadline=None)
-    def test_any_truncation_is_a_format_error(self, checkpoint_bytes, data):
-        path, text = checkpoint_bytes
+    def test_any_truncation_is_a_format_error(self, saved_file, data):
+        path, text, load, _ = saved_file
         cut = data.draw(st.integers(0, len(text) - 1))
         damaged = path.with_name("damaged.txt")
         damaged.write_bytes(text[:cut])
         with pytest.raises(FormatError):
-            load_moco(damaged)
+            load(damaged)
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
-    def test_any_byte_substitution_is_rejected_or_loads_finite(self, checkpoint_bytes, data):
-        path, text = checkpoint_bytes
+    def test_any_byte_substitution_is_rejected_or_loads_finite(self, saved_file, data):
+        path, text, load, arrays = saved_file
         at = data.draw(st.integers(0, len(text) - 1))
         byte = data.draw(st.integers(0, 255))
         damaged = path.with_name("damaged.txt")
         damaged.write_bytes(text[:at] + bytes([byte]) + text[at + 1:])
         try:
-            state, _ = load_moco(damaged)
+            loaded = load(damaged)
         except FormatError:
             return
-        for values in (state.queue, state.query.vector, state.key.vector):
+        for values in arrays(loaded):
             assert np.isfinite(values).all()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from contrastlab import numerics, selfcheck, training
+from contrastlab import contrastive, numerics, selfcheck, training
 from contrastlab.contrastive import simclr_contrastive_loss
 from contrastlab.data import Dataset, generate_spoke_clusters, split_dataset
 from contrastlab.encoder import EncoderParams, encode, init_encoder
@@ -208,7 +208,7 @@ class TestStep:
     @pytest.mark.parametrize("mode, queue_size", [
         ("moco", 32), ("moco+mix", 32), ("simclr", 0), ("simclr+mix", 0)])
     def test_one_encode_and_one_backward_per_step(self, monkeypatch, mode, queue_size):
-        calls = {"encode": 0, "encoder_backward": 0}
+        calls = {"encode": 0, "encoder_backward": 0, "_contrast": 0}
         for name in calls:
             def spy(*args, _name=name, _real=getattr(training, name)):
                 calls[_name] += 1
@@ -218,7 +218,22 @@ class TestStep:
         config = small_config(mode=mode, queue_size=queue_size)
         pretrain(config, ds)
         steps = config.epochs * (ds.sample_count // config.batch_size)
-        assert calls == {"encode": steps, "encoder_backward": steps}
+        assert calls == {"encode": steps, "encoder_backward": steps, "_contrast": steps}
+
+    @pytest.mark.parametrize("mode, queue_size", [
+        ("moco", 32), ("moco+mix", 32), ("simclr", 0), ("simclr+mix", 0)])
+    def test_no_operand_check_runs_in_a_step(self, monkeypatch, mode, queue_size):
+        # the config checked the step's operands; the losses' checks are for
+        # outside callers
+        def refuse(*args):
+            raise AssertionError("operand check inside a training step")
+
+        for name in ("_query_operands", "_mixed_operands", "_queue_operand", "as_matrix",
+                     "as_f64"):
+            monkeypatch.setattr(contrastive, name, refuse)
+        result = pretrain(small_config(mode=mode, queue_size=queue_size, epochs=1),
+                          small_dataset())
+        assert math.isfinite(result.metrics[0].l_total)
 
     def test_simclr_mix_with_zero_weight_adds_exact_zeros(self, monkeypatch):
         # the mixed rows' upstream gradient and the mixed term's key gradient
