@@ -11,10 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, FormatError
-from .fileio import LineReader, atomic_write, float_line
+from .fileio import LineReader, atomic_write, hex_line
 from .numerics import Tensor, as_matrix
 
-DATASET_MAGIC = "contrastlab-dataset 1"
+DATASET_MAGIC = "contrastlab-dataset 2"
+DATASET_V1_MAGIC = "contrastlab-dataset 1"
 
 
 @dataclass
@@ -100,9 +101,20 @@ def generate_gaussian_clusters(
             "need a finite center_offset, and center_spread and within_sigma finite and "
             f"positive, got {center_offset}, {center_spread}, {within_sigma}"
         )
-    centers = rng.uniform(center_offset, center_offset + center_spread, size=(class_count, dim))
+    overflow = ConfigurationError(
+        "center_offset + center_spread and within_sigma must keep the features inside float64, "
+        f"got {center_offset}, {center_spread}, {within_sigma}")
+    try:
+        centers = rng.uniform(center_offset, center_offset + center_spread,
+                              size=(class_count, dim))
+    except OverflowError:
+        raise overflow from None
     n = class_count * per_class
-    features = np.repeat(centers, per_class, axis=0) + within_sigma * rng.standard_normal((n, dim))
+    with np.errstate(over="ignore"):
+        features = (np.repeat(centers, per_class, axis=0)
+                    + within_sigma * rng.standard_normal((n, dim)))
+    if not np.isfinite(features).all():
+        raise overflow
     labels = np.repeat(np.arange(class_count), per_class)
     return Dataset(features, labels, class_count)
 
@@ -139,14 +151,25 @@ def generate_spoke_clusters(
     raw = rng.standard_normal((spokes, dim))
     norms = np.sqrt((raw * raw).sum(axis=1, keepdims=True))
     directions = raw / np.maximum(norms, 1e-12)
+    overflow = ConfigurationError(
+        "base_radius * radius_growth^(classes - 1) and within_sigma must keep the features "
+        f"inside float64, got {base_radius}, {radius_growth}, {within_sigma}")
     features, labels = [], []
     n_per_class = spokes * per_mode
     for c in range(class_count):
-        centers = (base_radius * radius_growth**c) * directions
-        noise = within_sigma * rng.standard_normal((n_per_class, dim))
-        features.append(np.repeat(centers, per_mode, axis=0) + noise)
+        try:
+            radius = base_radius * radius_growth**c
+        except OverflowError:
+            raise overflow from None
+        with np.errstate(over="ignore", invalid="ignore"):
+            centers = radius * directions
+            noise = within_sigma * rng.standard_normal((n_per_class, dim))
+            features.append(np.repeat(centers, per_mode, axis=0) + noise)
         labels.append(np.full(n_per_class, c))
-    return Dataset(np.concatenate(features), np.concatenate(labels), class_count)
+    features = np.concatenate(features)
+    if not np.isfinite(features).all():
+        raise overflow
+    return Dataset(features, np.concatenate(labels), class_count)
 
 
 def _augment(x: Tensor, cfg: AugmentConfig, rng: np.random.Generator) -> Tensor:
@@ -207,27 +230,65 @@ def split_dataset(dataset: Dataset, train_fraction: float, rng: np.random.Genera
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Text layout: magic line, size line, then one `label f1 .. fD` row per
-    sample. Bit-exact round trip."""
+    """Write `dataset` in the version 2 layout: the magic line, the size line
+    `samples N dim D classes K`, one `labels l0 .. l{N-1}` line of decimal
+    ints, then N feature rows, each the row's little-endian float64 bytes as
+    16 * D lowercase hex digits (`fileio.hex_line`). Bit-exact round trip."""
     with atomic_write(path) as fh:
         fh.write(DATASET_MAGIC + "\n")
         fh.write(
             f"samples {dataset.sample_count} dim {dataset.dim} classes {dataset.class_count}\n"
         )
-        for label, row in zip(dataset.labels, dataset.features):
-            fh.write(f"{int(label)} {float_line(row)}\n")
+        fh.write(" ".join(["labels", *map(str, dataset.labels.tolist())]) + "\n")
+        for row in dataset.features:
+            fh.write(hex_line(row) + "\n")
 
 
 def load_dataset(path) -> Dataset:
+    """Read a dataset written by `save_dataset`, or one in the version 1
+    layout (one `label f1 .. fD` row of decimals per sample), which other
+    tools may write. Any defect is a `FormatError`; every version 2 defect
+    names its byte offset."""
     reader = LineReader(path)
-    reader.expect(DATASET_MAGIC, "magic line")
+    magic = reader.next_line("magic line")
+    if magic not in (DATASET_MAGIC, DATASET_V1_MAGIC):
+        raise FormatError(f"bad magic line: expected {DATASET_MAGIC!r}, got {magic!r}", 0)
+    size_at = reader.offset
     head = reader.fields("size line", 6)
     try:
         n, dim, classes = int(head[1]), int(head[3]), int(head[5])
-        if head[0] != "samples" or head[2] != "dim" or head[4] != "classes" or dim < 1:
+        if (head[0] != "samples" or head[2] != "dim" or head[4] != "classes"
+                or dim < 1 or not 2 <= classes <= n):
             raise ValueError
     except ValueError:
-        raise FormatError("malformed size line", reader.offset) from None
+        raise FormatError(
+            "malformed size line: need dim >= 1 and 2 <= classes <= samples", size_at) from None
+    if magic == DATASET_MAGIC:
+        features, labels = _read_v2_block(reader, n, dim, classes)
+    else:
+        features, labels = _read_v1_block(reader, n, dim)
+    reader.expect_eof()
+    try:
+        return Dataset(features, labels, classes)
+    except ConfigurationError as exc:
+        raise FormatError(f"bad dataset: {exc}") from None
+
+
+def _read_v2_block(reader: LineReader, n: int, dim: int, classes: int):
+    start = reader.offset
+    parts = reader.fields("labels line", n + 1)
+    if parts[0] != "labels":
+        raise FormatError(f"bad labels line: expected key 'labels', got {parts[0]!r}", start)
+    try:
+        labels = np.array([int(p) for p in parts[1:]], dtype=np.int64)
+    except (ValueError, OverflowError):
+        raise FormatError("non-integer label", start) from None
+    if labels.size and (labels.min() < 0 or labels.max() >= classes):
+        raise FormatError(f"label outside [0, {classes})", start)
+    return reader.hex_matrix(n, dim, "features"), labels
+
+
+def _read_v1_block(reader: LineReader, n: int, dim: int):
     reader.check_size(n, dim + 1, "sample block")
     features = np.empty((n, dim), dtype=np.float64)
     labels = np.empty(n, dtype=np.int64)
@@ -237,11 +298,7 @@ def load_dataset(path) -> Dataset:
         try:
             labels[i] = int(parts[0])
             features[i] = [float(p) for p in parts[1:]]
-        except ValueError:
+        except (ValueError, OverflowError):
             raise FormatError(f"malformed sample {i}", start) from None
-    reader.expect_eof()
     reader.require_finite(features, "features")
-    try:
-        return Dataset(features, labels, classes)
-    except ConfigurationError as exc:
-        raise FormatError(f"bad dataset: {exc}") from None
+    return features, labels

@@ -2,10 +2,11 @@
 
 Floats are written with `repr`, the shortest decimal that round-trips to the
 same 64-bit value, so save -> load is bit-exact while files stay readable by
-external tools. The one exception is a bulk block that no one reads by eye,
-the moco checkpoint's key queue: its rows are written as the hex digits of
-their little-endian float64 bytes (`hex_line`), which formats and parses
-about 20x faster than `repr` text and is still ASCII, one row per line.
+external tools. The two exceptions are bulk blocks that no one reads by eye,
+the moco checkpoint's key queue and a dataset's feature rows: their rows are
+written as the hex digits of their little-endian float64 bytes (`hex_line`),
+which formats and parses about 10-20x faster than `repr` text and is still
+ASCII, one row per line, read back by `LineReader.hex_matrix`.
 Whole-file writers go through `atomic_write`, so a reader sees either the old
 file or the complete new one.
 """

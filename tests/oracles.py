@@ -4,6 +4,8 @@ The `*_direct` functions are written with plain Python loops and math.*
 calls so they share no code path with the vectorized library under test. The
 dense mixed-query logits and targets builders are numpy references for the
 sparse-target kernel: they materialise every column, queue included.
+`save_dataset_v1` writes the decimal dataset layout that version 2 replaced,
+as other tools still write it.
 """
 
 import math
@@ -165,6 +167,17 @@ def calinski_harabasz_direct(points, labels):
         for p in members:
             within += _dist(p, centroid) ** 2
     return (between / (k - 1)) / (within / (n - k))
+
+
+def save_dataset_v1(dataset, path):
+    """Write `dataset` in the v1 layout: magic, size line, then one
+    `label f1 .. fD` row of `repr` decimals per sample."""
+    lines = ["contrastlab-dataset 1",
+             f"samples {dataset.sample_count} dim {dataset.dim} classes {dataset.class_count}"]
+    for label, row in zip(dataset.labels, dataset.features):
+        lines.append(" ".join([str(int(label)), *(repr(float(v)) for v in row)]))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def central_difference(f, x, h=1e-5):

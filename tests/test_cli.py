@@ -14,6 +14,7 @@ from contrastlab.data import load_dataset
 from contrastlab.moco import load_moco
 from contrastlab.encoder import init_encoder, load_encoder, write_params_block
 from contrastlab.numerics import seeded_rng
+from oracles import save_dataset_v1
 
 
 def run_cli(capsys, *argv):
@@ -32,6 +33,15 @@ def tiny_data(tmp_path):
     ])
     assert code == 0
     return path
+
+
+def edit_line(index, edit):
+    """A file edit that applies `edit` to line `index` of the text."""
+    def apply(text):
+        lines = text.split("\n")
+        lines[index] = edit(lines[index])
+        return "\n".join(lines)
+    return apply
 
 
 PRETRAIN_SETS = [
@@ -64,6 +74,8 @@ class TestGenData:
     @pytest.mark.parametrize("settings", [
         ["within_sigma=nan"], ["base_radius=inf"], ["radius_growth=nan"],
         ["kind=gaussian", "center_offset=nan"], ["kind=gaussian", "center_spread=inf"],
+        ["radius_growth=1e300"], ["base_radius=1e308"],
+        ["kind=gaussian", "center_offset=1e308", "center_spread=1e308"],
     ])
     def test_non_finite_generator_value_exits_one_and_writes_nothing(self, settings, tmp_path,
                                                                      capsys):
@@ -72,6 +84,7 @@ class TestGenData:
                                     *[a for kv in settings for a in ("--set", kv)])
         assert code == 1
         assert err.startswith("error: ") and stdout == ""
+        assert all(kv.split("=")[0] in err for kv in settings if not kv.startswith("kind="))
         assert not list(tmp_path.iterdir())
 
     def test_unknown_key_exits_one(self, tmp_path, capsys):
@@ -208,17 +221,73 @@ class TestPretrainCommand:
         lambda lines: lines[:1] + ["samples 2 dim 6 classes 3"] + lines[2:4],
         lambda lines: lines[:2] + ["3 " + lines[2].split(" ", 1)[1]] + lines[3:],
         lambda lines: lines[:2] + ["-1 " + lines[2].split(" ", 1)[1]] + lines[3:],
+        lambda lines: lines[:1] + ["samples 0 dim 1000000000000000000000000000000 classes 3"],
+        lambda lines: lines[:2] + ["99999999999999999999 " + lines[2].split(" ", 1)[1]]
+        + lines[3:],
     ], ids=["negative-count", "oversized-count", "negative-dim", "trailing-sample",
             "nan-feature", "inf-feature", "one-class", "zero-samples",
-            "fewer-samples-than-classes", "label-too-large", "negative-label"])
+            "fewer-samples-than-classes", "label-too-large", "negative-label",
+            "zero-samples-huge-dim", "label-overflows-int64"])
     def test_hostile_dataset_exits_three(self, edit, tiny_data, tmp_path, capsys):
-        lines = tiny_data.read_text().splitlines()
+        v1 = tmp_path / "v1.txt"
+        save_dataset_v1(load_dataset(tiny_data), v1)
+        lines = v1.read_text().splitlines()
         bad = tmp_path / "bad.txt"
         bad.write_text("\n".join(edit(lines)) + "\n")
         code, _, err = run_cli(capsys, "pretrain", "--data", str(bad),
                                "--out", str(tmp_path / "run"), *PRETRAIN_SETS)
         assert code == 3
         assert "file error" in err
+
+    @pytest.mark.parametrize("edit", [
+        edit_line(3, lambda row: "000000000000f87f" + row[16:]),
+        edit_line(3, lambda row: row[:16] + "000000000000f07f" + row[32:]),
+        edit_line(3, lambda row: row[:-2]),
+        edit_line(3, str.upper),
+        edit_line(2, lambda labels: labels + " 0"),
+        edit_line(2, lambda labels: labels.rsplit(" ", 1)[0]),
+        edit_line(2, lambda labels: labels.rsplit(" ", 1)[0] + " 1.5"),
+        edit_line(2, lambda labels: labels.rsplit(" ", 1)[0] + " 3"),
+        lambda text: text + text.split("\n")[3] + "\n",
+        lambda text: text[:-1],
+        edit_line(1, lambda size: size.replace("classes 3", "classes 1")),
+        edit_line(1, lambda size: size.replace("classes 3", "classes 61")),
+    ], ids=["nan-bits", "inf-bits", "short-row", "uppercase-hex", "one-label-too-many",
+            "one-label-too-few", "non-integer-label", "label-too-large", "extra-row",
+            "no-final-newline", "one-class", "more-classes-than-samples"])
+    def test_hostile_v2_dataset_exits_three_naming_the_offset(self, edit, tiny_data, tmp_path,
+                                                              capsys):
+        text = tiny_data.read_text()
+        assert text.startswith("contrastlab-dataset 2\n")
+        bad = tmp_path / "bad.txt"
+        bad.write_text(edit(text))
+        assert bad.read_text() != text
+        code, _, err = run_cli(capsys, "pretrain", "--data", str(bad),
+                               "--out", str(tmp_path / "run"), *PRETRAIN_SETS)
+        assert code == 3
+        assert "file error" in err and "byte offset" in err
+
+    def test_v1_and_v2_datasets_give_identical_runs(self, tiny_data, tmp_path, capsys):
+        v1 = tmp_path / "v1.txt"
+        save_dataset_v1(load_dataset(tiny_data), v1)
+        run, export = tmp_path / "run", tmp_path / "emb.txt"
+        checkpoint = str(run / "checkpoint.txt")
+        results = {}
+        for version, data in (("v1", str(v1)), ("v2", str(tiny_data))):
+            outputs = [
+                run_cli(capsys, "pretrain", "--data", data, "--out", str(run), *PRETRAIN_SETS),
+                run_cli(capsys, "linear-eval", "--checkpoint", checkpoint, "--data", data,
+                        "--set", "probe_epochs=5"),
+                run_cli(capsys, "metrics", "--checkpoint", checkpoint, "--data", data),
+                run_cli(capsys, "export-embeddings", "--checkpoint", checkpoint, "--data", data,
+                        "--out", str(export)),
+            ]
+            metrics = [row.rsplit(",", 1)[0]
+                       for row in (run / "metrics.csv").read_text().splitlines()]
+            results[version] = (outputs, (run / "checkpoint.txt").read_bytes(), metrics,
+                                export.read_bytes())
+        assert [code for code, _, _ in results["v1"][0]] == [0, 0, 0, 0]
+        assert results["v1"] == results["v2"]
 
     def test_bad_config_value_exits_one(self, tiny_data, tmp_path, capsys):
         code, _, err = run_cli(capsys, "pretrain", "--data", str(tiny_data),

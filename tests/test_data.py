@@ -1,3 +1,7 @@
+import pathlib
+import re
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -13,6 +17,7 @@ from contrastlab.data import (
 )
 from contrastlab.errors import ConfigurationError, FormatError
 from contrastlab.numerics import seeded_rng
+from oracles import save_dataset_v1
 
 
 class TestGenerator:
@@ -162,15 +167,61 @@ class TestDatasetFile:
             load_dataset(path)
         assert info.value.offset is not None
 
-    def test_corrupt_row_names_byte_offset(self, tmp_path):
-        ds = generate_gaussian_clusters(2, 3, 2, 6.0, 1.0, seeded_rng(18))
+    def test_v2_layout_is_decimal_labels_then_hex_rows(self, tmp_path):
+        ds = generate_gaussian_clusters(3, 2, 4, 6.0, 1.3, seeded_rng(19))
         path = tmp_path / "data.txt"
         save_dataset(ds, path)
         lines = path.read_text().splitlines()
-        lines[3] = "0 not-a-float 1.5"
+        assert lines[:3] == ["contrastlab-dataset 2", "samples 6 dim 4 classes 3",
+                             "labels 0 0 1 1 2 2"]
+        assert lines[3:] == [row.astype("<f8").tobytes().hex() for row in ds.features]
+
+    @pytest.mark.parametrize("save, bad_row", [(save_dataset_v1, "0 not-a-float 1.5"),
+                                               (save_dataset, "not-hex")], ids=["v1", "v2"])
+    def test_corrupt_row_names_byte_offset(self, save, bad_row, tmp_path):
+        ds = generate_gaussian_clusters(2, 3, 2, 6.0, 1.0, seeded_rng(18))
+        path = tmp_path / "data.txt"
+        save(ds, path)
+        lines = path.read_text().splitlines()
+        lines[3] = bad_row
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match="byte offset"):
+        with pytest.raises(FormatError, match="byte offset") as info:
             load_dataset(path)
+        assert info.value.offset == sum(len(line) + 1 for line in lines[:3])
+
+    def test_readme_recipe_reads_the_features_bit_for_bit(self, tmp_path, monkeypatch):
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        [recipe] = [block for block in re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+                    if "bytes.fromhex" in block]
+        ds = generate_gaussian_clusters(3, 4, 5, 6.0, 1.3, seeded_rng(20))
+        monkeypatch.chdir(tmp_path)
+        save_dataset(ds, "data.txt")
+        names = {}
+        exec(textwrap.dedent(recipe), names)
+        assert names["features"].dtype == np.float64
+        assert names["features"].tobytes() == ds.features.tobytes()
+        assert np.array_equal(names["labels"], ds.labels)
+
+
+class TestDatasetV1:
+    def test_loads_bit_identically_to_its_v2_copy(self, tmp_path):
+        ds = generate_gaussian_clusters(3, 5, 4, 6.0, 1.3, seeded_rng(21))
+        save_dataset_v1(ds, tmp_path / "v1.txt")
+        save_dataset(ds, tmp_path / "v2.txt")
+        v1, v2 = load_dataset(tmp_path / "v1.txt"), load_dataset(tmp_path / "v2.txt")
+        for a, b in ((v1.features, v2.features), (v1.labels, v2.labels)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert v1.features.tobytes() == ds.features.tobytes()
+        assert v1.class_count == v2.class_count == 3
+
+    def test_resaving_writes_v2_with_the_same_arrays(self, tmp_path):
+        ds = generate_gaussian_clusters(3, 5, 4, 6.0, 1.3, seeded_rng(22))
+        save_dataset_v1(ds, tmp_path / "v1.txt")
+        save_dataset(load_dataset(tmp_path / "v1.txt"), tmp_path / "v2.txt")
+        assert (tmp_path / "v2.txt").read_text().startswith("contrastlab-dataset 2\n")
+        loaded = load_dataset(tmp_path / "v2.txt")
+        assert loaded.features.tobytes() == ds.features.tobytes()
+        assert np.array_equal(loaded.labels, ds.labels) and loaded.class_count == 3
 
 
 def test_labels_invariant_enforced():

@@ -47,9 +47,10 @@ def _dataset(seed):
 
 
 # writer name -> (module and name of the line formatter the writer calls
-# first, writer(seed, path)); the moco queue rows come before the encoders
+# first, writer(seed, path)); the moco queue rows come before the encoders,
+# and a dataset's hex feature rows follow its one labels line
 WRITERS = {
-    "save_dataset": (data, "float_line", lambda seed, path: data.save_dataset(
+    "save_dataset": (data, "hex_line", lambda seed, path: data.save_dataset(
         _dataset(seed), path)),
     "save_encoder": (encoder, "float_line", lambda seed, path: encoder.save_encoder(
         _state(seed).query, path)),

@@ -16,6 +16,7 @@ from contrastlab.moco import (
     save_moco,
 )
 from contrastlab.numerics import l2_normalize_rows, seeded_rng
+from oracles import save_dataset_v1
 
 
 def all_params(encoder_params):
@@ -319,14 +320,16 @@ def _saved_encoder(path):
     return lambda loaded: (loaded[0].vector,)
 
 
-def _saved_dataset(path):
-    save_dataset(generate_spoke_clusters(3, 2, 2, 4, 8.0, 1.3, 0.5, seeded_rng(33)), path)
+def _saved_dataset(path, save=save_dataset):
+    save(generate_spoke_clusters(3, 2, 2, 4, 8.0, 1.3, 0.5, seeded_rng(33)), path)
     return lambda loaded: (loaded.features,)
 
 
-# each file kind: (loader, writer returning the loaded arrays to check)
+# each file kind: (loader, writer returning the loaded arrays to check);
+# "dataset" is the version 2 layout save_dataset writes
 FILE_KINDS = {"moco": (load_moco, _saved_moco), "encoder": (load_encoder, _saved_encoder),
-              "dataset": (load_dataset, _saved_dataset)}
+              "dataset": (load_dataset, _saved_dataset),
+              "dataset-v1": (load_dataset, lambda path: _saved_dataset(path, save_dataset_v1))}
 
 
 @pytest.fixture(scope="module", params=sorted(FILE_KINDS))
@@ -338,7 +341,8 @@ def saved_file(request, tmp_path_factory):
 
 
 class TestFileCorruption:
-    """Every loader (moco and encoder checkpoints, datasets) under damage."""
+    """Every loader (moco and encoder checkpoints, datasets of both versions)
+    under damage."""
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
