@@ -24,7 +24,7 @@ from .data import (
     save_dataset,
     split_dataset,
 )
-from .encoder import ENCODER_MAGIC, encode, load_encoder, save_encoder
+from .encoder import ENCODER_MAGIC, embed, load_encoder, save_encoder
 from .errors import (
     ConfigurationError,
     ContractError,
@@ -308,7 +308,7 @@ def _cmd_linear_eval(args) -> int:
 def _cmd_metrics(args) -> int:
     encoder, _ = load_any_encoder(args.checkpoint)
     dataset = load_dataset(args.data)
-    embeddings, _ = encode(encoder, dataset.features)
+    embeddings = embed(encoder, dataset.features)
     print(f"davies_bouldin {davies_bouldin(embeddings, dataset.labels)!r}")
     print(f"calinski_harabasz {calinski_harabasz(embeddings, dataset.labels)!r}")
     return EXIT_OK

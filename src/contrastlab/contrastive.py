@@ -13,6 +13,7 @@ check their operands and call the kernel; the training step calls it
 directly, on operands its config has checked.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -132,6 +133,20 @@ class _Contrast:
     grad_keys: Tensor | None
 
 
+@functools.lru_cache(maxsize=16)
+def _index_plan(nq: int, half: int) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+    """`_contrast`'s read-only index arrays for nq query rows and half mixed
+    rows: all rows, the query rows, and each row's first and second target
+    column (a query row's are both its own key)."""
+    rows = np.arange(nq + half)
+    own = rows[:nq]
+    first = np.concatenate([own, rows[:half]])
+    second = np.concatenate([own, rows[:half] + half])
+    for index in (rows, own, first, second):
+        index.flags.writeable = False
+    return rows, own, first, second
+
+
 def _contrast(queries: Tensor, keys: Tensor, queue: Tensor | None, temperature: float,
               mixed: Tensor, lambdas: Tensor, mix_temperature: float,
               mix_weight: float = 1.0) -> _Contrast:
@@ -152,23 +167,22 @@ def _contrast(queries: Tensor, keys: Tensor, queue: Tensor | None, temperature: 
     value or gradient raises DomainError naming its term.
     """
     (b, c), nq, half = keys.shape, queries.shape[0], mixed.shape[0]
-    rows = np.arange(nq + half)
+    rows, own, first, second = _index_plan(nq, half)
     scaled = np.empty((rows.size, c))
     np.divide(queries, temperature, out=scaled[:nq])
     np.divide(mixed, mix_temperature, out=scaled[nq:])
     logits = np.empty((rows.size, b + (0 if queue is None else queue.shape[0])))
     np.matmul(scaled, keys.T, out=logits[:, :b])
-    own = rows[:nq]
     if queue is not None:
         np.matmul(scaled, queue.T, out=logits[:, b:])
         positives = logits[own, own]
         logits[:nq, :b] = -np.inf
         logits[own, own] = positives
     # row r credits weight[r] to column first[r] and rest[r] to second[r]
-    weight = np.concatenate([np.ones(nq), lambdas])
+    weight = np.empty(rows.size)
+    weight[:nq] = 1.0
+    weight[nq:] = lambdas
     rest = 1.0 - weight
-    first = np.concatenate([own, rows[:half]])
-    second = np.concatenate([own, rows[:half] + half])
     picked = weight * logits[rows, first] + rest * logits[rows, second]
     peak = logits.max(axis=1, keepdims=True)
     np.subtract(logits, peak, out=logits)
@@ -189,8 +203,9 @@ def _contrast(queries: Tensor, keys: Tensor, queue: Tensor | None, temperature: 
         grad_keys = logits[:nq].T @ queries + logits[nq:].T @ mixed
     else:
         grad += logits[:, b:] @ queue
-    contrast = float(losses[:nq].mean()) if nq else 0.0
-    mixed_value = float(losses[nq:].mean()) if half else 0.0
+    # sum / n: the bits of `mean`, without its overhead
+    contrast = float(losses[:nq].sum() / nq) if nq else 0.0
+    mixed_value = float(losses[nq:].sum() / half) if half else 0.0
     term = "InfoNCE" if queue is not None else "SimCLR"
     _require_finite(term, contrast, grad[:nq])
     _require_finite("mixed-query", mixed_value, grad[nq:])

@@ -193,7 +193,12 @@ def two_views(x: Tensor, cfg: AugmentConfig, rng: np.random.Generator) -> tuple[
     both views derives from input row i. With all strengths at their identity
     values the views equal the input bitwise.
     """
-    x = as_matrix(x)
+    return _two_views(as_matrix(x), cfg, rng)
+
+
+def _two_views(x: Tensor, cfg: AugmentConfig, rng: np.random.Generator) -> tuple[Tensor, Tensor]:
+    """`two_views` on a float64 matrix the caller has checked: the training
+    step's entry."""
     return _augment(x, cfg, rng), _augment(x, cfg, rng)
 
 

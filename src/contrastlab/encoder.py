@@ -2,7 +2,10 @@
 
 Forward and backward passes are handwritten. `encode` keeps per-layer
 intermediates in a ForwardTrace so `encoder_backward` can return exact
-gradients of the normalized output, normalization Jacobian included.
+gradients of the normalized output, normalization Jacobian included; `embed`
+gives the same output without one. The public functions check their
+operands; the training step calls their private entry points on operands
+`RunConfig` has checked.
 """
 
 from dataclasses import dataclass, field
@@ -17,13 +20,7 @@ from .errors import (
     FormatError,
 )
 from .fileio import LineReader, atomic_write, float_line
-from .numerics import (
-    DEFAULT_NORM_EPS,
-    Tensor,
-    as_f64,
-    as_matrix,
-    l2_normalize_rows_vjp,
-)
+from .numerics import DEFAULT_NORM_EPS, Tensor, as_f64, as_matrix
 
 ENCODER_MAGIC = "contrastlab-encoder 1"
 
@@ -86,6 +83,8 @@ class ForwardTrace:
     inputs: list[Tensor] = field(default_factory=list)  # activation feeding each layer
     pre_activations: list[Tensor] = field(default_factory=list)
     pre_norm: Tensor | None = None  # last affine output, before row normalization
+    output: Tensor | None = None  # the normalized rows `encode` returned
+    guarded_norms: Tensor | None = None  # (N, 1): max(eps, row norm of pre_norm)
     degenerate_rows: Tensor | None = None  # rows whose pre-norm norm <= eps
 
 
@@ -98,29 +97,77 @@ def init_encoder(layer_sizes, rng: np.random.Generator) -> EncoderParams:
     return EncoderParams(sizes, np.concatenate(blocks))
 
 
+def _input(params: EncoderParams, x) -> Tensor:
+    x = as_matrix(x)
+    if x.shape[1] != params.input_dim:
+        raise DimensionError(f"input width {x.shape[1]} != encoder input dim {params.input_dim}")
+    return x
+
+
+def _guarded_norms(a: Tensor) -> Tensor:
+    """max(eps, Euclidean norm) of each row of `a`, as an (N, 1) column."""
+    norms = np.sqrt((a * a).sum(axis=1, keepdims=True))
+    return np.maximum(norms, DEFAULT_NORM_EPS, out=norms)
+
+
 def encode(params: EncoderParams, x: Tensor) -> tuple[Tensor, ForwardTrace]:
     """Affine layers with ReLU between them; output rows L2-normalized.
 
     Deterministic given (params, x). Rows whose final affine output has norm
     <= eps are divided by eps instead (zero rows stay zero) and flagged in
-    the trace.
+    the trace. The trace holds the returned array as `output`.
     """
-    x = as_matrix(x)
-    if x.shape[1] != params.input_dim:
-        raise DimensionError(f"input width {x.shape[1]} != encoder input dim {params.input_dim}")
+    return _encode(params, _input(params, x))
+
+
+def _encode(params: EncoderParams, x: Tensor) -> tuple[Tensor, ForwardTrace]:
+    """`encode` on an input the caller has checked: the training step's entry."""
     trace = ForwardTrace()
     a = x
     last = len(params.weights) - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
         trace.inputs.append(a)
-        z = a @ w.T + b
+        z = a @ w.T
+        z += b
         trace.pre_activations.append(z)
         a = np.maximum(z, 0.0) if l < last else z
-    norms = np.sqrt((a * a).sum(axis=1, keepdims=True))
-    v = a / np.maximum(norms, DEFAULT_NORM_EPS)
-    trace.pre_norm = a
-    trace.degenerate_rows = (norms <= DEFAULT_NORM_EPS).ravel()
-    return v, trace
+    guarded = _guarded_norms(a)
+    trace.pre_norm, trace.guarded_norms = a, guarded
+    trace.output = a / guarded
+    trace.degenerate_rows = (guarded <= DEFAULT_NORM_EPS).ravel()
+    return trace.output, trace
+
+
+def embed(params: EncoderParams, x: Tensor) -> Tensor:
+    """`encode`'s output, bit for bit, without a trace: for callers that never
+    differentiate (the key encoder, evaluation, export). Bias, ReLU and
+    normalization run in place, so at most two N x width arrays are alive."""
+    return _embed(params, _input(params, x))
+
+
+def _embed(params: EncoderParams, x: Tensor) -> Tensor:
+    """`embed` on an input the caller has checked: the training step's entry."""
+    a = x
+    last = len(params.weights) - 1
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+        a = a @ w.T
+        a += b
+        if l < last:
+            np.maximum(a, 0.0, out=a)
+    a /= _guarded_norms(a)
+    return a
+
+
+def _check_trace(params: EncoderParams, trace: ForwardTrace) -> None:
+    n_layers = len(params.weights)
+    if len(trace.inputs) != n_layers or trace.output is None:
+        raise ContractError("trace does not match encoder parameters")
+    for l in range(n_layers):
+        if (
+            trace.inputs[l].shape[1] != params.layer_sizes[l]
+            or trace.pre_activations[l].shape[1] != params.layer_sizes[l + 1]
+        ):
+            raise ContractError(f"trace layer {l} widths do not match encoder parameters")
 
 
 def encoder_backward(
@@ -131,37 +178,61 @@ def encoder_backward(
 
     `trace` must come from an `encode` call with the same params.
     """
-    n_layers = len(params.weights)
-    if len(trace.inputs) != n_layers or trace.pre_norm is None:
-        raise ContractError("trace does not match encoder parameters")
-    for l in range(n_layers):
-        if (
-            trace.inputs[l].shape[1] != params.layer_sizes[l]
-            or trace.pre_activations[l].shape[1] != params.layer_sizes[l + 1]
-        ):
-            raise ContractError(f"trace layer {l} widths do not match encoder parameters")
+    _check_trace(params, trace)
     grad_v = as_matrix(grad_v, "grad_v")
-    if grad_v.shape != trace.pre_norm.shape:
+    if grad_v.shape != trace.output.shape:
         raise ContractError(
-            f"grad shape {grad_v.shape} does not match encoder output {trace.pre_norm.shape}"
+            f"grad shape {grad_v.shape} does not match encoder output {trace.output.shape}"
         )
+    grads, gz = _backward(params, trace, grad_v)
+    return grads, gz @ params.weights[0]
+
+
+def _normalization_pullback(trace: ForwardTrace, grad_v: Tensor) -> Tensor:
+    """`grad_v` pulled back through the row normalization from the rows and
+    norms `encode` kept: bit for bit `l2_normalize_rows_vjp(trace.pre_norm,
+    grad_v)`, without recomputing them or evaluating both branches."""
+    y, guarded = trace.output, trace.guarded_norms
+    gz = grad_v * y
+    inner = gz.sum(axis=1, keepdims=True)
+    np.multiply(inner, y, out=gz)
+    np.subtract(grad_v, gz, out=gz)
+    gz /= guarded
+    degenerate = trace.degenerate_rows
+    if degenerate.any():  # rows divided by eps alone are linear
+        gz[degenerate] = grad_v[degenerate] / guarded[degenerate]
+    return gz
+
+
+def _backward(params: EncoderParams, trace: ForwardTrace, grad_v: Tensor) -> tuple[Tensor, Tensor]:
+    """The parameter gradient and the gradient wrt the first layer's affine
+    output, on operands the caller has checked: the training step's entry,
+    which needs no input gradient."""
     grads = np.empty_like(params.vector)
     grad_w, grad_b = _block_views(params.layer_sizes, grads)
-    upstream = None
-    for l in reversed(range(n_layers)):
-        if l == n_layers - 1:
-            gz = l2_normalize_rows_vjp(trace.pre_norm, grad_v)
-        else:
-            gz = upstream * (trace.pre_activations[l] > 0.0)
+    gz = _normalization_pullback(trace, grad_v)
+    for l in reversed(range(len(params.weights))):
         np.matmul(gz.T, trace.inputs[l], out=grad_w[l])
         gz.sum(axis=0, out=grad_b[l])
-        upstream = gz @ params.weights[l]
-    return grads, upstream
+        if l:
+            gz = gz @ params.weights[l]
+            gz *= trace.pre_activations[l - 1] > 0.0
+    return grads, gz
 
 
 def add_scaled(into: Tensor, other: Tensor, scale: float) -> Tensor:
     """into + scale * other, as a new vector."""
     return into + scale * other
+
+
+def _first_non_finite_block(layer_sizes: list[int], vector: Tensor) -> str | None:
+    """Name (W<l> or b<l>) of the first block, in layout order, of a vector
+    in the parameter layout that holds a non-finite value."""
+    weights, biases = _block_views(layer_sizes, vector)
+    for l, (w, b) in enumerate(zip(weights, biases)):
+        for name, block in ((f"W{l}", w), (f"b{l}", b)):
+            if not np.isfinite(block).all():
+                return name
 
 
 def apply_sgd_step(
@@ -172,26 +243,40 @@ def apply_sgd_step(
     weight_decay: float,
     velocity: Tensor,
 ) -> tuple[EncoderParams, Tensor]:
-    """One momentum-SGD step; weight decay enters through the velocity.
+    """One momentum-SGD step, in place: updates `params.vector` and
+    `velocity` and returns those same two objects. Weight decay enters
+    through the velocity.
 
     velocity <- momentum_coeff * velocity + grad + weight_decay * param
     param    <- param - lr * velocity
 
-    A non-finite gradient raises DivergedRunError naming the first parameter
-    block (W<l> or b<l>, in layout order) that holds one.
+    A bad lr or momentum raises ConfigurationError, and a non-finite gradient
+    DivergedRunError naming the first parameter block (W<l> or b<l>, in
+    layout order) that holds one; either leaves both arrays untouched. An
+    update that leaves a parameter non-finite raises DivergedRunError naming
+    its first block, without a numpy warning. `velocity` must not share
+    memory with `grads` or the parameters.
     """
-    if lr < 0.0:
+    if not lr >= 0.0:  # NaN fails too
         raise ConfigurationError(f"lr must be >= 0, got {lr}")
     if not 0.0 <= momentum_coeff < 1.0:
         raise ConfigurationError(f"momentum must be in [0, 1), got {momentum_coeff}")
     if not np.isfinite(grads).all():
-        grad_w, grad_b = _block_views(params.layer_sizes, grads)
-        for l, (gw, gb) in enumerate(zip(grad_w, grad_b)):
-            for name, block in ((f"W{l}", gw), (f"b{l}", gb)):
-                if not np.isfinite(block).all():
-                    raise DivergedRunError(f"non-finite gradient in {name}")
-    velocity = momentum_coeff * velocity + grads + weight_decay * params.vector
-    return EncoderParams(params.layer_sizes, params.vector - lr * velocity), velocity
+        block = _first_non_finite_block(params.layer_sizes, grads)
+        raise DivergedRunError(f"non-finite gradient in {block}")
+    vector = params.vector
+    # the operation order of the formula above, so the bits match it
+    with np.errstate(over="ignore", invalid="ignore"):
+        velocity *= momentum_coeff
+        velocity += grads
+        scratch = np.multiply(vector, weight_decay)
+        velocity += scratch
+        np.multiply(velocity, lr, out=scratch)
+        vector -= scratch
+    if not np.isfinite(vector).all():
+        block = _first_non_finite_block(params.layer_sizes, vector)
+        raise DivergedRunError(f"non-finite parameter in {block}")
+    return params, velocity
 
 
 def write_params_block(fh, params: EncoderParams) -> None:

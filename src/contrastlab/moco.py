@@ -11,7 +11,7 @@ import numpy as np
 
 from .encoder import (
     EncoderParams,
-    encode,
+    embed,
     init_encoder,
     read_params_block,
     write_params_block,
@@ -90,16 +90,21 @@ def enqueue_dequeue(state: MoCoState, keys: Tensor) -> None:
         raise DimensionError(
             f"key width {keys.shape[1]} != queue width {state.queue.shape[1]}"
         )
-    ptr = state.queue_ptr
+    _enqueue(state, keys)
+
+
+def _enqueue(state: MoCoState, keys: Tensor) -> None:
+    """`enqueue_dequeue` on keys the caller has checked: the training step's
+    entry."""
+    ptr, b = state.queue_ptr, keys.shape[0]
     state.queue[ptr : ptr + b] = keys
-    state.queue_ptr = (ptr + b) % k
+    state.queue_ptr = (ptr + b) % state.queue_size
 
 
 def key_forward_no_grad(state: MoCoState, x: Tensor) -> Tensor:
-    """Encode with the key encoder, keeping no trace: nothing ever
+    """Embed with the key encoder (`encoder.embed`, no trace): nothing ever
     backpropagates into the key params."""
-    v, _ = encode(state.key, x)
-    return v
+    return embed(state.key, x)
 
 
 def save_moco(state: MoCoState, path, seed: int = 0) -> None:

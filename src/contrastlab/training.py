@@ -15,11 +15,19 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .contrastive import _contrast, mixup_half_batch, total_loss
-from .data import AugmentConfig, Dataset, epoch_batches, two_views
-from .encoder import EncoderParams, apply_sgd_step, encode, encoder_backward, init_encoder
+from .data import AugmentConfig, Dataset, _two_views, epoch_batches
+from .encoder import (
+    EncoderParams,
+    _backward,
+    _embed,
+    _encode,
+    apply_sgd_step,
+    embed,
+    init_encoder,
+)
 from .errors import ConfigurationError, DivergedRunError, DomainError
 from .fileio import atomic_write, float_line
-from .moco import MoCoState, enqueue_dequeue, init_moco, key_forward_no_grad, momentum_update
+from .moco import MoCoState, _enqueue, init_moco, momentum_update
 from .numerics import Tensor, as_matrix, seeded_rng, single_blas_thread, spawn_rngs
 
 MODES = ("moco", "moco+mix", "simclr", "simclr+mix")
@@ -162,10 +170,11 @@ def _loss_and_grads(config, params, state, x_query, x_key, mix_rng):
     batch, and back in one pass: [x_query; x_mix] in the moco modes, where
     the keys come from the EMA encoder, and [x_query; x_key; x_mix] in the
     simclr modes, where both views train. Both loss terms come from one
-    `contrastive._contrast` call in every mode, on operands `RunConfig` has
-    checked; it scales the mixed term's gradients by mix_weight. The only
-    per-mode choices are where the keys come from and whether their gradient
-    joins the upstream.
+    `contrastive._contrast` call in every mode; it scales the mixed term's
+    gradients by mix_weight. The only per-mode choices are where the keys
+    come from and whether their gradient joins the upstream. Every call goes
+    to a private entry point that checks nothing: `RunConfig` has checked
+    the operands.
     """
     b = x_query.shape[0]
     x = x_query if config.uses_queue else np.concatenate([x_query, x_key])
@@ -173,9 +182,9 @@ def _loss_and_grads(config, params, state, x_query, x_key, mix_rng):
     if config.mixes:
         x_mix, lambdas = mixup_half_batch(x_query, mix_rng)
         x = np.concatenate([x, x_mix])
-    v, trace = encode(params, x)
+    v, trace = _encode(params, x)
     if config.uses_queue:
-        keys, queue, mixed = key_forward_no_grad(state, x_key), state.queue, v[b:]
+        keys, queue, mixed = _embed(state.key, x_key), state.queue, v[b:]
     else:
         keys, queue, mixed = v[b : 2 * b], None, v[2 * b :]
     res = _contrast(v[:b], keys, queue, config.temperature, mixed, lambdas,
@@ -183,7 +192,7 @@ def _loss_and_grads(config, params, state, x_query, x_key, mix_rng):
     upstream = res.grad
     if res.grad_keys is not None:
         upstream = np.concatenate([res.grad[:b], res.grad_keys, res.grad[b:]])
-    grads, _ = encoder_backward(params, trace, upstream)
+    grads, _ = _backward(params, trace, upstream)
     return res.contrast, res.mixed, grads, keys
 
 
@@ -210,7 +219,7 @@ def _pretrain_features(config: RunConfig, features: Tensor) -> PretrainResult:
         sum_contrast = sum_mix = sum_total = 0.0
         batches = epoch_batches(n, config.batch_size, batch_rng)
         for batch_index, idx in enumerate(batches):
-            x_query, x_key = two_views(features[idx], aug_cfg, augment_rng)
+            x_query, x_key = _two_views(features[idx], aug_cfg, augment_rng)
             # overflow in a diverging run surfaces as DivergedRunError below,
             # not as numpy warnings
             try:
@@ -218,22 +227,17 @@ def _pretrain_features(config: RunConfig, features: Tensor) -> PretrainResult:
                     l_contrast, l_mix, grads, keys = _loss_and_grads(
                         config, params, state, x_query, x_key, mix_rng
                     )
-            except DomainError as exc:
-                raise DivergedRunError(str(exc), epoch, batch_index) from None
-
-            l_total = total_loss(l_contrast, l_mix, config.mix_weight)
-            if not math.isfinite(l_total):
-                raise DivergedRunError("non-finite loss", epoch, batch_index)
-            try:
-                params, velocity = apply_sgd_step(
+                l_total = total_loss(l_contrast, l_mix, config.mix_weight)
+                if not math.isfinite(l_total):
+                    raise DivergedRunError("non-finite loss")
+                apply_sgd_step(
                     params, grads, lr_now, config.sgd_momentum, config.weight_decay, velocity
                 )
-            except DivergedRunError as exc:
+            except (DomainError, DivergedRunError) as exc:
                 raise DivergedRunError(str(exc), epoch, batch_index) from None
             if config.uses_queue:
-                state.query = params
                 momentum_update(state)
-                enqueue_dequeue(state, keys)
+                _enqueue(state, keys)
             sum_contrast += l_contrast
             sum_mix += l_mix
             sum_total += l_total
@@ -290,27 +294,36 @@ def train_linear_probe(
     embeddings = as_matrix(embeddings, "embeddings")
     labels = np.asarray(labels, dtype=np.int64)
     n, dim = embeddings.shape
-    weight = np.zeros((class_count, dim))
-    bias = np.zeros(class_count)
-    vel_w = np.zeros_like(weight)
-    vel_b = np.zeros_like(bias)
+    # weight and bias are views into one flat vector, and so are the
+    # velocity and gradient blocks: the update runs once over each vector
+    size = class_count * dim
+    params, velocity, grads, step = np.zeros((4, size + class_count))
+    weight, grad_w = params[:size].reshape(class_count, dim), grads[:size].reshape(class_count, dim)
+    bias, grad_b = params[size:], grads[size:]
+    batch_rows = np.arange(batch_size)
     base_lr = lr0 * batch_size / 256.0
-    onehot = np.zeros((n, class_count))
-    onehot[np.arange(n), labels] = 1.0
     for epoch in range(epochs):
         lr_now = base_lr * 0.5 * (1.0 + math.cos(math.pi * epoch / epochs))
         perm = rng.permutation(n)
+        perm_labels = labels[perm]
         for start in range(0, n, batch_size):
             take = perm[start : start + batch_size]
+            m = take.size
             x = embeddings[take]
-            logits = x @ weight.T + bias
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            e = np.exp(shifted)
-            g = (e / e.sum(axis=1, keepdims=True) - onehot[take]) / take.size
-            vel_w = sgd_momentum * vel_w + g.T @ x
-            vel_b = sgd_momentum * vel_b + g.sum(axis=0)
-            weight = weight - lr_now * vel_w
-            bias = bias - lr_now * vel_b
+            # logits, then softmax, then the gradient, in one buffer
+            g = x @ weight.T
+            g += bias
+            g -= np.maximum.reduce(g, axis=1, keepdims=True)
+            np.exp(g, out=g)
+            g /= np.add.reduce(g, axis=1, keepdims=True)
+            g[batch_rows[:m], perm_labels[start : start + m]] -= 1.0  # the one-hot targets
+            g /= m
+            np.matmul(g.T, x, out=grad_w)
+            np.add.reduce(g, axis=0, out=grad_b)
+            velocity *= sgd_momentum
+            velocity += grads
+            np.multiply(velocity, lr_now, out=step)
+            params -= step
     return LinearProbe(weight, bias)
 
 
@@ -336,11 +349,11 @@ def linear_eval(
     if present.size != train.class_count:
         missing = sorted(set(range(train.class_count)) - set(present.tolist()))
         raise ConfigurationError(f"classes missing from the train split: {missing}")
-    train_emb, _ = encode(encoder, train.features)
+    train_emb = embed(encoder, train.features)
     probe = train_linear_probe(
         train_emb, train.labels, train.class_count, epochs, lr0, batch_size, rng
     )
-    test_emb, _ = encode(encoder, test.features)
+    test_emb = embed(encoder, test.features)
     return probe_accuracy(probe, test_emb, test.labels)
 
 
@@ -414,7 +427,7 @@ def calinski_harabasz(embeddings: Tensor, labels: np.ndarray) -> float:
 def export_embeddings(encoder: EncoderParams, dataset: Dataset, path) -> None:
     """One text row per sample: label then the embedding coordinates, written
     so a reparse recovers the exact float64 values."""
-    v, _ = encode(encoder, dataset.features)
+    v = embed(encoder, dataset.features)
     with atomic_write(path) as fh:
         fh.write("label " + " ".join(f"v{j}" for j in range(v.shape[1])) + "\n")
         for label, row in zip(dataset.labels, v):

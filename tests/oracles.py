@@ -198,3 +198,33 @@ def _dot(a, b):
 
 def _dist(a, b):
     return math.sqrt(sum((float(x) - float(y)) ** 2 for x, y in zip(a, b)))
+
+
+def train_linear_probe_reference(embeddings, labels, class_count, epochs, lr0, batch_size, rng,
+                                 sgd_momentum=0.9):
+    """The linear-probe loop as first written, one fresh array per
+    intermediate: the bitwise reference for `training.train_linear_probe`.
+    Returns (weight, bias)."""
+    n, dim = embeddings.shape
+    weight = np.zeros((class_count, dim))
+    bias = np.zeros(class_count)
+    vel_w = np.zeros_like(weight)
+    vel_b = np.zeros_like(bias)
+    base_lr = lr0 * batch_size / 256.0
+    onehot = np.zeros((n, class_count))
+    onehot[np.arange(n), labels] = 1.0
+    for epoch in range(epochs):
+        lr_now = base_lr * 0.5 * (1.0 + math.cos(math.pi * epoch / epochs))
+        perm = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            take = perm[start : start + batch_size]
+            x = embeddings[take]
+            logits = x @ weight.T + bias
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            e = np.exp(shifted)
+            g = (e / e.sum(axis=1, keepdims=True) - onehot[take]) / take.size
+            vel_w = sgd_momentum * vel_w + g.T @ x
+            vel_b = sgd_momentum * vel_b + g.sum(axis=0)
+            weight = weight - lr_now * vel_w
+            bias = bias - lr_now * vel_b
+    return weight, bias

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,24 @@ class TestPretrainCommand:
         strip = lambda p: [",".join(line.split(",")[:-1])
                            for line in (p / "metrics.csv").read_text().splitlines()]
         assert strip(first) == strip(second)
+
+    @pytest.mark.parametrize("mode, queue_size", [("moco", 64), ("simclr", 0)])
+    def test_parameter_overflow_exits_two_without_a_warning(self, mode, queue_size, tmp_path,
+                                                            capsys):
+        data = tmp_path / "d.txt"
+        assert main(["gen-data", "--out", str(data), "--set", "per_mode=5",
+                     "--set", "spokes=2"]) == 0
+        out_dir = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, stderr = run_cli(
+                capsys, "pretrain", "--data", str(data), "--out", str(out_dir),
+                "--set", "lr=100", "--set", "weight_decay=1e308", "--set", f"mode={mode}",
+                "--set", f"queue_size={queue_size}", "--set", "batch_size=16",
+                "--set", "epochs=2")
+        assert code == 2
+        assert stderr == "diverged: non-finite parameter in W0 (epoch 1, batch 0)\n"
+        assert not (out_dir / "checkpoint.txt").exists()
 
     def test_simclr_mode_writes_encoder_checkpoint(self, tiny_data, tmp_path, capsys):
         out_dir = tmp_path / "run"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from contrastlab.contrastive import (
     _contrast,
+    _index_plan,
     infonce_loss,
     mix_rows,
     mixed_in_batch_loss,
@@ -501,6 +502,24 @@ class TestContrastKernel:
             with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                     DomainError, match=f"^non-finite {term} loss$"):
                 _contrast(queries, keys, queue, tau, mixed, lam, tau_mix)
+
+    def test_index_plan_is_cached_and_read_only(self):
+        plan = _index_plan(4, 2)
+        assert _index_plan(4, 2) is plan
+        rows, own, first, second = plan
+        assert rows.tolist() == [0, 1, 2, 3, 4, 5] and own.tolist() == [0, 1, 2, 3]
+        assert first.tolist() == [0, 1, 2, 3, 0, 1]
+        assert second.tolist() == [0, 1, 2, 3, 2, 3]
+        for index in plan:
+            with pytest.raises(ValueError, match="read-only"):
+                index[0] = 7
+
+    def test_repeated_calls_give_identical_bits(self):
+        # a call must leave nothing behind in the cached plan
+        operands = self.instance(35, 8, 8, 4)
+        first, second = _contrast(*operands), _contrast(*operands)
+        assert (first.contrast, first.mixed) == (second.contrast, second.mixed)
+        assert first.grad.tobytes() == second.grad.tobytes()
 
 
 class TestTotalLoss:

@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from contrastlab import encoder
 from contrastlab.encoder import (
     EncoderParams,
     apply_sgd_step,
+    embed,
     encode,
     encoder_backward,
     init_encoder,
@@ -17,7 +21,7 @@ from contrastlab.errors import (
     DivergedRunError,
     FormatError,
 )
-from contrastlab.numerics import finite_difference_check, seeded_rng
+from contrastlab.numerics import finite_difference_check, l2_normalize_rows_vjp, seeded_rng
 
 
 class TestInit:
@@ -81,7 +85,48 @@ class TestEncode:
             encode(params, np.ones((2, 5)))
 
 
+def rows_with_degenerate(rng, n, width):
+    """Rows 2 and 4 encode, under zero biases, to a zero row and to a nonzero
+    row of norm below eps: the two kinds of degenerate row."""
+    x = rng.normal(size=(n, width))
+    x[2] = 0.0
+    x[4] *= 1e-15
+    return x
+
+
+class TestEmbed:
+    @pytest.mark.parametrize("sizes", [[5, 6, 7, 4], [5, 4]])
+    def test_equals_encode_bitwise(self, sizes):
+        rng = seeded_rng(30)
+        params = init_encoder(sizes, rng)
+        x = rows_with_degenerate(rng, 9, 5)
+        kept = x.copy()
+        v, trace = encode(params, x)
+        assert np.flatnonzero(trace.degenerate_rows).tolist() == [2, 4]
+        assert embed(params, x).tobytes() == v.tobytes()
+        assert x.tobytes() == kept.tobytes()
+
+    def test_rejects_wrong_width(self):
+        params = init_encoder([4, 6, 3], seeded_rng(6))
+        with pytest.raises(DimensionError):
+            embed(params, np.ones((2, 5)))
+
+
 class TestBackward:
+    @pytest.mark.parametrize("degenerate", [True, False])
+    def test_normalization_pullback_equals_the_vjp_bitwise(self, degenerate):
+        rng = seeded_rng(31)
+        params = init_encoder([5, 6, 7, 4], rng)
+        x = rows_with_degenerate(rng, 9, 5) if degenerate else rng.normal(size=(9, 5))
+        _, trace = encode(params, x)
+        assert trace.degenerate_rows.any() == degenerate
+        if degenerate:  # a row the active formula would get wrong
+            assert trace.output[4].any()
+        g = rng.normal(size=(9, 4))
+        expected = l2_normalize_rows_vjp(trace.pre_norm, g)
+        assert encoder._normalization_pullback(trace, g).tobytes() == expected.tobytes()
+
+
     def test_zero_upstream_gives_zero_grads(self):
         rng = seeded_rng(7)
         params = init_encoder([4, 6, 3], rng)
@@ -160,9 +205,27 @@ class TestSgdStep:
     def test_zero_lr_keeps_params(self):
         rng = seeded_rng(12)
         params = init_encoder([3, 4, 2], rng)
+        before = params.vector.copy()  # the step writes into params.vector
         grads = rng.normal(size=params.vector.shape)
         updated, _ = apply_sgd_step(params, grads, 0.0, 0.9, 1e-4, np.zeros_like(grads))
-        assert np.array_equal(updated.vector, params.vector)
+        assert np.array_equal(updated.vector, before)
+
+    def test_updates_in_place_bitwise_as_the_formula(self):
+        rng = seeded_rng(32)
+        params = init_encoder([5, 6, 7, 4], rng)
+        vector, velocity = params.vector, np.zeros_like(params.vector)
+        p, v = vector.copy(), velocity.copy()
+        for step in range(5):
+            grads = rng.normal(size=p.shape)
+            lr = 0.05 * (step + 1)
+            # the out-of-place formula the step used to evaluate
+            v = 0.9 * v + grads + 1e-4 * p
+            p = p - lr * v
+            updated, new_velocity = apply_sgd_step(params, grads, lr, 0.9, 1e-4, velocity)
+            assert updated is params and new_velocity is velocity
+            assert params.vector is vector
+            assert vector.tobytes() == p.tobytes() and velocity.tobytes() == v.tobytes()
+        assert params.weights[0].base is vector  # the block views still see the update
 
     def test_reduces_to_plain_sgd(self):
         params = self._scalar_params(2.0)
@@ -194,6 +257,34 @@ class TestSgdStep:
             apply_sgd_step(params, grads, -0.1, 0.0, 0.0, grads)
         with pytest.raises(ConfigurationError):
             apply_sgd_step(params, grads, 0.1, 1.0, 0.0, grads)
+
+    @pytest.mark.parametrize("lr, momentum, bad_grad, error", [
+        (-0.1, 0.9, None, ConfigurationError),
+        (np.nan, 0.9, None, ConfigurationError),
+        (0.1, 1.0, None, ConfigurationError),
+        (0.1, np.nan, None, ConfigurationError),
+        (0.1, 0.9, np.nan, DivergedRunError),
+        (0.1, 0.9, np.inf, DivergedRunError),
+    ])
+    def test_rejected_step_writes_nothing(self, lr, momentum, bad_grad, error):
+        rng = seeded_rng(33)
+        params = init_encoder([3, 4, 2], rng)
+        velocity = rng.normal(size=params.vector.shape)
+        grads = rng.normal(size=params.vector.shape)
+        if bad_grad is not None:
+            grads[-3] = bad_grad
+        kept = params.vector.tobytes(), velocity.tobytes()
+        with pytest.raises(error):
+            apply_sgd_step(params, grads, lr, momentum, 1e-4, velocity)
+        assert (params.vector.tobytes(), velocity.tobytes()) == kept
+
+    def test_overflowing_update_names_the_first_bad_block_without_a_warning(self):
+        params = init_encoder([3, 4, 2], seeded_rng(34))
+        grads = np.zeros_like(params.vector)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergedRunError, match=r"^non-finite parameter in W0$"):
+                apply_sgd_step(params, grads, 100.0, 0.9, 1e308, np.zeros_like(grads))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_gradient_names_the_first_bad_block(self, bad):

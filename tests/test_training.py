@@ -1,12 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from contrastlab import contrastive, numerics, selfcheck, training
+from contrastlab import contrastive, data, encoder, moco, numerics, selfcheck, training
 from contrastlab.contrastive import simclr_contrastive_loss
 from contrastlab.data import Dataset, generate_spoke_clusters, split_dataset
-from contrastlab.encoder import EncoderParams, encode, init_encoder
+from contrastlab.encoder import EncoderParams, embed, encode, init_encoder
 from contrastlab.errors import ConfigurationError, ContractError, DivergedRunError
 from contrastlab.numerics import seeded_rng
 from contrastlab.training import (
@@ -20,7 +21,11 @@ from contrastlab.training import (
     train_linear_probe,
     write_metrics,
 )
-from oracles import calinski_harabasz_direct, davies_bouldin_direct
+from oracles import (
+    calinski_harabasz_direct,
+    davies_bouldin_direct,
+    train_linear_probe_reference,
+)
 
 
 def small_dataset(seed=7, classes=4, spokes=4, per_mode=10, dim=8):
@@ -152,7 +157,7 @@ class TestPretrain:
 
     @pytest.mark.parametrize("block", ["W1", "b0"])
     def test_diverged_run_names_the_parameter_block(self, monkeypatch, block):
-        real = training.encoder_backward
+        real = training._backward
         calls = []
 
         def poisoned(params, trace, grad_v):
@@ -163,10 +168,21 @@ class TestPretrain:
                 {"W": views.weights, "b": views.biases}[block[0]][int(block[1])].flat[0] = np.nan
             return grads, grad_x
 
-        monkeypatch.setattr(training, "encoder_backward", poisoned)
+        monkeypatch.setattr(training, "_backward", poisoned)
         with pytest.raises(DivergedRunError,
                            match=rf"^non-finite gradient in {block} \(epoch 1, batch 2\)$"):
             pretrain(small_config(), small_dataset())
+
+    @pytest.mark.parametrize("mode, queue_size", [("moco", 32), ("simclr", 0)])
+    def test_parameter_overflow_names_the_block_without_a_warning(self, mode, queue_size):
+        # lr * velocity overflows in the first step; before the in-place
+        # update this left EncoderParams' ContractError (exit 1) and a warning
+        config = small_config(mode=mode, queue_size=queue_size, lr=100.0, weight_decay=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergedRunError,
+                               match=r"^non-finite parameter in W0 \(epoch 1, batch 0\)$"):
+                pretrain(config, small_dataset())
 
     def test_rejects_dim_mismatch(self):
         ds = small_dataset(dim=8)
@@ -208,7 +224,7 @@ class TestStep:
     @pytest.mark.parametrize("mode, queue_size", [
         ("moco", 32), ("moco+mix", 32), ("simclr", 0), ("simclr+mix", 0)])
     def test_one_encode_and_one_backward_per_step(self, monkeypatch, mode, queue_size):
-        calls = {"encode": 0, "encoder_backward": 0, "_contrast": 0}
+        calls = {"_encode": 0, "_embed": 0, "_backward": 0, "_contrast": 0}
         for name in calls:
             def spy(*args, _name=name, _real=getattr(training, name)):
                 calls[_name] += 1
@@ -218,28 +234,37 @@ class TestStep:
         config = small_config(mode=mode, queue_size=queue_size)
         pretrain(config, ds)
         steps = config.epochs * (ds.sample_count // config.batch_size)
-        assert calls == {"encode": steps, "encoder_backward": steps, "_contrast": steps}
+        # the keys of the moco modes come from the untraced forward
+        keys = steps if config.uses_queue else 0
+        assert calls == {"_encode": steps, "_embed": keys, "_backward": steps,
+                         "_contrast": steps}
 
     @pytest.mark.parametrize("mode, queue_size", [
         ("moco", 32), ("moco+mix", 32), ("simclr", 0), ("simclr+mix", 0)])
     def test_no_operand_check_runs_in_a_step(self, monkeypatch, mode, queue_size):
         # the config checked the step's operands; the losses' checks are for
         # outside callers
+        config, ds = small_config(mode=mode, queue_size=queue_size, epochs=1), small_dataset()
+
         def refuse(*args):
             raise AssertionError("operand check inside a training step")
 
         for name in ("_query_operands", "_mixed_operands", "_queue_operand", "as_matrix",
                      "as_f64"):
             monkeypatch.setattr(contrastive, name, refuse)
-        result = pretrain(small_config(mode=mode, queue_size=queue_size, epochs=1),
-                          small_dataset())
+        # nor the encoder's, the augmentation's or the queue's
+        for module, name in ((encoder, "as_matrix"), (encoder, "_input"),
+                             (encoder, "_check_trace"), (data, "as_matrix"),
+                             (moco, "as_matrix")):
+            monkeypatch.setattr(module, name, refuse)
+        result = pretrain(config, ds)
         assert math.isfinite(result.metrics[0].l_total)
 
     def test_simclr_mix_with_zero_weight_adds_exact_zeros(self, monkeypatch):
         # the mixed rows' upstream gradient and the mixed term's key gradient
         # are scaled by mix_weight: at 0 the backward sees only the SimCLR term
         seen = {}
-        real_encode, real_backward = training.encode, training.encoder_backward
+        real_encode, real_backward = training._encode, training._backward
 
         def spy_encode(params, x):
             seen["v"], trace = real_encode(params, x)
@@ -249,8 +274,8 @@ class TestStep:
             seen["upstream"] = upstream.copy()
             return real_backward(params, trace, upstream)
 
-        monkeypatch.setattr(training, "encode", spy_encode)
-        monkeypatch.setattr(training, "encoder_backward", spy_backward)
+        monkeypatch.setattr(training, "_encode", spy_encode)
+        monkeypatch.setattr(training, "_backward", spy_backward)
         config = small_config(mode="simclr+mix", queue_size=0, mix_weight=0.0)
         rng = seeded_rng(3)
         params = init_encoder(config.layer_sizes, rng)
@@ -302,6 +327,25 @@ class TestBlasThreads:
         with pytest.raises(DivergedRunError):
             pretrain(small_config(lr=1e12, epochs=5), small_dataset())
         assert two_blas_threads() == 2
+
+    def test_eval_does_not_depend_on_the_thread_count(self, two_blas_threads):
+        # the eval commands run on the default pool today; pinning them to
+        # one thread must be a pure speed change
+        ds = generate_spoke_clusters(10, 10, 50, 20, 8.0, 1.3, 0.5, seeded_rng(0))
+        train, test = split_dataset(ds, 0.8, seeded_rng(1))
+        enc = init_encoder([20, 64, 64], seeded_rng(2))
+
+        def evaluate():
+            return (embed(enc, ds.features),
+                    linear_eval(enc, train, test, epochs=3, rng=seeded_rng(3)))
+
+        pooled_emb, pooled_top1 = evaluate()
+        assert two_blas_threads() == 2
+        with numerics.single_blas_thread():
+            assert two_blas_threads() == 1
+            pinned_emb, pinned_top1 = evaluate()
+        assert pooled_emb.tobytes() == pinned_emb.tobytes()
+        assert pooled_top1 == pinned_top1
 
     @pytest.mark.parametrize("mode, queue_size", [
         ("moco+mix", 512), ("moco+mix", 4096), ("simclr+mix", 0)])
@@ -381,6 +425,17 @@ class TestLinearEval:
         )
         with pytest.raises(ConfigurationError, match=r"\[2\]"):
             linear_eval(identity_encoder(5), narrowed, test, rng=seeded_rng(1))
+
+    @pytest.mark.parametrize("momentum", [0.9, 0.0])
+    def test_probe_matches_the_reference_loop_bitwise(self, momentum):
+        # 200 samples in batches of 64: the last batch of each epoch holds 8
+        ds = axis_blob_dataset()
+        emb = embed(init_encoder([5, 6, 4], seeded_rng(2)), ds.features)
+        probe = train_linear_probe(emb, ds.labels, 5, 7, 3.0, 64, seeded_rng(4), momentum)
+        weight, bias = train_linear_probe_reference(emb, ds.labels, 5, 7, 3.0, 64,
+                                                    seeded_rng(4), momentum)
+        assert probe.weight.tobytes() == weight.tobytes()
+        assert probe.bias.tobytes() == bias.tobytes()
 
     def test_probe_trains_on_frozen_embeddings(self):
         ds = axis_blob_dataset()
