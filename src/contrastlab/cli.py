@@ -6,7 +6,8 @@ repeatable `--set key=value` overrides applied on top; the effective config
 is echoed to a manifest file (same format, so manifests are valid configs)
 before any work starts.
 
-Exit codes: 0 success, 1 usage or bad config, 2 diverged run or failed
+Exit codes: 0 success, 1 usage or bad config (an eval dataset whose width
+differs from the checkpoint's input included), 2 diverged run or failed
 self-check, 3 file-format or I/O problems.
 """
 
@@ -244,6 +245,16 @@ def load_any_encoder(path):
     raise FormatError(f"unrecognized checkpoint magic {magic!r}", 0)
 
 
+def _load_eval_inputs(args):
+    """An eval command's encoder and dataset, checked to agree in width."""
+    encoder, _ = load_any_encoder(args.checkpoint)
+    dataset = load_dataset(args.data)
+    if dataset.dim != encoder.input_dim:
+        raise ConfigurationError(
+            f"dataset dim {dataset.dim} != checkpoint input dim {encoder.input_dim}")
+    return encoder, dataset
+
+
 def _cmd_gen_data(args) -> int:
     cfg = build_config(DataGenConfig, args.config, args.set)
     if cfg.kind == "spokes":
@@ -288,8 +299,7 @@ def _cmd_pretrain(args) -> int:
 
 def _cmd_linear_eval(args) -> int:
     cfg = build_config(EvalConfig, args.config, args.set)
-    encoder, _ = load_any_encoder(args.checkpoint)
-    dataset = load_dataset(args.data)
+    encoder, dataset = _load_eval_inputs(args)
     train, test = split_dataset(dataset, cfg.train_fraction, seeded_rng(cfg.seed))
     accuracy = linear_eval(
         encoder, train, test,
@@ -306,8 +316,7 @@ def _cmd_linear_eval(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    encoder, _ = load_any_encoder(args.checkpoint)
-    dataset = load_dataset(args.data)
+    encoder, dataset = _load_eval_inputs(args)
     embeddings = embed(encoder, dataset.features)
     print(f"davies_bouldin {davies_bouldin(embeddings, dataset.labels)!r}")
     print(f"calinski_harabasz {calinski_harabasz(embeddings, dataset.labels)!r}")
@@ -315,8 +324,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    encoder, _ = load_any_encoder(args.checkpoint)
-    dataset = load_dataset(args.data)
+    encoder, dataset = _load_eval_inputs(args)
     export_embeddings(encoder, dataset, args.out)
     print(f"wrote {dataset.sample_count} embeddings to {args.out}")
     return EXIT_OK

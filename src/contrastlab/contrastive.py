@@ -8,9 +8,10 @@ are the queue, SimCLR's are the other batch keys. One private kernel,
 queries] against columns [batch keys; queue]. With a queue, a query row's
 other batch keys are masked out and the keys, which come from the EMA
 encoder, are constants. Without one, the batch keys are the negatives, both
-views train, and the kernel also returns the key gradient. The public losses
-check their operands and call the kernel; the training step calls it
-directly, on operands its config has checked.
+views train, and the kernel also returns the key gradient. The three public
+losses (`infonce_loss`, `simclr_contrastive_loss`, `mixed_query_loss`) check
+their operands and call the kernel; the training step calls it directly, on
+operands its config has checked, and alone computes the simclr+mix term.
 """
 
 import functools
@@ -50,18 +51,6 @@ def _mix(x: Tensor, lam: Tensor) -> Tensor:
     half = lam.size
     lam = lam[:, None]
     return lam * x[:half] + (1.0 - lam) * x[half:]
-
-
-def mix_rows(x: Tensor, lambdas) -> Tensor:
-    """Convex combination of row i with row i + B/2, weights lambdas[i]."""
-    x = as_matrix(x)
-    half = _half_batch(x.shape[0])
-    lam = as_f64(lambdas)
-    if lam.shape != (half,):
-        raise DimensionError(f"need {half} coefficients, got shape {lam.shape}")
-    if (lam < 0.0).any() or (lam > 1.0).any():
-        raise ContractError("mixing coefficients must lie in [0, 1]")
-    return _mix(x, lam)
 
 
 def mixup_half_batch(x: Tensor, rng: np.random.Generator) -> tuple[Tensor, Tensor]:
@@ -240,18 +229,6 @@ def simclr_contrastive_loss(queries: Tensor, keys: Tensor, temperature: float) -
             f"need a batch of >= 2 for in-batch negatives, got {queries.shape[0]}")
     res = _contrast(queries, keys, None, temperature, keys[:0], np.empty(0), 1.0)
     return PairLossResult(res.contrast, res.grad, res.grad_keys)
-
-
-def mixed_in_batch_loss(
-    mixed_queries: Tensor, keys: Tensor, lambdas, mix_temperature: float
-) -> PairLossResult:
-    """The mixed-query loss against the B batch keys alone: the simclr modes'
-    mixed term. There the keys come from the trainable encoder, so gradients
-    flow to both the mixed queries and the keys.
-    """
-    mixed_queries, keys, lam = _mixed_operands(mixed_queries, keys, lambdas, mix_temperature)
-    res = _contrast(keys[:0], keys, None, 1.0, mixed_queries, lam, mix_temperature)
-    return PairLossResult(res.mixed, res.grad, res.grad_keys)
 
 
 def mixed_query_loss(

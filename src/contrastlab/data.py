@@ -191,14 +191,9 @@ def two_views(x: Tensor, cfg: AugmentConfig, rng: np.random.Generator) -> tuple[
     Per view: add Gaussian noise, zero a fixed count of randomly chosen
     coordinates per row, then scale each row by a jitter factor. Row i of
     both views derives from input row i. With all strengths at their identity
-    values the views equal the input bitwise.
+    values the views equal the input bitwise. `x` must be a float64 matrix;
+    it is not checked.
     """
-    return _two_views(as_matrix(x), cfg, rng)
-
-
-def _two_views(x: Tensor, cfg: AugmentConfig, rng: np.random.Generator) -> tuple[Tensor, Tensor]:
-    """`two_views` on a float64 matrix the caller has checked: the training
-    step's entry."""
     return _augment(x, cfg, rng), _augment(x, cfg, rng)
 
 

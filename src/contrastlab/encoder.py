@@ -3,9 +3,9 @@
 Forward and backward passes are handwritten. `encode` keeps per-layer
 intermediates in a ForwardTrace so `encoder_backward` can return exact
 gradients of the normalized output, normalization Jacobian included; `embed`
-gives the same output without one. The public functions check their
-operands; the training step calls their private entry points on operands
-`RunConfig` has checked.
+gives the same output without one. None of the three checks its operands:
+the training step calls them on operands `RunConfig` has checked, and the
+file loaders and the CLI check what comes from outside.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +20,7 @@ from .errors import (
     FormatError,
 )
 from .fileio import LineReader, atomic_write, float_line
-from .numerics import DEFAULT_NORM_EPS, Tensor, as_f64, as_matrix
+from .numerics import DEFAULT_NORM_EPS, Tensor, as_f64
 
 ENCODER_MAGIC = "contrastlab-encoder 1"
 
@@ -97,13 +97,6 @@ def init_encoder(layer_sizes, rng: np.random.Generator) -> EncoderParams:
     return EncoderParams(sizes, np.concatenate(blocks))
 
 
-def _input(params: EncoderParams, x) -> Tensor:
-    x = as_matrix(x)
-    if x.shape[1] != params.input_dim:
-        raise DimensionError(f"input width {x.shape[1]} != encoder input dim {params.input_dim}")
-    return x
-
-
 def _guarded_norms(a: Tensor) -> Tensor:
     """max(eps, Euclidean norm) of each row of `a`, as an (N, 1) column."""
     norms = np.sqrt((a * a).sum(axis=1, keepdims=True))
@@ -113,15 +106,11 @@ def _guarded_norms(a: Tensor) -> Tensor:
 def encode(params: EncoderParams, x: Tensor) -> tuple[Tensor, ForwardTrace]:
     """Affine layers with ReLU between them; output rows L2-normalized.
 
+    `x` must be a float64 (N, input_dim) matrix; it is not checked.
     Deterministic given (params, x). Rows whose final affine output has norm
     <= eps are divided by eps instead (zero rows stay zero) and flagged in
     the trace. The trace holds the returned array as `output`.
     """
-    return _encode(params, _input(params, x))
-
-
-def _encode(params: EncoderParams, x: Tensor) -> tuple[Tensor, ForwardTrace]:
-    """`encode` on an input the caller has checked: the training step's entry."""
     trace = ForwardTrace()
     a = x
     last = len(params.weights) - 1
@@ -141,12 +130,8 @@ def _encode(params: EncoderParams, x: Tensor) -> tuple[Tensor, ForwardTrace]:
 def embed(params: EncoderParams, x: Tensor) -> Tensor:
     """`encode`'s output, bit for bit, without a trace: for callers that never
     differentiate (the key encoder, evaluation, export). Bias, ReLU and
-    normalization run in place, so at most two N x width arrays are alive."""
-    return _embed(params, _input(params, x))
-
-
-def _embed(params: EncoderParams, x: Tensor) -> Tensor:
-    """`embed` on an input the caller has checked: the training step's entry."""
+    normalization run in place, so at most two N x width arrays are alive.
+    `x` must be a float64 (N, input_dim) matrix; it is not checked."""
     a = x
     last = len(params.weights) - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -156,36 +141,6 @@ def _embed(params: EncoderParams, x: Tensor) -> Tensor:
             np.maximum(a, 0.0, out=a)
     a /= _guarded_norms(a)
     return a
-
-
-def _check_trace(params: EncoderParams, trace: ForwardTrace) -> None:
-    n_layers = len(params.weights)
-    if len(trace.inputs) != n_layers or trace.output is None:
-        raise ContractError("trace does not match encoder parameters")
-    for l in range(n_layers):
-        if (
-            trace.inputs[l].shape[1] != params.layer_sizes[l]
-            or trace.pre_activations[l].shape[1] != params.layer_sizes[l + 1]
-        ):
-            raise ContractError(f"trace layer {l} widths do not match encoder parameters")
-
-
-def encoder_backward(
-    params: EncoderParams, trace: ForwardTrace, grad_v: Tensor
-) -> tuple[Tensor, Tensor]:
-    """Exact gradients of the normalized output wrt all parameters (one flat
-    vector in the parameter layout) and wrt the input.
-
-    `trace` must come from an `encode` call with the same params.
-    """
-    _check_trace(params, trace)
-    grad_v = as_matrix(grad_v, "grad_v")
-    if grad_v.shape != trace.output.shape:
-        raise ContractError(
-            f"grad shape {grad_v.shape} does not match encoder output {trace.output.shape}"
-        )
-    grads, gz = _backward(params, trace, grad_v)
-    return grads, gz @ params.weights[0]
 
 
 def _normalization_pullback(trace: ForwardTrace, grad_v: Tensor) -> Tensor:
@@ -204,10 +159,11 @@ def _normalization_pullback(trace: ForwardTrace, grad_v: Tensor) -> Tensor:
     return gz
 
 
-def _backward(params: EncoderParams, trace: ForwardTrace, grad_v: Tensor) -> tuple[Tensor, Tensor]:
-    """The parameter gradient and the gradient wrt the first layer's affine
-    output, on operands the caller has checked: the training step's entry,
-    which needs no input gradient."""
+def encoder_backward(params: EncoderParams, trace: ForwardTrace, grad_v: Tensor) -> Tensor:
+    """Exact gradient of the normalized output wrt all parameters, as one
+    flat vector in the parameter layout. `trace` must come from an `encode`
+    call with the same params, and `grad_v` have its output's shape; neither
+    is checked."""
     grads = np.empty_like(params.vector)
     grad_w, grad_b = _block_views(params.layer_sizes, grads)
     gz = _normalization_pullback(trace, grad_v)
@@ -217,7 +173,7 @@ def _backward(params: EncoderParams, trace: ForwardTrace, grad_v: Tensor) -> tup
         if l:
             gz = gz @ params.weights[l]
             gz *= trace.pre_activations[l - 1] > 0.0
-    return grads, gz
+    return grads
 
 
 def add_scaled(into: Tensor, other: Tensor, scale: float) -> Tensor:

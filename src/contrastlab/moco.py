@@ -16,9 +16,9 @@ from .encoder import (
     read_params_block,
     write_params_block,
 )
-from .errors import ConfigurationError, DimensionError, FormatError
+from .errors import ConfigurationError, FormatError
 from .fileio import LineReader, atomic_write, hex_line
-from .numerics import Tensor, as_matrix, l2_normalize_rows
+from .numerics import Tensor, l2_normalize_rows
 
 MOCO_MAGIC = "contrastlab-moco 2"
 # The first layout, still read: the same lines with the queue rows as `repr`
@@ -76,26 +76,9 @@ def momentum_update(state: MoCoState) -> None:
 def enqueue_dequeue(state: MoCoState, keys: Tensor) -> None:
     """Overwrite the oldest queue rows with `keys` and advance the pointer.
 
-    The batch size must divide the queue size so a write never wraps.
+    Unchecked: `RunConfig` makes the queue size a positive multiple of the
+    batch size, so a write never wraps.
     """
-    keys = as_matrix(keys, "keys")
-    b, k = keys.shape[0], state.queue_size
-    if b < 1:
-        raise ConfigurationError("cannot enqueue an empty key batch")
-    if b > k:
-        raise ConfigurationError(f"batch of {b} keys does not fit queue of size {k}")
-    if k % b:
-        raise ConfigurationError(f"queue size {k} must be a multiple of the batch size {b}")
-    if keys.shape[1] != state.queue.shape[1]:
-        raise DimensionError(
-            f"key width {keys.shape[1]} != queue width {state.queue.shape[1]}"
-        )
-    _enqueue(state, keys)
-
-
-def _enqueue(state: MoCoState, keys: Tensor) -> None:
-    """`enqueue_dequeue` on keys the caller has checked: the training step's
-    entry."""
     ptr, b = state.queue_ptr, keys.shape[0]
     state.queue[ptr : ptr + b] = keys
     state.queue_ptr = (ptr + b) % state.queue_size

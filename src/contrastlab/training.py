@@ -15,19 +15,18 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .contrastive import _contrast, mixup_half_batch, total_loss
-from .data import AugmentConfig, Dataset, _two_views, epoch_batches
+from .data import AugmentConfig, Dataset, epoch_batches, two_views
 from .encoder import (
     EncoderParams,
-    _backward,
-    _embed,
-    _encode,
     apply_sgd_step,
     embed,
+    encode,
+    encoder_backward,
     init_encoder,
 )
 from .errors import ConfigurationError, DivergedRunError, DomainError
 from .fileio import atomic_write, float_line
-from .moco import MoCoState, _enqueue, init_moco, momentum_update
+from .moco import MoCoState, enqueue_dequeue, init_moco, key_forward_no_grad, momentum_update
 from .numerics import Tensor, as_matrix, seeded_rng, single_blas_thread, spawn_rngs
 
 MODES = ("moco", "moco+mix", "simclr", "simclr+mix")
@@ -172,9 +171,9 @@ def _loss_and_grads(config, params, state, x_query, x_key, mix_rng):
     simclr modes, where both views train. Both loss terms come from one
     `contrastive._contrast` call in every mode; it scales the mixed term's
     gradients by mix_weight. The only per-mode choices are where the keys
-    come from and whether their gradient joins the upstream. Every call goes
-    to a private entry point that checks nothing: `RunConfig` has checked
-    the operands.
+    come from and whether their gradient joins the upstream. None of the
+    functions called here checks its operands: `RunConfig` and the dataset
+    have checked them.
     """
     b = x_query.shape[0]
     x = x_query if config.uses_queue else np.concatenate([x_query, x_key])
@@ -182,9 +181,9 @@ def _loss_and_grads(config, params, state, x_query, x_key, mix_rng):
     if config.mixes:
         x_mix, lambdas = mixup_half_batch(x_query, mix_rng)
         x = np.concatenate([x, x_mix])
-    v, trace = _encode(params, x)
+    v, trace = encode(params, x)
     if config.uses_queue:
-        keys, queue, mixed = _embed(state.key, x_key), state.queue, v[b:]
+        keys, queue, mixed = key_forward_no_grad(state, x_key), state.queue, v[b:]
     else:
         keys, queue, mixed = v[b : 2 * b], None, v[2 * b :]
     res = _contrast(v[:b], keys, queue, config.temperature, mixed, lambdas,
@@ -192,7 +191,7 @@ def _loss_and_grads(config, params, state, x_query, x_key, mix_rng):
     upstream = res.grad
     if res.grad_keys is not None:
         upstream = np.concatenate([res.grad[:b], res.grad_keys, res.grad[b:]])
-    grads, _ = _backward(params, trace, upstream)
+    grads = encoder_backward(params, trace, upstream)
     return res.contrast, res.mixed, grads, keys
 
 
@@ -219,7 +218,7 @@ def _pretrain_features(config: RunConfig, features: Tensor) -> PretrainResult:
         sum_contrast = sum_mix = sum_total = 0.0
         batches = epoch_batches(n, config.batch_size, batch_rng)
         for batch_index, idx in enumerate(batches):
-            x_query, x_key = _two_views(features[idx], aug_cfg, augment_rng)
+            x_query, x_key = two_views(features[idx], aug_cfg, augment_rng)
             # overflow in a diverging run surfaces as DivergedRunError below,
             # not as numpy warnings
             try:
@@ -237,7 +236,7 @@ def _pretrain_features(config: RunConfig, features: Tensor) -> PretrainResult:
                 raise DivergedRunError(str(exc), epoch, batch_index) from None
             if config.uses_queue:
                 momentum_update(state)
-                _enqueue(state, keys)
+                enqueue_dequeue(state, keys)
             sum_contrast += l_contrast
             sum_mix += l_mix
             sum_total += l_total

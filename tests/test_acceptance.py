@@ -52,7 +52,6 @@ from oracles import (
     infonce_direct,
     kl_direct,
     mixed_direct,
-    simclr_direct,
 )
 
 

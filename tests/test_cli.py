@@ -7,7 +7,6 @@ import sys
 import threading
 import warnings
 
-import numpy as np
 import pytest
 
 from contrastlab.cli import OutputDirLock, main
@@ -391,6 +390,23 @@ class TestEvalCommands:
         assert code == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 60 + 1
+
+    @pytest.mark.parametrize("dim", [4, 8], ids=["narrower", "wider"])
+    @pytest.mark.parametrize("command", ["linear-eval", "metrics", "export-embeddings"])
+    def test_dataset_of_another_width_exits_one(self, command, dim, trained_run, tmp_path,
+                                                capsys):
+        data = tmp_path / f"dim{dim}.txt"
+        assert main(["gen-data", "--out", str(data), "--set", "classes=3", "--set", "spokes=2",
+                     "--set", "per_mode=10", "--set", f"dim={dim}"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = [command, "--checkpoint", str(trained_run), "--data", str(data)]
+        if command != "metrics":
+            argv += ["--out", str(out)]
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err == f"error: dataset dim {dim} != checkpoint input dim 6\n"
+        assert stdout == "" and not out.exists()
 
 
     @pytest.mark.parametrize("edit", [

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from contrastlab.contrastive import (
     _contrast,
     _index_plan,
+    _mix,
     infonce_loss,
-    mix_rows,
-    mixed_in_batch_loss,
     mixed_query_loss,
     mixup_half_batch,
     simclr_contrastive_loss,
@@ -43,17 +42,17 @@ def unit_rows(rng, rows, cols):
 class TestMixup:
     def test_lambda_one_returns_first_row(self):
         x = np.arange(8.0).reshape(4, 2)
-        mixed = mix_rows(x, [1.0, 1.0])
+        mixed = _mix(x, np.array([1.0, 1.0]))
         assert np.array_equal(mixed, x[:2])
 
     def test_lambda_zero_returns_partner_row(self):
         x = np.arange(8.0).reshape(4, 2)
-        mixed = mix_rows(x, [0.0, 0.0])
+        mixed = _mix(x, np.array([0.0, 0.0]))
         assert np.array_equal(mixed, x[2:])
 
     def test_quarter_mix_hand_value(self):
         x = np.array([[1.0, 2.0], [0.0, 0.0], [5.0, 6.0], [0.0, 0.0]])
-        mixed = mix_rows(x, [0.25, 0.5])
+        mixed = _mix(x, np.array([0.25, 0.5]))
         assert np.array_equal(mixed[0], [0.25 * 1 + 0.75 * 5, 0.25 * 2 + 0.75 * 6])
 
     def test_rejects_odd_batch(self):
@@ -400,8 +399,10 @@ class TestNonFiniteInputs:
             ops["queries"][:2], ops["keys"], ops["queue"], [0.3, 0.6], 0.05)),
         "SimCLR": ("SimCLR", lambda ops: simclr_contrastive_loss(
             ops["queries"], ops["keys"], 0.2)),
-        "mixed-in-batch": ("mixed-query", lambda ops: mixed_in_batch_loss(
-            ops["queries"][:2], ops["keys"], [0.3, 0.6], 0.05)),
+        # the simclr+mix term, which only the training step computes
+        "mixed-in-batch": ("mixed-query", lambda ops: _contrast(
+            ops["keys"][:0], ops["keys"], None, 1.0, ops["queries"][:2], np.array([0.3, 0.6]),
+            0.05)),
     }
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -458,8 +459,8 @@ class TestContrastKernel:
             parts = [(contrast.value, contrast.grad, None)]
         if lam.size:
             if queue is None:
-                mix = mixed_in_batch_loss(mixed, keys, lam, tau_mix)
-                parts.append((mix.value, mix.grad_queries, mix.grad_keys))
+                mix = _contrast(keys[:0], keys, None, 1.0, mixed, lam, tau_mix)
+                parts.append((mix.mixed, mix.grad, mix.grad_keys))
             else:
                 mix = mixed_query_loss(mixed, keys, queue, lam, tau_mix)
                 parts.append((mix.value, mix.grad, None))

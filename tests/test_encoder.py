@@ -14,13 +14,7 @@ from contrastlab.encoder import (
     load_encoder,
     save_encoder,
 )
-from contrastlab.errors import (
-    ConfigurationError,
-    ContractError,
-    DimensionError,
-    DivergedRunError,
-    FormatError,
-)
+from contrastlab.errors import ConfigurationError, DivergedRunError, FormatError
 from contrastlab.numerics import finite_difference_check, l2_normalize_rows_vjp, seeded_rng
 
 
@@ -79,12 +73,6 @@ class TestEncode:
         v2, _ = encode(params, x)
         assert np.array_equal(v1, v2)
 
-    def test_rejects_wrong_width(self):
-        params = init_encoder([4, 6, 3], seeded_rng(6))
-        with pytest.raises(DimensionError):
-            encode(params, np.ones((2, 5)))
-
-
 def rows_with_degenerate(rng, n, width):
     """Rows 2 and 4 encode, under zero biases, to a zero row and to a nonzero
     row of norm below eps: the two kinds of degenerate row."""
@@ -106,12 +94,6 @@ class TestEmbed:
         assert embed(params, x).tobytes() == v.tobytes()
         assert x.tobytes() == kept.tobytes()
 
-    def test_rejects_wrong_width(self):
-        params = init_encoder([4, 6, 3], seeded_rng(6))
-        with pytest.raises(DimensionError):
-            embed(params, np.ones((2, 5)))
-
-
 class TestBackward:
     @pytest.mark.parametrize("degenerate", [True, False])
     def test_normalization_pullback_equals_the_vjp_bitwise(self, degenerate):
@@ -131,9 +113,8 @@ class TestBackward:
         rng = seeded_rng(7)
         params = init_encoder([4, 6, 3], rng)
         _, trace = encode(params, rng.normal(size=(5, 4)))
-        grads, grad_x = encoder_backward(params, trace, np.zeros((5, 3)))
+        grads = encoder_backward(params, trace, np.zeros((5, 3)))
         assert np.array_equal(grads, np.zeros_like(params.vector))
-        assert np.array_equal(grad_x, np.zeros((5, 4)))
 
     def test_finite_difference_every_parameter_block(self):
         rng = seeded_rng(8)
@@ -145,25 +126,10 @@ class TestBackward:
         def f(vec):
             p = EncoderParams(layer_sizes, vec)
             v, trace = encode(p, x)
-            grads, _ = encoder_backward(p, trace, downstream)
+            grads = encoder_backward(p, trace, downstream)
             return float((v * downstream).sum()), grads
 
         report = finite_difference_check(f, params.vector, step=1e-6)
-        assert report.max_relative_error < 1e-6
-
-    def test_input_gradient(self):
-        rng = seeded_rng(9)
-        params = init_encoder([4, 6, 3], rng)
-        x = rng.normal(size=(3, 4))
-        downstream = rng.normal(size=(3, 3))
-
-        def f(flat):
-            point = np.reshape(flat, (3, 4))
-            v, trace = encode(params, point)
-            _, grad_x = encoder_backward(params, trace, downstream)
-            return float((v * downstream).sum()), grad_x.ravel()
-
-        report = finite_difference_check(f, x.ravel(), step=1e-6)
         assert report.max_relative_error < 1e-6
 
     def test_single_linear_layer_closed_form(self):
@@ -174,7 +140,7 @@ class TestBackward:
         x = rng.normal(size=(1, 3))
         downstream = rng.normal(size=(1, 2))
         _, trace = encode(params, x)
-        grads, _ = encoder_backward(params, trace, downstream)
+        grads = encoder_backward(params, trace, downstream)
         grad_blocks = EncoderParams(params.layer_sizes, grads)  # views in the parameter layout
 
         w = params.weights[0]
@@ -186,15 +152,6 @@ class TestBackward:
         expected_gw = np.outer(gy, x[0])
         assert np.allclose(grad_blocks.weights[0], expected_gw, rtol=1e-12, atol=1e-14)
         assert np.allclose(grad_blocks.biases[0], gy, rtol=1e-12, atol=1e-14)
-
-    def test_rejects_mismatched_trace(self):
-        rng = seeded_rng(11)
-        params = init_encoder([4, 6, 3], rng)
-        other = init_encoder([4, 5, 3], rng)
-        _, trace = encode(other, rng.normal(size=(2, 4)))
-        with pytest.raises(ContractError):
-            encoder_backward(params, trace, np.zeros((2, 3)))
-
 
 class TestSgdStep:
     def _scalar_params(self, value):
@@ -357,7 +314,7 @@ def test_full_model_gradient_check_random_batches():
     def f(vec):
         p = EncoderParams(layer_sizes, vec)
         v, trace = encode(p, x)
-        grads, _ = encoder_backward(p, trace, downstream)
+        grads = encoder_backward(p, trace, downstream)
         return float((v * downstream).sum()), grads
 
     report = finite_difference_check(f, params.vector, step=1e-5)

@@ -146,16 +146,6 @@ class TestQueue:
         # ptr points at the oldest surviving batch
         assert np.array_equal(rolled, expected)
 
-    def test_rejects_oversized_batch(self):
-        state = init_moco([3, 4, 2], 4, 0.9, seeded_rng(15))
-        with pytest.raises(ConfigurationError):
-            enqueue_dequeue(state, np.ones((8, 2)))
-
-    def test_rejects_non_divisor_batch(self):
-        state = init_moco([3, 4, 2], 8, 0.9, seeded_rng(16))
-        with pytest.raises(ConfigurationError):
-            enqueue_dequeue(state, l2_normalize_rows(np.ones((6, 2))))
-
 
 class TestKeyForward:
     def test_matches_encode_with_key_params(self):

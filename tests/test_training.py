@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from contrastlab import contrastive, data, encoder, moco, numerics, selfcheck, training
+from contrastlab import contrastive, data, encoder, numerics, selfcheck, training
 from contrastlab.contrastive import simclr_contrastive_loss
 from contrastlab.data import Dataset, generate_spoke_clusters, split_dataset
 from contrastlab.encoder import EncoderParams, embed, encode, init_encoder
@@ -157,18 +157,18 @@ class TestPretrain:
 
     @pytest.mark.parametrize("block", ["W1", "b0"])
     def test_diverged_run_names_the_parameter_block(self, monkeypatch, block):
-        real = training._backward
+        real = training.encoder_backward
         calls = []
 
         def poisoned(params, trace, grad_v):
-            grads, grad_x = real(params, trace, grad_v)
+            grads = real(params, trace, grad_v)
             calls.append(None)
             if len(calls) == 3:  # epoch 1, batch 2: one backward pass per moco+mix step
                 views = EncoderParams(params.layer_sizes, grads)
                 {"W": views.weights, "b": views.biases}[block[0]][int(block[1])].flat[0] = np.nan
-            return grads, grad_x
+            return grads
 
-        monkeypatch.setattr(training, "_backward", poisoned)
+        monkeypatch.setattr(training, "encoder_backward", poisoned)
         with pytest.raises(DivergedRunError,
                            match=rf"^non-finite gradient in {block} \(epoch 1, batch 2\)$"):
             pretrain(small_config(), small_dataset())
@@ -224,7 +224,8 @@ class TestStep:
     @pytest.mark.parametrize("mode, queue_size", [
         ("moco", 32), ("moco+mix", 32), ("simclr", 0), ("simclr+mix", 0)])
     def test_one_encode_and_one_backward_per_step(self, monkeypatch, mode, queue_size):
-        calls = {"_encode": 0, "_embed": 0, "_backward": 0, "_contrast": 0}
+        calls = {"two_views": 0, "encode": 0, "key_forward_no_grad": 0, "_contrast": 0,
+                 "encoder_backward": 0, "enqueue_dequeue": 0}
         for name in calls:
             def spy(*args, _name=name, _real=getattr(training, name)):
                 calls[_name] += 1
@@ -234,10 +235,10 @@ class TestStep:
         config = small_config(mode=mode, queue_size=queue_size)
         pretrain(config, ds)
         steps = config.epochs * (ds.sample_count // config.batch_size)
-        # the keys of the moco modes come from the untraced forward
+        # the moco modes take their keys from the EMA encoder and enqueue them
         keys = steps if config.uses_queue else 0
-        assert calls == {"_encode": steps, "_embed": keys, "_backward": steps,
-                         "_contrast": steps}
+        assert calls == {"two_views": steps, "encode": steps, "key_forward_no_grad": keys,
+                         "_contrast": steps, "encoder_backward": steps, "enqueue_dequeue": keys}
 
     @pytest.mark.parametrize("mode, queue_size", [
         ("moco", 32), ("moco+mix", 32), ("simclr", 0), ("simclr+mix", 0)])
@@ -252,11 +253,8 @@ class TestStep:
         for name in ("_query_operands", "_mixed_operands", "_queue_operand", "as_matrix",
                      "as_f64"):
             monkeypatch.setattr(contrastive, name, refuse)
-        # nor the encoder's, the augmentation's or the queue's
-        for module, name in ((encoder, "as_matrix"), (encoder, "_input"),
-                             (encoder, "_check_trace"), (data, "as_matrix"),
-                             (moco, "as_matrix")):
-            monkeypatch.setattr(module, name, refuse)
+        # nor the augmentation's
+        monkeypatch.setattr(data, "as_matrix", refuse)
         result = pretrain(config, ds)
         assert math.isfinite(result.metrics[0].l_total)
 
@@ -264,7 +262,7 @@ class TestStep:
         # the mixed rows' upstream gradient and the mixed term's key gradient
         # are scaled by mix_weight: at 0 the backward sees only the SimCLR term
         seen = {}
-        real_encode, real_backward = training._encode, training._backward
+        real_encode, real_backward = training.encode, training.encoder_backward
 
         def spy_encode(params, x):
             seen["v"], trace = real_encode(params, x)
@@ -274,8 +272,8 @@ class TestStep:
             seen["upstream"] = upstream.copy()
             return real_backward(params, trace, upstream)
 
-        monkeypatch.setattr(training, "_encode", spy_encode)
-        monkeypatch.setattr(training, "_backward", spy_backward)
+        monkeypatch.setattr(training, "encode", spy_encode)
+        monkeypatch.setattr(training, "encoder_backward", spy_backward)
         config = small_config(mode="simclr+mix", queue_size=0, mix_weight=0.0)
         rng = seeded_rng(3)
         params = init_encoder(config.layer_sizes, rng)
