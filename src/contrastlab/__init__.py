@@ -6,14 +6,6 @@ The Python API lives in the submodules (`contrastlab.training`,
 `contrastlab.encoder`, ...); the package root exports the error classes.
 """
 
-from .errors import (
-    ConfigurationError,
-    ContractError,
-    ContrastLabError,
-    DimensionError,
-    DivergedRunError,
-    DomainError,
-    FormatError,
-)
+from .errors import ConfigurationError, ContrastLabError, DivergedRunError, FormatError
 
 __version__ = "0.1.0"

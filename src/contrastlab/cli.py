@@ -26,13 +26,7 @@ from .data import (
     split_dataset,
 )
 from .encoder import ENCODER_MAGIC, embed, load_encoder, save_encoder
-from .errors import (
-    ConfigurationError,
-    ContractError,
-    DivergedRunError,
-    DomainError,
-    FormatError,
-)
+from .errors import ConfigurationError, ContrastLabError, DivergedRunError, FormatError
 from .fileio import atomic_write
 from .moco import MOCO_MAGIC, MOCO_V1_MAGIC, load_moco, save_moco
 from .numerics import seeded_rng
@@ -400,15 +394,15 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigurationError, ContractError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except DivergedRunError as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except (FormatError, OSError) as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ContrastLabError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -10,8 +10,9 @@ other batch keys are masked out and the keys, which come from the EMA
 encoder, are constants. Without one, the batch keys are the negatives, both
 views train, and the kernel also returns the key gradient. The three public
 losses (`infonce_loss`, `simclr_contrastive_loss`, `mixed_query_loss`) check
-their operands and call the kernel; the training step calls it directly, on
-operands its config has checked, and alone computes the simclr+mix term.
+their operands, raising ConfigurationError, and call the kernel; the training
+step calls it directly, on operands its config has checked, and alone
+computes the simclr+mix term. A non-finite loss raises DivergedRunError.
 """
 
 import functools
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractError, DimensionError, DomainError
+from .errors import ConfigurationError, DivergedRunError
 from .numerics import Tensor, as_f64, as_matrix
 
 
@@ -58,12 +59,12 @@ def mixup_half_batch(x: Tensor, rng: np.random.Generator) -> tuple[Tensor, Tenso
 
     Returns (x_mix, lambdas): row i of x_mix is lambdas[i] * x[i] +
     (1 - lambdas[i]) * x[i + B/2]. One coefficient is drawn per mixed row;
-    exact zeros are redrawn so every lambda lies in the open interval. `x` is
-    not coerced (the training step calls this on every batch).
+    exact zeros are redrawn so every lambda lies in the open interval. `x`
+    must be a float64 matrix with an even number of rows; it is not checked
+    (the training step calls this on every batch, and `RunConfig` has checked
+    the batch size).
     """
-    if x.ndim != 2:
-        raise DimensionError(f"input must be 2-D, got shape {x.shape}")
-    lam = rng.random(_half_batch(x.shape[0]))
+    lam = rng.random(x.shape[0] // 2)
     while (lam == 0.0).any():
         zero = lam == 0.0
         lam[zero] = rng.random(int(zero.sum()))
@@ -79,7 +80,7 @@ def _query_operands(queries, keys, temperature: float) -> tuple[Tensor, Tensor]:
     _check_temperature("temperature", temperature)
     queries, keys = as_matrix(queries, "queries"), as_matrix(keys, "keys")
     if keys.shape != queries.shape:
-        raise DimensionError(f"keys {keys.shape} do not match queries {queries.shape}")
+        raise ConfigurationError(f"keys {keys.shape} do not match queries {queries.shape}")
     return queries, keys
 
 
@@ -89,26 +90,26 @@ def _mixed_operands(mixed_queries, keys, lambdas, mix_temperature: float):
     mixed_queries, keys = as_matrix(mixed_queries, "mixed queries"), as_matrix(keys, "keys")
     half, c = _half_batch(keys.shape[0]), keys.shape[1]
     if mixed_queries.shape != (half, c):
-        raise DimensionError(f"need {half} mixed queries of width {c}, got {mixed_queries.shape}")
+        raise ConfigurationError(f"need {half} mixed queries of width {c}, got {mixed_queries.shape}")
     lam = as_f64(lambdas)
     if lam.shape != (half,):
-        raise DimensionError(f"need {half} coefficients, got shape {lam.shape}")
+        raise ConfigurationError(f"need {half} coefficients, got shape {lam.shape}")
     if (lam <= 0.0).any() or (lam >= 1.0).any():
-        raise ContractError("mixing coefficients must lie strictly inside (0, 1)")
+        raise ConfigurationError("mixing coefficients must lie strictly inside (0, 1)")
     return mixed_queries, keys, lam
 
 
 def _queue_operand(queue, keys: Tensor) -> Tensor:
     queue = as_matrix(queue, "queue")
     if queue.shape[1] != keys.shape[1]:
-        raise DimensionError(f"queue width {queue.shape[1]} != embedding dim {keys.shape[1]}")
+        raise ConfigurationError(f"queue width {queue.shape[1]} != embedding dim {keys.shape[1]}")
     return queue
 
 
 def _require_finite(loss: str, value: float, *grads: Tensor) -> None:
     """Any NaN or infinity in the logits reaches the value or the gradient."""
     if not (math.isfinite(value) and all(np.isfinite(g).all() for g in grads)):
-        raise DomainError(f"non-finite {loss} loss")
+        raise DivergedRunError(f"non-finite {loss} loss")
 
 
 @dataclass
@@ -153,7 +154,7 @@ def _contrast(queries: Tensor, keys: Tensor, queue: Tensor | None, temperature: 
 
     Operands are not checked here, so the training step pays for no checks:
     the public losses check theirs, and `RunConfig` the step's. A non-finite
-    value or gradient raises DomainError naming its term.
+    value or gradient raises DivergedRunError naming its term.
     """
     (b, c), nq, half = keys.shape, queries.shape[0], mixed.shape[0]
     rows, own, first, second = _index_plan(nq, half)

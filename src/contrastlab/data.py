@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, FormatError
+from .errors import ConfigurationError, FormatError
 from .fileio import LineReader, atomic_write, hex_line
-from .numerics import Tensor, as_matrix
+from .numerics import Tensor, as_matrix, l2_normalize_rows
 
 DATASET_MAGIC = "contrastlab-dataset 2"
 DATASET_V1_MAGIC = "contrastlab-dataset 1"
@@ -30,7 +30,7 @@ class Dataset:
         self.features = as_matrix(self.features, "features")
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.labels.shape != (self.features.shape[0],):
-            raise DimensionError(
+            raise ConfigurationError(
                 f"label shape {self.labels.shape} does not match {self.features.shape[0]} samples"
             )
         if self.class_count < 2:
@@ -148,9 +148,7 @@ def generate_spoke_clusters(
             "need finite base_radius > 0, radius_growth > 1, and within_sigma > 0, got "
             f"{base_radius}, {radius_growth}, {within_sigma}"
         )
-    raw = rng.standard_normal((spokes, dim))
-    norms = np.sqrt((raw * raw).sum(axis=1, keepdims=True))
-    directions = raw / np.maximum(norms, 1e-12)
+    directions = l2_normalize_rows(rng.standard_normal((spokes, dim)))
     overflow = ConfigurationError(
         "base_radius * radius_growth^(classes - 1) and within_sigma must keep the features "
         f"inside float64, got {base_radius}, {radius_growth}, {within_sigma}")

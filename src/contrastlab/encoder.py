@@ -12,13 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    ContractError,
-    DimensionError,
-    DivergedRunError,
-    FormatError,
-)
+from .errors import ConfigurationError, DivergedRunError, FormatError
 from .fileio import LineReader, atomic_write, float_line
 from .numerics import DEFAULT_NORM_EPS, Tensor, as_f64
 
@@ -36,7 +30,7 @@ def _block_views(sizes: list[int], vector: Tensor) -> tuple[list[Tensor], list[T
     """(out x in) weight and bias views into a flat W0, b0, W1, b1, ... vector."""
     count = sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes, sizes[1:]))
     if vector.shape != (count,):
-        raise DimensionError(f"vector shape {vector.shape} does not match layer sizes {sizes}")
+        raise ConfigurationError(f"vector shape {vector.shape} does not match layer sizes {sizes}")
     weights, biases = [], []
     pos = 0
     for fan_in, fan_out in zip(sizes, sizes[1:]):
@@ -65,7 +59,7 @@ class EncoderParams:
         self.vector = as_f64(self.vector)
         self.weights, self.biases = _block_views(sizes, self.vector)
         if not np.isfinite(self.vector).all():
-            raise ContractError("encoder parameters are not finite")
+            raise ConfigurationError("encoder parameters are not finite")
 
     @property
     def input_dim(self) -> int:

@@ -1,32 +1,21 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, one per CLI exit code.
 
-The CLI maps these onto exit codes: configuration/contract problems exit 1,
-diverged training runs exit 2, file-format and I/O problems exit 3.
+`cli.main` maps them by class: DivergedRunError exits 2, FormatError (and
+OSError) exits 3, and any other ContrastLabError exits 1.
 """
 
 
 class ContrastLabError(Exception):
-    """Base class for all library errors."""
-
-
-class DimensionError(ContrastLabError):
-    """Operand shapes do not chain; the message names both shapes."""
+    """Base class for all library errors; exit 1 unless a subclass says otherwise."""
 
 
 class ConfigurationError(ContrastLabError):
-    """A config value or call parameter is outside its allowed range."""
-
-
-class ContractError(ContrastLabError):
-    """An input violates a documented precondition."""
-
-
-class DomainError(ContrastLabError):
-    """A numeric input or probe point left the operation's domain (NaN/Inf)."""
+    """Exit 1: a config value, call parameter or operand is outside its
+    allowed range, shape or domain; the message names what is wrong."""
 
 
 class FormatError(ContrastLabError):
-    """A file failed to parse; carries the byte offset of the failure."""
+    """Exit 3: a file failed to parse; carries the byte offset of the failure."""
 
     def __init__(self, message: str, offset: int | None = None):
         if offset is not None:
@@ -36,7 +25,7 @@ class FormatError(ContrastLabError):
 
 
 class DivergedRunError(ContrastLabError):
-    """Training produced a non-finite loss or gradient."""
+    """Exit 2: a computed loss, gradient or probe value went non-finite."""
 
     def __init__(self, message: str, epoch: int | None = None, batch: int | None = None):
         if epoch is not None:

@@ -15,12 +15,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractError, DimensionError, DomainError
+from .errors import ConfigurationError, DivergedRunError
 
 Tensor = np.ndarray
 
 # Rows whose Euclidean norm falls at or below this are left unnormalized
-# (divided by eps instead); guards zero rows.
+# (divided by it instead); guards zero rows.
 DEFAULT_NORM_EPS = 1e-12
 
 
@@ -32,7 +32,7 @@ def as_f64(x) -> Tensor:
 def as_matrix(x, name: str = "input") -> Tensor:
     out = as_f64(x)
     if out.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got shape {out.shape}")
+        raise ConfigurationError(f"{name} must be 2-D, got shape {out.shape}")
     return out
 
 
@@ -99,7 +99,7 @@ def softmax(logits: Tensor) -> Tensor:
     """Row-wise softmax via max-subtraction; each output row sums to 1."""
     logits = as_matrix(logits, "logits")
     if not np.isfinite(logits).all():
-        raise DomainError("softmax input must be finite")
+        raise ConfigurationError("softmax input must be finite")
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
@@ -109,18 +109,18 @@ def log_softmax(logits: Tensor) -> Tensor:
     """Row-wise log-softmax via max-subtraction."""
     logits = as_matrix(logits, "logits")
     if not np.isfinite(logits).all():
-        raise DomainError("log_softmax input must be finite")
+        raise ConfigurationError("log_softmax input must be finite")
     shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
 def _check_target_rows(targets: Tensor) -> None:
     if (targets < 0.0).any():
-        raise ContractError("target rows must be nonnegative")
+        raise ConfigurationError("target rows must be nonnegative")
     sums = targets.sum(axis=1)
     worst = np.abs(sums - 1.0).max() if sums.size else 0.0
     if worst > 1e-9:
-        raise ContractError(f"target rows must sum to 1 (worst deviation {worst:.3e})")
+        raise ConfigurationError(f"target rows must sum to 1 (worst deviation {worst:.3e})")
 
 
 def soft_cross_entropy(logits: Tensor, targets: Tensor) -> tuple[float, Tensor]:
@@ -132,7 +132,7 @@ def soft_cross_entropy(logits: Tensor, targets: Tensor) -> tuple[float, Tensor]:
     logits = as_matrix(logits, "logits")
     targets = as_matrix(targets, "targets")
     if logits.shape != targets.shape:
-        raise DimensionError(f"logits {logits.shape} and targets {targets.shape} must match")
+        raise ConfigurationError(f"logits {logits.shape} and targets {targets.shape} must match")
     _check_target_rows(targets)
     n = logits.shape[0]
     value = float(-(targets * log_softmax(logits)).sum() / n)
@@ -140,29 +140,25 @@ def soft_cross_entropy(logits: Tensor, targets: Tensor) -> tuple[float, Tensor]:
     return value, grad
 
 
-def l2_normalize_rows(x: Tensor, eps: float = DEFAULT_NORM_EPS) -> Tensor:
-    """Divide each row by max(eps, its Euclidean norm)."""
-    if eps <= 0.0:
-        raise ConfigurationError(f"eps must be positive, got {eps}")
+def l2_normalize_rows(x: Tensor) -> Tensor:
+    """Divide each row by max(DEFAULT_NORM_EPS, its Euclidean norm)."""
     x = as_matrix(x)
     norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
-    return x / np.maximum(norms, eps)
+    return x / np.maximum(norms, DEFAULT_NORM_EPS)
 
 
-def l2_normalize_rows_vjp(x: Tensor, grad_out: Tensor, eps: float = DEFAULT_NORM_EPS) -> Tensor:
+def l2_normalize_rows_vjp(x: Tensor, grad_out: Tensor) -> Tensor:
     """Pull `grad_out` back through l2_normalize_rows at the point `x`."""
-    if eps <= 0.0:
-        raise ConfigurationError(f"eps must be positive, got {eps}")
     x = as_matrix(x)
     grad_out = as_matrix(grad_out, "grad_out")
     if grad_out.shape != x.shape:
-        raise DimensionError(f"grad {grad_out.shape} does not match point {x.shape}")
+        raise ConfigurationError(f"grad {grad_out.shape} does not match point {x.shape}")
     norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
-    guarded = np.maximum(norms, eps)
+    guarded = np.maximum(norms, DEFAULT_NORM_EPS)
     y = x / guarded
     inner = (grad_out * y).sum(axis=1, keepdims=True)
     # active rows see the full normalization Jacobian; guarded rows are linear
-    return np.where(norms > eps, (grad_out - inner * y) / guarded, grad_out / guarded)
+    return np.where(norms > DEFAULT_NORM_EPS, (grad_out - inner * y) / guarded, grad_out / guarded)
 
 
 @dataclass
@@ -195,7 +191,7 @@ def finite_difference_check(
     _, analytic = f(point)
     analytic = as_f64(analytic)
     if analytic.shape != point.shape:
-        raise ContractError(
+        raise ConfigurationError(
             f"analytic gradient shape {analytic.shape} does not match point {point.shape}"
         )
     report = GradCheckReport(-1.0, (), 0.0, 0.0)
@@ -207,7 +203,7 @@ def finite_difference_check(
         f_plus, _ = f(plus)
         f_minus, _ = f(minus)
         if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise DomainError(f"non-finite value at probe {idx}")
+            raise DivergedRunError(f"non-finite value at probe {idx}")
         numeric = (f_plus - f_minus) / (2.0 * step)
         rel = relative_error(float(analytic[idx]), numeric)
         if rel > report.max_relative_error:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .contrastive import infonce_loss, mixed_query_loss, mixup_half_batch, simclr_contrastive_loss
 from .encoder import EncoderParams, encode, init_encoder
-from .errors import ContractError
+from .errors import ConfigurationError
 from .moco import init_moco
 from .numerics import (
     GradCheckReport,
@@ -70,7 +70,7 @@ def _step_case(mode: str, seed: int, b: int, k: int, mix_weight: float):
     """`training._loss_and_grads`'s total loss as a function of a [5, 6, 4]
     query encoder's parameter vector, the mixing stream re-seeded on every
     call. A start point where an encoded row has zero norm, at which row
-    normalisation is not differentiable, raises ContractError."""
+    normalisation is not differentiable, raises ConfigurationError."""
     config = RunConfig(mode=mode, batch_size=b, queue_size=k, input_dim=5, hidden_dims=(6,),
                        embed_dim=4, mix_weight=mix_weight, seed=seed)
     rng, _ = spawn_rngs(seed, 2)
@@ -89,7 +89,7 @@ def _step_case(mode: str, seed: int, b: int, k: int, mix_weight: float):
     if config.mixes:
         rows.append(mixup_half_batch(x_query, mix_stream())[0])
     if encode(params0, np.concatenate(rows))[1].degenerate_rows.any():
-        raise ContractError(f"step case {mode} seed {seed}: an encoded row has zero norm")
+        raise ConfigurationError(f"step case {mode} seed {seed}: an encoded row has zero norm")
 
     def f(vector):
         params = EncoderParams(config.layer_sizes, vector)

@@ -24,7 +24,7 @@ from .encoder import (
     encoder_backward,
     init_encoder,
 )
-from .errors import ConfigurationError, DivergedRunError, DomainError
+from .errors import ConfigurationError, DivergedRunError
 from .fileio import atomic_write, float_line
 from .moco import MoCoState, enqueue_dequeue, init_moco, key_forward_no_grad, momentum_update
 from .numerics import Tensor, as_matrix, seeded_rng, single_blas_thread, spawn_rngs
@@ -83,6 +83,9 @@ class RunConfig:
             raise ConfigurationError(f"lr_schedule must be cosine or constant, got {self.lr_schedule!r}")
         # written so that NaN, which fails every comparison, fails each check
         for key, ok, rule in (
+            ("input_dim", self.input_dim >= 1, ">= 1"),
+            ("hidden_dims", all(h >= 1 for h in self.hidden_dims), ">= 1 in every entry"),
+            ("embed_dim", self.embed_dim >= 1, ">= 1"),
             ("lr", 0.0 <= self.lr < math.inf, "finite and >= 0"),
             ("sgd_momentum", 0.0 <= self.sgd_momentum < 1.0, "in [0, 1)"),
             ("weight_decay", 0.0 <= self.weight_decay < math.inf, "finite and >= 0"),
@@ -232,7 +235,7 @@ def _pretrain_features(config: RunConfig, features: Tensor) -> PretrainResult:
                 apply_sgd_step(
                     params, grads, lr_now, config.sgd_momentum, config.weight_decay, velocity
                 )
-            except (DomainError, DivergedRunError) as exc:
+            except DivergedRunError as exc:
                 raise DivergedRunError(str(exc), epoch, batch_index) from None
             if config.uses_queue:
                 momentum_update(state)

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from contrastlab.errors import ConfigurationError, ContractError
+from contrastlab.errors import ConfigurationError
 
 
 def infonce_direct(queries, keys, queue, tau):
@@ -82,7 +82,7 @@ def build_mixed_targets(lambdas, batch_size, queue_size):
     """
     lam = np.asarray(lambdas, dtype=np.float64)
     if (lam <= 0.0).any() or (lam >= 1.0).any():
-        raise ContractError("mixing coefficients must lie strictly inside (0, 1)")
+        raise ConfigurationError("mixing coefficients must lie strictly inside (0, 1)")
     half = batch_size // 2
     targets = np.zeros((half, batch_size + queue_size))
     idx = np.arange(half)

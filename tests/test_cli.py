@@ -9,10 +9,12 @@ import warnings
 
 import pytest
 
+from contrastlab import cli
 from contrastlab.cli import OutputDirLock, main
 from contrastlab.data import load_dataset
 from contrastlab.moco import load_moco
 from contrastlab.encoder import init_encoder, load_encoder, write_params_block
+from contrastlab.errors import ConfigurationError, ContrastLabError, DivergedRunError, FormatError
 from contrastlab.numerics import seeded_rng
 from oracles import save_dataset_v1
 
@@ -465,6 +467,10 @@ class TestConfigBoundary:
         ("pretrain", "seed=-1"),
         ("gen-data", "seed=-3"),
         ("linear-eval", "seed=-5"),
+        ("pretrain", "input_dim=0"),
+        ("pretrain", "hidden_dims=64,0"),
+        ("pretrain", "embed_dim=0"),
+        ("pretrain", "batch_size=3"),
     ])
     def test_out_of_range_value_exits_one_naming_the_key(self, command, setting, tiny_data,
                                                          tmp_path, request, capsys):
@@ -489,6 +495,24 @@ class TestGradcheckCommand:
         assert "worst relative error" in stdout
         worst = float(stdout.split("worst relative error")[1].split()[0])
         assert worst < 1e-5
+
+
+class TestErrorExitCodes:
+    """Every library error leaves `cli.main` as its exit code and one stderr
+    line: DivergedRunError 2, FormatError 3, any other ContrastLabError 1."""
+
+    @pytest.mark.parametrize("error, code, prefix", [
+        (ConfigurationError, 1, "error: "),
+        (DivergedRunError, 2, "diverged: "),
+        (FormatError, 3, "file error: "),
+        (ContrastLabError, 1, "error: "),
+    ])
+    def test_each_class_maps_to_its_code(self, monkeypatch, capsys, error, code, prefix):
+        def fail(args):
+            raise error("the command failed")
+
+        monkeypatch.setattr(cli, "_cmd_gradcheck", fail)
+        assert run_cli(capsys, "gradcheck") == (code, "", f"{prefix}the command failed\n")
 
 
 class TestUsage:

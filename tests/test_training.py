@@ -8,7 +8,7 @@ from contrastlab import contrastive, data, encoder, numerics, selfcheck, trainin
 from contrastlab.contrastive import simclr_contrastive_loss
 from contrastlab.data import Dataset, generate_spoke_clusters, split_dataset
 from contrastlab.encoder import EncoderParams, embed, encode, init_encoder
-from contrastlab.errors import ConfigurationError, ContractError, DivergedRunError
+from contrastlab.errors import ConfigurationError, DivergedRunError
 from contrastlab.numerics import seeded_rng
 from contrastlab.training import (
     RunConfig,
@@ -176,7 +176,7 @@ class TestPretrain:
     @pytest.mark.parametrize("mode, queue_size", [("moco", 32), ("simclr", 0)])
     def test_parameter_overflow_names_the_block_without_a_warning(self, mode, queue_size):
         # lr * velocity overflows in the first step; before the in-place
-        # update this left EncoderParams' ContractError (exit 1) and a warning
+        # update this left EncoderParams' ConfigurationError (exit 1) and a warning
         config = small_config(mode=mode, queue_size=queue_size, lr=100.0, weight_decay=1e308)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -250,8 +250,8 @@ class TestStep:
         def refuse(*args):
             raise AssertionError("operand check inside a training step")
 
-        for name in ("_query_operands", "_mixed_operands", "_queue_operand", "as_matrix",
-                     "as_f64"):
+        for name in ("_query_operands", "_mixed_operands", "_queue_operand", "_half_batch",
+                     "as_matrix", "as_f64"):
             monkeypatch.setattr(contrastive, name, refuse)
         # nor the augmentation's
         monkeypatch.setattr(data, "as_matrix", refuse)
@@ -290,7 +290,7 @@ class TestStep:
 
     def test_gradient_suite_rejects_a_degenerate_start_point(self):
         # at this seed the [5, 6, 4] encoder maps one of the rows to zero
-        with pytest.raises(ContractError, match="zero norm"):
+        with pytest.raises(ConfigurationError, match="zero norm"):
             selfcheck._step_case("simclr+mix", 407, 6, 0, 0.5)
 
 
