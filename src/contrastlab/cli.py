@@ -272,6 +272,7 @@ def _cmd_gen_data(args) -> int:
 def _cmd_pretrain(args) -> int:
     config = build_config(RunConfig, args.config, args.set)
     dataset = load_dataset(args.data)
+    config.require_fits(dataset)  # before the run directory exists
     os.makedirs(args.out, exist_ok=True)
     with OutputDirLock(args.out):
         write_manifest(config, os.path.join(args.out, "manifest.cfg"))

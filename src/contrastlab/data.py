@@ -52,25 +52,6 @@ class Dataset:
         return self.features.shape[1]
 
 
-@dataclass
-class AugmentConfig:
-    """Strengths of the three vector corruptions applied by `two_views`."""
-
-    gaussian_noise_sigma: float = 0.0
-    mask_fraction: float = 0.0
-    scale_jitter: tuple[float, float] = (1.0, 1.0)
-
-    def __post_init__(self):
-        if not 0.0 <= self.gaussian_noise_sigma < math.inf:
-            raise ConfigurationError(
-                f"noise sigma must be finite and >= 0, got {self.gaussian_noise_sigma}")
-        if not 0.0 <= self.mask_fraction < 1.0:
-            raise ConfigurationError(f"mask fraction must be in [0, 1), got {self.mask_fraction}")
-        lo, hi = self.scale_jitter
-        if not 0.0 < lo <= hi:
-            raise ConfigurationError(f"scale jitter range must satisfy 0 < lo <= hi, got {lo}, {hi}")
-
-
 def generate_gaussian_clusters(
     class_count: int,
     per_class: int,
@@ -170,37 +151,36 @@ def generate_spoke_clusters(
     return Dataset(features, np.concatenate(labels), class_count)
 
 
-def _augment(x: Tensor, cfg: AugmentConfig, rng: np.random.Generator) -> Tensor:
+def _augment(x: Tensor, noise_sigma: float, mask_fraction: float, scale_min: float,
+             scale_max: float, rng: np.random.Generator) -> Tensor:
     out = x.copy()
-    if cfg.gaussian_noise_sigma > 0.0:
-        out += cfg.gaussian_noise_sigma * rng.standard_normal(x.shape)
-    n_mask = int(round(cfg.mask_fraction * x.shape[1]))
+    if noise_sigma > 0.0:
+        out += noise_sigma * rng.standard_normal(x.shape)
+    n_mask = int(round(mask_fraction * x.shape[1]))
     if n_mask > 0:
         mask_cols = rng.random(x.shape).argsort(axis=1)[:, :n_mask]
         out[np.arange(x.shape[0])[:, None], mask_cols] = 0.0
-    lo, hi = cfg.scale_jitter
-    out *= rng.uniform(lo, hi, size=(x.shape[0], 1))
+    out *= rng.uniform(scale_min, scale_max, size=(x.shape[0], 1))
     return out
 
 
-def two_views(x: Tensor, cfg: AugmentConfig, rng: np.random.Generator) -> tuple[Tensor, Tensor]:
+def two_views(x: Tensor, noise_sigma: float, mask_fraction: float, scale_min: float,
+              scale_max: float, rng: np.random.Generator) -> tuple[Tensor, Tensor]:
     """Two independent stochastic corruptions of the same rows.
 
-    Per view: add Gaussian noise, zero a fixed count of randomly chosen
-    coordinates per row, then scale each row by a jitter factor. Row i of
-    both views derives from input row i. With all strengths at their identity
-    values the views equal the input bitwise. `x` must be a float64 matrix;
-    it is not checked.
+    Per view: add N(0, noise_sigma^2) noise, zero round(mask_fraction * D)
+    random coordinates per row, then scale each row by U(scale_min,
+    scale_max). Row i of both views derives from input row i. With noise and
+    mask 0 and both scales 1 the views equal the input bitwise. Neither `x`
+    (a float64 matrix) nor the strengths (`RunConfig`'s ranges) are checked.
     """
-    return _augment(x, cfg, rng), _augment(x, cfg, rng)
+    args = noise_sigma, mask_fraction, scale_min, scale_max, rng
+    return _augment(x, *args), _augment(x, *args)
 
 
 def epoch_batches(sample_count: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """A fresh uniform permutation split into full batches; remainder dropped."""
-    if batch_size < 2 or batch_size % 2:
-        raise ConfigurationError(f"batch size must be even and >= 2, got {batch_size}")
-    if batch_size > sample_count:
-        raise ConfigurationError(f"batch size {batch_size} exceeds sample count {sample_count}")
+    """A fresh uniform permutation split into full batches; remainder dropped.
+    `batch_size` must be even and in [2, sample_count]; it is not checked."""
     perm = rng.permutation(sample_count)
     full = (sample_count // batch_size) * batch_size
     return [perm[i : i + batch_size] for i in range(0, full, batch_size)]

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DivergedRunError, FormatError
 from .fileio import LineReader, atomic_write, float_line
-from .numerics import DEFAULT_NORM_EPS, Tensor, as_f64
+from .numerics import DEFAULT_NORM_EPS, Tensor, as_f64, guarded_row_norms
 
 ENCODER_MAGIC = "contrastlab-encoder 1"
 
@@ -75,11 +75,11 @@ class ForwardTrace:
     """Intermediates retained by `encode` for the backward pass."""
 
     inputs: list[Tensor] = field(default_factory=list)  # activation feeding each layer
+    # the last entry is also the last layer's output, before row normalization
     pre_activations: list[Tensor] = field(default_factory=list)
-    pre_norm: Tensor | None = None  # last affine output, before row normalization
     output: Tensor | None = None  # the normalized rows `encode` returned
-    guarded_norms: Tensor | None = None  # (N, 1): max(eps, row norm of pre_norm)
-    degenerate_rows: Tensor | None = None  # rows whose pre-norm norm <= eps
+    guarded_norms: Tensor | None = None  # (N, 1): max(eps, row norm of that output)
+    degenerate_rows: Tensor | None = None  # rows whose norm before normalization <= eps
 
 
 def init_encoder(layer_sizes, rng: np.random.Generator) -> EncoderParams:
@@ -89,12 +89,6 @@ def init_encoder(layer_sizes, rng: np.random.Generator) -> EncoderParams:
     for fan_in, fan_out in zip(sizes, sizes[1:]):
         blocks += [rng.normal(0.0, fan_in**-0.5, size=fan_out * fan_in), np.zeros(fan_out)]
     return EncoderParams(sizes, np.concatenate(blocks))
-
-
-def _guarded_norms(a: Tensor) -> Tensor:
-    """max(eps, Euclidean norm) of each row of `a`, as an (N, 1) column."""
-    norms = np.sqrt((a * a).sum(axis=1, keepdims=True))
-    return np.maximum(norms, DEFAULT_NORM_EPS, out=norms)
 
 
 def encode(params: EncoderParams, x: Tensor) -> tuple[Tensor, ForwardTrace]:
@@ -114,8 +108,7 @@ def encode(params: EncoderParams, x: Tensor) -> tuple[Tensor, ForwardTrace]:
         z += b
         trace.pre_activations.append(z)
         a = np.maximum(z, 0.0) if l < last else z
-    guarded = _guarded_norms(a)
-    trace.pre_norm, trace.guarded_norms = a, guarded
+    guarded = trace.guarded_norms = guarded_row_norms(a)
     trace.output = a / guarded
     trace.degenerate_rows = (guarded <= DEFAULT_NORM_EPS).ravel()
     return trace.output, trace
@@ -133,14 +126,15 @@ def embed(params: EncoderParams, x: Tensor) -> Tensor:
         a += b
         if l < last:
             np.maximum(a, 0.0, out=a)
-    a /= _guarded_norms(a)
+    a /= guarded_row_norms(a)
     return a
 
 
 def _normalization_pullback(trace: ForwardTrace, grad_v: Tensor) -> Tensor:
     """`grad_v` pulled back through the row normalization from the rows and
-    norms `encode` kept: bit for bit `l2_normalize_rows_vjp(trace.pre_norm,
-    grad_v)`, without recomputing them or evaluating both branches."""
+    norms `encode` kept: bit for bit
+    `l2_normalize_rows_vjp(trace.pre_activations[-1], grad_v)`, without
+    recomputing them or evaluating both branches."""
     y, guarded = trace.output, trace.guarded_norms
     gz = grad_v * y
     inner = gz.sum(axis=1, keepdims=True)
@@ -200,17 +194,14 @@ def apply_sgd_step(
     velocity <- momentum_coeff * velocity + grad + weight_decay * param
     param    <- param - lr * velocity
 
-    A bad lr or momentum raises ConfigurationError, and a non-finite gradient
+    `lr` must be finite and >= 0 and `momentum_coeff` in [0, 1), the ranges
+    `RunConfig` enforces; neither is checked. A non-finite gradient raises
     DivergedRunError naming the first parameter block (W<l> or b<l>, in
-    layout order) that holds one; either leaves both arrays untouched. An
+    layout order) that holds one, and leaves both arrays untouched. An
     update that leaves a parameter non-finite raises DivergedRunError naming
     its first block, without a numpy warning. `velocity` must not share
     memory with `grads` or the parameters.
     """
-    if not lr >= 0.0:  # NaN fails too
-        raise ConfigurationError(f"lr must be >= 0, got {lr}")
-    if not 0.0 <= momentum_coeff < 1.0:
-        raise ConfigurationError(f"momentum must be in [0, 1), got {momentum_coeff}")
     if not np.isfinite(grads).all():
         block = _first_non_finite_block(params.layer_sizes, grads)
         raise DivergedRunError(f"non-finite gradient in {block}")

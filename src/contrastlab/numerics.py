@@ -140,11 +140,17 @@ def soft_cross_entropy(logits: Tensor, targets: Tensor) -> tuple[float, Tensor]:
     return value, grad
 
 
+def guarded_row_norms(x: Tensor) -> Tensor:
+    """max(DEFAULT_NORM_EPS, Euclidean norm) of each row of the float64
+    matrix `x`, as an (N, 1) column. `x` is not checked."""
+    norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
+    return np.maximum(norms, DEFAULT_NORM_EPS, out=norms)
+
+
 def l2_normalize_rows(x: Tensor) -> Tensor:
     """Divide each row by max(DEFAULT_NORM_EPS, its Euclidean norm)."""
     x = as_matrix(x)
-    norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
-    return x / np.maximum(norms, DEFAULT_NORM_EPS)
+    return x / guarded_row_norms(x)
 
 
 def l2_normalize_rows_vjp(x: Tensor, grad_out: Tensor) -> Tensor:
@@ -153,12 +159,12 @@ def l2_normalize_rows_vjp(x: Tensor, grad_out: Tensor) -> Tensor:
     grad_out = as_matrix(grad_out, "grad_out")
     if grad_out.shape != x.shape:
         raise ConfigurationError(f"grad {grad_out.shape} does not match point {x.shape}")
-    norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
-    guarded = np.maximum(norms, DEFAULT_NORM_EPS)
+    guarded = guarded_row_norms(x)
     y = x / guarded
     inner = (grad_out * y).sum(axis=1, keepdims=True)
     # active rows see the full normalization Jacobian; guarded rows are linear
-    return np.where(norms > DEFAULT_NORM_EPS, (grad_out - inner * y) / guarded, grad_out / guarded)
+    active = guarded > DEFAULT_NORM_EPS  # max(n, eps) > eps exactly when n > eps
+    return np.where(active, (grad_out - inner * y) / guarded, grad_out / guarded)
 
 
 @dataclass

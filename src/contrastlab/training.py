@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .contrastive import _contrast, mixup_half_batch, total_loss
-from .data import AugmentConfig, Dataset, epoch_batches, two_views
+from .data import Dataset, epoch_batches, two_views
 from .encoder import (
     EncoderParams,
     apply_sgd_step,
@@ -77,12 +77,10 @@ class RunConfig:
             raise ConfigurationError(
                 f"queue_size must be 0 in mode {self.mode!r}, got {self.queue_size}"
             )
-        if self.epochs < 1:
-            raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr_schedule not in ("cosine", "constant"):
-            raise ConfigurationError(f"lr_schedule must be cosine or constant, got {self.lr_schedule!r}")
         # written so that NaN, which fails every comparison, fails each check
         for key, ok, rule in (
+            ("epochs", self.epochs >= 1, ">= 1"),
+            ("lr_schedule", self.lr_schedule in ("cosine", "constant"), "cosine or constant"),
             ("input_dim", self.input_dim >= 1, ">= 1"),
             ("hidden_dims", all(h >= 1 for h in self.hidden_dims), ">= 1 in every entry"),
             ("embed_dim", self.embed_dim >= 1, ">= 1"),
@@ -114,8 +112,14 @@ class RunConfig:
     def layer_sizes(self) -> list[int]:
         return [self.input_dim, *self.hidden_dims, self.embed_dim]
 
-    def augment_config(self) -> AugmentConfig:
-        return AugmentConfig(self.noise_sigma, self.mask_fraction, (self.scale_min, self.scale_max))
+    def require_fits(self, dataset: Dataset) -> None:
+        """Raise ConfigurationError unless `dataset` is input_dim wide and holds a batch."""
+        if dataset.dim != self.input_dim:
+            raise ConfigurationError(
+                f"dataset dim {dataset.dim} != configured input_dim {self.input_dim}")
+        if self.batch_size > dataset.sample_count:
+            raise ConfigurationError(
+                f"batch_size {self.batch_size} exceeds dataset size {dataset.sample_count}")
 
 
 @dataclass
@@ -147,6 +151,7 @@ def epoch_lr(config: RunConfig, epoch: int) -> float:
     return config.lr * 0.5 * (1.0 + math.cos(math.pi * (epoch - 1) / config.epochs))
 
 
+@single_blas_thread()
 def pretrain(config: RunConfig, dataset: Dataset) -> PretrainResult:
     """Run the full self-supervised loop and return the trained query encoder.
 
@@ -157,54 +162,9 @@ def pretrain(config: RunConfig, dataset: Dataset) -> PretrainResult:
     loop's own, computing half of each step's loss rows, was slower still.
     Results do not depend on the count.
     """
-    if dataset.dim != config.input_dim:
-        raise ConfigurationError(
-            f"dataset dim {dataset.dim} != configured input_dim {config.input_dim}"
-        )
-    with single_blas_thread():
-        return _pretrain_features(config, dataset.features)
-
-
-def _loss_and_grads(config, params, state, x_query, x_key, mix_rng):
-    """Loss terms, query-encoder gradients, and keys for one batch.
-
-    Every row that takes a gradient goes through the encoder once, in one
-    batch, and back in one pass: [x_query; x_mix] in the moco modes, where
-    the keys come from the EMA encoder, and [x_query; x_key; x_mix] in the
-    simclr modes, where both views train. Both loss terms come from one
-    `contrastive._contrast` call in every mode; it scales the mixed term's
-    gradients by mix_weight. The only per-mode choices are where the keys
-    come from and whether their gradient joins the upstream. None of the
-    functions called here checks its operands: `RunConfig` and the dataset
-    have checked them.
-    """
-    b = x_query.shape[0]
-    x = x_query if config.uses_queue else np.concatenate([x_query, x_key])
-    lambdas = np.empty(0)
-    if config.mixes:
-        x_mix, lambdas = mixup_half_batch(x_query, mix_rng)
-        x = np.concatenate([x, x_mix])
-    v, trace = encode(params, x)
-    if config.uses_queue:
-        keys, queue, mixed = key_forward_no_grad(state, x_key), state.queue, v[b:]
-    else:
-        keys, queue, mixed = v[b : 2 * b], None, v[2 * b :]
-    res = _contrast(v[:b], keys, queue, config.temperature, mixed, lambdas,
-                    config.mix_temperature, config.mix_weight)
-    upstream = res.grad
-    if res.grad_keys is not None:
-        upstream = np.concatenate([res.grad[:b], res.grad_keys, res.grad[b:]])
-    grads = encoder_backward(params, trace, upstream)
-    return res.contrast, res.mixed, grads, keys
-
-
-def _pretrain_features(config: RunConfig, features: Tensor) -> PretrainResult:
-    features = as_matrix(features, "features")
-    n = features.shape[0]
-    if config.batch_size > n:
-        raise ConfigurationError(f"batch_size {config.batch_size} exceeds dataset size {n}")
+    config.require_fits(dataset)
+    features, n = dataset.features, dataset.sample_count
     init_rng, batch_rng, augment_rng, mix_rng = spawn_rngs(config.seed, 4)
-    aug_cfg = config.augment_config()
 
     state: MoCoState | None = None
     if config.uses_queue:
@@ -221,7 +181,8 @@ def _pretrain_features(config: RunConfig, features: Tensor) -> PretrainResult:
         sum_contrast = sum_mix = sum_total = 0.0
         batches = epoch_batches(n, config.batch_size, batch_rng)
         for batch_index, idx in enumerate(batches):
-            x_query, x_key = two_views(features[idx], aug_cfg, augment_rng)
+            x_query, x_key = two_views(features[idx], config.noise_sigma, config.mask_fraction,
+                                       config.scale_min, config.scale_max, augment_rng)
             # overflow in a diverging run surfaces as DivergedRunError below,
             # not as numpy warnings
             try:
@@ -255,6 +216,39 @@ def _pretrain_features(config: RunConfig, features: Tensor) -> PretrainResult:
             )
         )
     return PretrainResult(params, records, state)
+
+
+def _loss_and_grads(config, params, state, x_query, x_key, mix_rng):
+    """Loss terms, query-encoder gradients, and keys for one batch.
+
+    Every row that takes a gradient goes through the encoder once, in one
+    batch, and back in one pass: [x_query; x_mix] in the moco modes, where
+    the keys come from the EMA encoder, and [x_query; x_key; x_mix] in the
+    simclr modes, where both views train. Both loss terms come from one
+    `contrastive._contrast` call in every mode; it scales the mixed term's
+    gradients by mix_weight. The only per-mode choices are where the keys
+    come from and whether their gradient joins the upstream. None of the
+    functions called here checks its operands: `RunConfig` and the dataset
+    have checked them.
+    """
+    b = x_query.shape[0]
+    x = x_query if config.uses_queue else np.concatenate([x_query, x_key])
+    lambdas = np.empty(0)
+    if config.mixes:
+        x_mix, lambdas = mixup_half_batch(x_query, mix_rng)
+        x = np.concatenate([x, x_mix])
+    v, trace = encode(params, x)
+    if config.uses_queue:
+        keys, queue, mixed = key_forward_no_grad(state, x_key), state.queue, v[b:]
+    else:
+        keys, queue, mixed = v[b : 2 * b], None, v[2 * b :]
+    res = _contrast(v[:b], keys, queue, config.temperature, mixed, lambdas,
+                    config.mix_temperature, config.mix_weight)
+    upstream = res.grad
+    if res.grad_keys is not None:
+        upstream = np.concatenate([res.grad[:b], res.grad_keys, res.grad[b:]])
+    grads = encoder_backward(params, trace, upstream)
+    return res.contrast, res.mixed, grads, keys
 
 
 def write_metrics(records: list[MetricsRecord], path) -> None:

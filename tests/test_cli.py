@@ -309,6 +309,18 @@ class TestPretrainCommand:
         assert [code for code, _, _ in results["v1"][0]] == [0, 0, 0, 0]
         assert results["v1"] == results["v2"]
 
+    @pytest.mark.parametrize("settings, message", [
+        (["input_dim=7"], "dataset dim 6 != configured input_dim 7"),
+        (["batch_size=64", "queue_size=64"], "batch_size 64 exceeds dataset size 60"),
+    ], ids=["width", "rows"])
+    def test_dataset_that_does_not_fit_exits_one_before_the_run_directory(
+            self, settings, message, tiny_data, tmp_path, capsys):
+        sets = [arg for setting in settings for arg in ("--set", setting)]
+        code, out, err = run_cli(capsys, "pretrain", "--data", str(tiny_data),
+                                 "--out", str(tmp_path / "run"), *PRETRAIN_SETS, *sets)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not list(tmp_path.glob("run*"))
+
     def test_bad_config_value_exits_one(self, tiny_data, tmp_path, capsys):
         code, _, err = run_cli(capsys, "pretrain", "--data", str(tiny_data),
                                "--out", str(tmp_path / "run"), *PRETRAIN_SETS,
@@ -458,9 +470,15 @@ class TestConfigBoundary:
         ("pretrain", "noise_sigma=nan"),
         ("pretrain", "mix_temperature=inf"),
         ("pretrain", "lr=nan"),
+        ("pretrain", "lr=-0.1"),
         ("pretrain", "lr=inf"),
         ("pretrain", "weight_decay=nan"),
         ("pretrain", "sgd_momentum=1.5"),
+        ("pretrain", "sgd_momentum=nan"),
+        ("pretrain", "epochs=0"),
+        ("pretrain", "noise_sigma=-0.1"),
+        ("pretrain", "mask_fraction=1.0"),
+        ("pretrain", "scale_max=0.5"),
         ("linear-eval", "probe_batch_size=0"),
         ("linear-eval", "probe_epochs=-1"),
         ("linear-eval", "probe_lr=nan"),
