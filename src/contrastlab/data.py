@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, FormatError
-from .fileio import LineReader, atomic_write, hex_line
+from .fileio import LineReader, atomic_write, write_hex_rows
 from .numerics import Tensor, as_matrix, l2_normalize_rows
 
 DATASET_MAGIC = "contrastlab-dataset 2"
@@ -211,15 +211,15 @@ def save_dataset(dataset: Dataset, path) -> None:
     """Write `dataset` in the version 2 layout: the magic line, the size line
     `samples N dim D classes K`, one `labels l0 .. l{N-1}` line of decimal
     ints, then N feature rows, each the row's little-endian float64 bytes as
-    16 * D lowercase hex digits (`fileio.hex_line`). Bit-exact round trip."""
+    16 * D lowercase hex digits, written in 256-row chunks
+    (`fileio.write_hex_rows`). Bit-exact round trip."""
     with atomic_write(path) as fh:
         fh.write(DATASET_MAGIC + "\n")
         fh.write(
             f"samples {dataset.sample_count} dim {dataset.dim} classes {dataset.class_count}\n"
         )
         fh.write(" ".join(["labels", *map(str, dataset.labels.tolist())]) + "\n")
-        for row in dataset.features:
-            fh.write(hex_line(row) + "\n")
+        write_hex_rows(fh, dataset.features)
 
 
 def load_dataset(path) -> Dataset:

@@ -4,9 +4,11 @@ Floats are written with `repr`, the shortest decimal that round-trips to the
 same 64-bit value, so save -> load is bit-exact while files stay readable by
 external tools. The two exceptions are bulk blocks that no one reads by eye,
 the moco checkpoint's key queue and a dataset's feature rows: their rows are
-written as the hex digits of their little-endian float64 bytes (`hex_line`),
-which formats and parses about 10-20x faster than `repr` text and is still
-ASCII, one row per line, read back by `LineReader.hex_matrix`.
+written as the hex digits of their little-endian float64 bytes, which formats
+and parses about 10-20x faster than `repr` text and is still ASCII, one row
+per line. `write_hex_rows` writes such a block and `LineReader.hex_matrix`
+reads it, both in chunks of 256 rows, so a block costs a few C-level calls per
+chunk and temporaries of one chunk's size.
 Whole-file writers go through `atomic_write`, so a reader sees either the old
 file or the complete new one.
 """
@@ -49,12 +51,21 @@ def float_line(values) -> str:
     return " ".join(map(repr, np.asarray(values, dtype=np.float64).tolist()))
 
 
-def hex_line(values) -> str:
-    """`values` as float64 little-endian bytes, 16 lowercase hex digits each."""
-    return np.asarray(values, dtype="<f8").tobytes().hex()
-
-
+# rows per chunk of a hex block; bounds the codec's temporaries (about 260 KB
+# of text at 64 columns) while keeping its Python-level calls per row small
+_HEX_CHUNK_ROWS = 256
 _HEX_DIGITS = b"0123456789abcdef"
+
+
+def write_hex_rows(fh, matrix) -> None:
+    """Write each row of the 2-D `matrix`, which has at least one column, as
+    one line: its float64 little-endian bytes, 16 lowercase hex digits per
+    value. A matrix of zero rows writes nothing."""
+    matrix = np.asarray(matrix, dtype="<f8")
+    line_bytes = 8 * matrix.shape[1]
+    for lo in range(0, len(matrix), _HEX_CHUNK_ROWS):
+        chunk = matrix[lo : lo + _HEX_CHUNK_ROWS].tobytes()
+        fh.write(chunk.hex("\n", line_bytes) + "\n")
 
 
 class LineReader:
@@ -151,11 +162,13 @@ class LineReader:
         return out
 
     def hex_matrix(self, rows: int, cols: int, what: str) -> np.ndarray:
-        """Read `rows` lines of `hex_line` output, each exactly 16 * cols
+        """Read `rows` lines of `write_hex_rows` output, each exactly 16 * cols
         lowercase hex digits and a newline, into a finite (rows, cols) array.
 
-        Rows are decoded one at a time straight into the result, so the block
-        costs no memory beyond the array itself.
+        The block is checked and decoded in chunks of 256 rows straight into
+        the result, so its temporaries are bounded by one chunk. Every row's
+        digits and newline are checked before any value's finiteness, so a
+        malformed row is reported ahead of an earlier non-finite one.
         """
         width, size = 16 * cols, 8 * cols  # digits and bytes per row
         start = self._pos
@@ -163,20 +176,31 @@ class LineReader:
             raise FormatError(f"{what} size {rows} x {cols} does not fit the file", start)
         out = np.empty((rows, cols), dtype="<f8")
         dest = memoryview(out.reshape(-1).view(np.uint8))
-        raw = self._raw
-        for r in range(rows):
-            pos = start + r * (width + 1)
-            digits = raw[pos : pos + width]
-            if raw[pos + width] != 0x0A or digits.translate(None, _HEX_DIGITS):
-                raise FormatError(
-                    f"bad {what} row {r}: expected {width} lowercase hex digits and a newline",
-                    pos)
-            dest[r * size : (r + 1) * size] = binascii.a2b_hex(digits)
+        lines = np.frombuffer(self._raw, np.uint8, rows * (width + 1), start)
+        lines = lines.reshape(rows, width + 1)
+        for lo in range(0, rows, _HEX_CHUNK_ROWS):
+            chunk = lines[lo : lo + _HEX_CHUNK_ROWS]
+            digits = chunk[:, :width].tobytes()
+            if (chunk[:, width] != 0x0A).any() or digits.translate(None, _HEX_DIGITS):
+                self._reject_hex_row(lo, len(chunk), width, what)
+            dest[lo * size : (lo + len(chunk)) * size] = binascii.a2b_hex(digits)
         # in slices of rows, so the check's temporaries stay small too
-        for lo in range(0, rows, 256):
-            finite = np.isfinite(out[lo : lo + 256]).all(axis=1)
+        for lo in range(0, rows, _HEX_CHUNK_ROWS):
+            finite = np.isfinite(out[lo : lo + _HEX_CHUNK_ROWS]).all(axis=1)
             if not finite.all():
                 r = lo + int(np.argmin(finite))
                 raise FormatError(f"non-finite value in {what} row {r}", start + r * (width + 1))
         self._pos = start + rows * (width + 1)
         return out.astype(np.float64, copy=False)
+
+    def _reject_hex_row(self, first: int, count: int, width: int, what: str) -> None:
+        """Raise for the first of rows `first`.. `first + count - 1` of the hex
+        block at the current offset that is not `width` lowercase hex digits
+        and a newline; the caller knows one of them is bad."""
+        raw = self._raw
+        for r in range(first, first + count):
+            pos = self._pos + r * (width + 1)
+            if raw[pos + width] != 0x0A or raw[pos : pos + width].translate(None, _HEX_DIGITS):
+                raise FormatError(
+                    f"bad {what} row {r}: expected {width} lowercase hex digits and a newline",
+                    pos)

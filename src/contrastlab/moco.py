@@ -17,7 +17,7 @@ from .encoder import (
     write_params_block,
 )
 from .errors import ConfigurationError, FormatError
-from .fileio import LineReader, atomic_write, hex_line
+from .fileio import LineReader, atomic_write, write_hex_rows
 from .numerics import Tensor, l2_normalize_rows
 
 MOCO_MAGIC = "contrastlab-moco 2"
@@ -93,8 +93,9 @@ def key_forward_no_grad(state: MoCoState, x: Tensor) -> Tensor:
 def save_moco(state: MoCoState, path, seed: int = 0) -> None:
     """Checkpoint the full state: both encoders, queue contents, and pointer.
 
-    The queue rows are hex lines (`fileio.hex_line`); the encoder blocks are
-    `repr` text like an encoder checkpoint's.
+    The queue rows are hex lines written in 256-row chunks
+    (`fileio.write_hex_rows`); the encoder blocks are `repr` text like an
+    encoder checkpoint's.
     """
     with atomic_write(path) as fh:
         fh.write(MOCO_MAGIC + "\n")
@@ -102,8 +103,7 @@ def save_moco(state: MoCoState, path, seed: int = 0) -> None:
         fh.write(f"ema_momentum {state.ema_momentum!r}\n")
         fh.write(f"queue_ptr {state.queue_ptr}\n")
         fh.write(f"queue {state.queue.shape[0]} {state.queue.shape[1]}\n")
-        for row in state.queue:
-            fh.write(hex_line(row) + "\n")
+        write_hex_rows(fh, state.queue)
         fh.write("query\n")
         write_params_block(fh, state.query)
         fh.write("key\n")

@@ -92,7 +92,10 @@ class RunConfig:
             ("mix_temperature", 0.0 < self.mix_temperature < math.inf, "finite and > 0"),
             ("mix_weight", 0.0 <= self.mix_weight < math.inf, "finite and >= 0"),
             ("noise_sigma", 0.0 <= self.noise_sigma < math.inf, "finite and >= 0"),
-            ("mask_fraction", 0.0 <= self.mask_fraction < 1.0, "in [0, 1)"),
+            # _augment zeroes round(mask_fraction * input_dim) coordinates per row
+            ("mask_fraction", 0.0 <= self.mask_fraction < 1.0
+             and int(round(self.mask_fraction * self.input_dim)) < self.input_dim,
+             "in [0, 1) and mask fewer than input_dim coordinates"),
             ("scale_min", 0.0 < self.scale_min < math.inf, "finite and > 0"),
             ("scale_max", self.scale_min <= self.scale_max < math.inf, "finite and >= scale_min"),
             ("seed", self.seed >= 0, ">= 0"),

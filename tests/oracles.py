@@ -5,14 +5,17 @@ calls so they share no code path with the vectorized library under test. The
 dense mixed-query logits and targets builders are numpy references for the
 sparse-target kernel: they materialise every column, queue included.
 `save_dataset_v1` writes the decimal dataset layout that version 2 replaced,
-as other tools still write it.
+as other tools still write it. `hex_line` and `read_hex_rows` are the hex
+block codec one row at a time, the reference for the chunked
+`fileio.write_hex_rows` and `LineReader.hex_matrix`.
 """
 
+import binascii
 import math
 
 import numpy as np
 
-from contrastlab.errors import ConfigurationError
+from contrastlab.errors import ConfigurationError, FormatError
 
 
 def infonce_direct(queries, keys, queue, tau):
@@ -178,6 +181,34 @@ def save_dataset_v1(dataset, path):
         lines.append(" ".join([str(int(label)), *(repr(float(v)) for v in row)]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def hex_line(values):
+    """`values` as float64 little-endian bytes, 16 lowercase hex digits each."""
+    return np.asarray(values, dtype="<f8").tobytes().hex()
+
+
+def read_hex_rows(raw, start, rows, cols, what):
+    """Read the `rows` x `cols` hex block at byte `start` of `raw` one row at a
+    time, with the checks and messages of `LineReader.hex_matrix`: every row's
+    digits and newline first, then every value's finiteness. Returns the array
+    and the offset just past the block."""
+    width, size = 16 * cols, 8 * cols
+    if rows < 0 or cols < 0 or rows * (width + 1) > len(raw) - start:
+        raise FormatError(f"{what} size {rows} x {cols} does not fit the file", start)
+    out = np.empty((rows, cols), dtype="<f8")
+    dest = memoryview(out.reshape(-1).view(np.uint8))
+    for r in range(rows):
+        pos = start + r * (width + 1)
+        digits = raw[pos : pos + width]
+        if raw[pos + width] != 0x0A or digits.translate(None, b"0123456789abcdef"):
+            raise FormatError(
+                f"bad {what} row {r}: expected {width} lowercase hex digits and a newline", pos)
+        dest[r * size : (r + 1) * size] = binascii.a2b_hex(digits)
+    for r in range(rows):
+        if not np.isfinite(out[r]).all():
+            raise FormatError(f"non-finite value in {what} row {r}", start + r * (width + 1))
+    return out, start + rows * (width + 1)
 
 
 def central_difference(f, x, h=1e-5):

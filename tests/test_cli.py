@@ -505,6 +505,20 @@ class TestConfigBoundary:
         assert f"error: {setting.split('=')[0]} must be" in err
         assert out == "" and not list(tmp_path.glob("run*"))
 
+    def test_mask_fraction_that_masks_every_coordinate_exits_one(self, tmp_path, capsys):
+        # round(0.98 * 20) = 20: both views of every row would be all zeros
+        data = tmp_path / "wide.txt"
+        assert main(["gen-data", "--out", str(data), "--set", "classes=3", "--set", "spokes=2",
+                     "--set", "per_mode=10", "--set", "dim=20"]) == 0
+        capsys.readouterr()
+        code, out, err = run_cli(capsys, "pretrain", "--data", str(data),
+                                 "--out", str(tmp_path / "run"), "--set", "batch_size=10",
+                                 "--set", "queue_size=20", "--set", "epochs=1",
+                                 "--set", "mask_fraction=0.98")
+        assert code == 1
+        assert err.startswith("error: mask_fraction must be")
+        assert out == "" and not (tmp_path / "run").exists()
+
 
 class TestGradcheckCommand:
     def test_fresh_install_passes(self, capsys):

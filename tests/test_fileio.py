@@ -1,13 +1,18 @@
+import io
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contrastlab import data, encoder, moco, training
 from contrastlab.data import generate_spoke_clusters
-from contrastlab.fileio import atomic_write, float_line
+from contrastlab.errors import FormatError
+from contrastlab.fileio import LineReader, atomic_write, float_line, write_hex_rows
 from contrastlab.moco import init_moco
 from contrastlab.numerics import seeded_rng
+from oracles import hex_line, read_hex_rows
 
 
 class Interrupted(Exception):
@@ -46,39 +51,52 @@ def _dataset(seed):
     return generate_spoke_clusters(3, 2, 4, 4, 8.0, 1.3, 0.5, seeded_rng(seed))
 
 
-# writer name -> (module and name of the line formatter the writer calls
-# first, writer(seed, path)); the moco queue rows come before the encoders,
-# and a dataset's hex feature rows follow its one labels line
+def _fails_on_the_third_line(real):
+    """A line formatter that formats two lines with `real`, then raises."""
+    lines = []
+
+    def fake(values):
+        lines.append(None)
+        if len(lines) == 3:
+            raise Interrupted
+        return real(values)
+    return fake
+
+
+def _fails_after_two_rows(real):
+    """A hex block writer that writes two rows with `real`, then raises."""
+    def fake(fh, matrix):
+        real(fh, matrix[:2])
+        raise Interrupted
+    return fake
+
+
+# writer name -> (module and name of the function the writer calls to format
+# its rows, a fake of it that fails partway, writer(seed, path)); the moco
+# queue rows come before the encoders, and a dataset's hex feature rows
+# follow its one labels line
 WRITERS = {
-    "save_dataset": (data, "hex_line", lambda seed, path: data.save_dataset(
-        _dataset(seed), path)),
-    "save_encoder": (encoder, "float_line", lambda seed, path: encoder.save_encoder(
-        _state(seed).query, path)),
-    "save_moco": (moco, "hex_line", lambda seed, path: moco.save_moco(_state(seed), path)),
-    "export_embeddings": (training, "float_line", lambda seed, path: training.export_embeddings(
-        _state(seed).query, _dataset(seed), path)),
+    "save_dataset": (data, "write_hex_rows", _fails_after_two_rows,
+                     lambda seed, path: data.save_dataset(_dataset(seed), path)),
+    "save_encoder": (encoder, "float_line", _fails_on_the_third_line,
+                     lambda seed, path: encoder.save_encoder(_state(seed).query, path)),
+    "save_moco": (moco, "write_hex_rows", _fails_after_two_rows,
+                  lambda seed, path: moco.save_moco(_state(seed), path)),
+    "export_embeddings": (training, "float_line", _fails_on_the_third_line,
+                          lambda seed, path: training.export_embeddings(
+                              _state(seed).query, _dataset(seed), path)),
 }
 
 
 @pytest.mark.parametrize("writer", sorted(WRITERS))
 def test_writer_interrupted_partway_keeps_the_earlier_file(writer, tmp_path, monkeypatch):
-    module, formatter, write = WRITERS[writer]
+    module, formatter, failing, write = WRITERS[writer]
     path = tmp_path / "out.txt"
     write(1, path)
     before = path.read_bytes()
-    real = getattr(module, formatter)
-    lines = []
-
-    def fails_on_the_third_line(values):
-        lines.append(None)
-        if len(lines) == 3:
-            raise Interrupted
-        return real(values)
-
-    monkeypatch.setattr(module, formatter, fails_on_the_third_line)
+    monkeypatch.setattr(module, formatter, failing(getattr(module, formatter)))
     with pytest.raises(Interrupted):
         write(2, path)
-    assert len(lines) == 3
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["out.txt"]
 
@@ -109,3 +127,100 @@ def test_write_metrics_interrupted_partway_keeps_the_earlier_file(tmp_path):
 ], ids=["extremes", "decimals", "integral", "float32", "row-view", "empty"])
 def test_float_line_matches_repr_of_each_float(values):
     assert float_line(values) == " ".join(repr(float(v)) for v in values)
+
+
+# row counts on each side of the codec's 256-row chunk
+HEX_ROWS = [0, 1, 255, 256, 257, 600]
+
+
+def _hex_values(rows, cols, seed):
+    """A (rows, cols) float64 matrix with signed zeros, subnormals, extremes
+    and non-finite values among its normal draws."""
+    values = np.random.default_rng(seed).standard_normal((rows, cols))
+    specials = [-0.0, 5e-324, -np.finfo(np.float64).max, np.inf, np.nan, 1e-310]
+    flat = values.reshape(-1)
+    flat[: len(specials)] = specials[: flat.size]
+    return values
+
+
+def _row_loop_block(values):
+    return "".join(hex_line(row) + "\n" for row in values).encode()
+
+
+@pytest.mark.parametrize("cols", range(1, 9))
+@pytest.mark.parametrize("rows", HEX_ROWS)
+def test_write_hex_rows_writes_the_row_loop_bytes(rows, cols):
+    values = _hex_values(rows, cols, rows * 8 + cols)
+    fh = io.StringIO()
+    write_hex_rows(fh, values)
+    assert fh.getvalue().encode() == _row_loop_block(values)
+
+
+HEADER, TRAILER = b"header\n", b"end\n"
+
+
+@st.composite
+def hex_files(draw):
+    """(rows, cols, file bytes): a header line, a finite rows x cols hex block
+    and a trailer line, with one defect or none: a byte substituted in the
+    block or trailer, a truncation after the header, or a NaN row before a
+    row with a bad digit."""
+    rows = draw(st.sampled_from(HEX_ROWS))
+    cols = draw(st.integers(1, 8))
+    width = 16 * cols
+    values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((rows, cols))
+    kinds = ["none", "substitute", "truncate"] + (["nan-then-bad-digit"] if rows >= 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "nan-then-bad-digit":
+        nan_row = draw(st.integers(0, rows - 2))
+        values[nan_row, draw(st.integers(0, cols - 1))] = np.nan
+    text = bytearray(HEADER + _row_loop_block(values) + TRAILER)
+    if kind == "substitute":
+        at = len(HEADER) + draw(st.integers(0, rows * (width + 1) + len(TRAILER) - 1))
+        text[at] = draw(st.one_of(st.sampled_from(b"0af9AFg \r\n\x00\xff"), st.integers(0, 255)))
+    elif kind == "truncate":
+        del text[draw(st.integers(len(HEADER), len(text) - 1)):]
+    elif kind == "nan-then-bad-digit":
+        bad_row = draw(st.integers(nan_row + 1, rows - 1))
+        text[len(HEADER) + bad_row * (width + 1) + draw(st.integers(0, width - 1))] = ord("g")
+    return rows, cols, bytes(text)
+
+
+def _outcome(read):
+    """The array bytes and end offset `read` returns, or its FormatError text."""
+    try:
+        out, end = read()
+    except FormatError as exc:
+        return str(exc)
+    assert out.dtype == np.float64 and out.flags.c_contiguous
+    return out.tobytes(), end
+
+
+def _read_hex_block(path, rows, cols):
+    reader = LineReader(path)
+    reader.next_line("header")
+    return reader.hex_matrix(rows, cols, "features"), reader.offset
+
+
+@settings(max_examples=300, deadline=None)
+@given(hex_files())
+def test_hex_matrix_gives_the_row_loop_outcome(tmp_path_factory, case):
+    rows, cols, text = case
+    path = tmp_path_factory.getbasetemp() / "hex_block.txt"
+    path.write_bytes(text)
+    expected = _outcome(lambda: read_hex_rows(text, len(HEADER), rows, cols, "features"))
+    assert _outcome(lambda: _read_hex_block(path, rows, cols)) == expected
+
+
+def test_a_bad_digit_is_reported_before_an_earlier_nan_row(tmp_path):
+    values = np.random.default_rng(0).standard_normal((600, 20))
+    values[10, 3] = np.nan
+    text = bytearray(HEADER + _row_loop_block(values))
+    text[len(HEADER) + 400 * 321 + 7] = ord("g")
+    path = tmp_path / "block.txt"
+    path.write_bytes(text)
+    with pytest.raises(FormatError) as exc:
+        _read_hex_block(path, 600, 20)
+    assert str(exc.value) == (
+        f"bad features row 400: expected 320 lowercase hex digits and a newline "
+        f"(byte offset {len(HEADER) + 400 * 321})")
