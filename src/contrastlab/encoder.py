@@ -1,11 +1,11 @@
 """MLP encoder with a projection-style output layer and unit-norm embeddings.
 
-Forward and backward passes are handwritten. `encode` keeps per-layer
-intermediates in a ForwardTrace so `encoder_backward` can return exact
-gradients of the normalized output, normalization Jacobian included; `embed`
-gives the same output without one. None of the three checks its operands:
-the training step calls them on operands `RunConfig` has checked, and the
-file loaders and the CLI check what comes from outside.
+Forward and backward passes are handwritten. `encode`, the one forward pass,
+keeps what the backward reads in a ForwardTrace, so `encoder_backward` can
+return exact gradients of the normalized output, normalization Jacobian
+included; callers that never differentiate take `encode(...)[0]`. Neither
+checks its operands: the training step calls them on operands `RunConfig`
+has checked, and the file loaders and the CLI check what comes from outside.
 """
 
 from dataclasses import dataclass, field
@@ -74,9 +74,9 @@ class EncoderParams:
 class ForwardTrace:
     """Intermediates retained by `encode` for the backward pass."""
 
-    inputs: list[Tensor] = field(default_factory=list)  # activation feeding each layer
-    # the last entry is also the last layer's output, before row normalization
-    pre_activations: list[Tensor] = field(default_factory=list)
+    # activation feeding each layer; past the first, > 0 exactly where the
+    # pre-activation it came from is, which is all the ReLU backward reads
+    inputs: list[Tensor] = field(default_factory=list)
     output: Tensor | None = None  # the normalized rows `encode` returned
     guarded_norms: Tensor | None = None  # (N, 1): max(eps, row norm of that output)
     degenerate_rows: Tensor | None = None  # rows whose norm before normalization <= eps
@@ -94,47 +94,36 @@ def init_encoder(layer_sizes, rng: np.random.Generator) -> EncoderParams:
 def encode(params: EncoderParams, x: Tensor) -> tuple[Tensor, ForwardTrace]:
     """Affine layers with ReLU between them; output rows L2-normalized.
 
-    `x` must be a float64 (N, input_dim) matrix; it is not checked.
-    Deterministic given (params, x). Rows whose final affine output has norm
-    <= eps are divided by eps instead (zero rows stay zero) and flagged in
-    the trace. The trace holds the returned array as `output`.
+    `x` must be a float64 (N, input_dim) matrix; it is not checked, and it is
+    not written to. Deterministic given (params, x). Rows whose final affine
+    output has norm <= eps are divided by eps instead (zero rows stay zero)
+    and flagged in the trace. The trace holds the returned array as `output`.
+
+    Bias, ReLU and normalization run in place. With one hidden layer, a
+    caller that discards the trace holds at most two N x width arrays at
+    once; each further hidden layer keeps one more alive until this returns.
     """
     trace = ForwardTrace()
     a = x
     last = len(params.weights) - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
         trace.inputs.append(a)
-        z = a @ w.T
-        z += b
-        trace.pre_activations.append(z)
-        a = np.maximum(z, 0.0) if l < last else z
-    guarded = trace.guarded_norms = guarded_row_norms(a)
-    trace.output = a / guarded
-    trace.degenerate_rows = (guarded <= DEFAULT_NORM_EPS).ravel()
-    return trace.output, trace
-
-
-def embed(params: EncoderParams, x: Tensor) -> Tensor:
-    """`encode`'s output, bit for bit, without a trace: for callers that never
-    differentiate (the key encoder, evaluation, export). Bias, ReLU and
-    normalization run in place, so at most two N x width arrays are alive.
-    `x` must be a float64 (N, input_dim) matrix; it is not checked."""
-    a = x
-    last = len(params.weights) - 1
-    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
         a = a @ w.T
         a += b
         if l < last:
             np.maximum(a, 0.0, out=a)
-    a /= guarded_row_norms(a)
-    return a
+    guarded = trace.guarded_norms = guarded_row_norms(a)
+    a /= guarded
+    trace.output = a
+    trace.degenerate_rows = (guarded <= DEFAULT_NORM_EPS).ravel()
+    return a, trace
 
 
 def _normalization_pullback(trace: ForwardTrace, grad_v: Tensor) -> Tensor:
     """`grad_v` pulled back through the row normalization from the rows and
-    norms `encode` kept: bit for bit
-    `l2_normalize_rows_vjp(trace.pre_activations[-1], grad_v)`, without
-    recomputing them or evaluating both branches."""
+    norms `encode` kept: bit for bit `l2_normalize_rows_vjp(z, grad_v)` at
+    the last layer's affine output `z`, without recomputing them or
+    evaluating both branches."""
     y, guarded = trace.output, trace.guarded_norms
     gz = grad_v * y
     inner = gz.sum(axis=1, keepdims=True)
@@ -160,7 +149,7 @@ def encoder_backward(params: EncoderParams, trace: ForwardTrace, grad_v: Tensor)
         gz.sum(axis=0, out=grad_b[l])
         if l:
             gz = gz @ params.weights[l]
-            gz *= trace.pre_activations[l - 1] > 0.0
+            gz *= trace.inputs[l] > 0.0
     return grads
 
 

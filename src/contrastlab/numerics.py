@@ -142,8 +142,15 @@ def soft_cross_entropy(logits: Tensor, targets: Tensor) -> tuple[float, Tensor]:
 
 def guarded_row_norms(x: Tensor) -> Tensor:
     """max(DEFAULT_NORM_EPS, Euclidean norm) of each row of the float64
-    matrix `x`, as an (N, 1) column. `x` is not checked."""
-    norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
+    matrix `x`, as an (N, 1) column. `x` is not checked. The squares are
+    formed 256 rows at a time (a desk step's encode is one chunk), so
+    `encode`, which keeps its layer inputs alive, needs no third N-row array;
+    for a C-contiguous or row-strided `x` the bits are those of one pass."""
+    norms = np.empty((x.shape[0], 1))
+    for start in range(0, x.shape[0], 256):
+        rows = x[start : start + 256]
+        (rows * rows).sum(axis=1, keepdims=True, out=norms[start : start + 256])
+    np.sqrt(norms, out=norms)
     return np.maximum(norms, DEFAULT_NORM_EPS, out=norms)
 
 

@@ -19,7 +19,6 @@ from .data import Dataset, epoch_batches, two_views
 from .encoder import (
     EncoderParams,
     apply_sgd_step,
-    embed,
     encode,
     encoder_backward,
     init_encoder,
@@ -348,11 +347,11 @@ def linear_eval(
     if present.size != train.class_count:
         missing = sorted(set(range(train.class_count)) - set(present.tolist()))
         raise ConfigurationError(f"classes missing from the train split: {missing}")
-    train_emb = embed(encoder, train.features)
+    train_emb = encode(encoder, train.features)[0]
     probe = train_linear_probe(
         train_emb, train.labels, train.class_count, epochs, lr0, batch_size, rng
     )
-    test_emb = embed(encoder, test.features)
+    test_emb = encode(encoder, test.features)[0]
     return probe_accuracy(probe, test_emb, test.labels)
 
 
@@ -426,7 +425,7 @@ def calinski_harabasz(embeddings: Tensor, labels: np.ndarray) -> float:
 def export_embeddings(encoder: EncoderParams, dataset: Dataset, path) -> None:
     """One text row per sample: label then the embedding coordinates, written
     so a reparse recovers the exact float64 values."""
-    v = embed(encoder, dataset.features)
+    v = encode(encoder, dataset.features)[0]
     with atomic_write(path) as fh:
         fh.write("label " + " ".join(f"v{j}" for j in range(v.shape[1])) + "\n")
         for label, row in zip(dataset.labels, v):

@@ -7,7 +7,11 @@ sparse-target kernel: they materialise every column, queue included.
 `save_dataset_v1` writes the decimal dataset layout that version 2 replaced,
 as other tools still write it. `hex_line` and `read_hex_rows` are the hex
 block codec one row at a time, the reference for the chunked
-`fileio.write_hex_rows` and `LineReader.hex_matrix`.
+`fileio.write_hex_rows` and `LineReader.hex_matrix`. `encode_direct` and
+`encoder_backward_reference` are the encoder's forward and backward as first
+written, one fresh array per operation and the pre-activations kept: the
+bitwise references for the in-place `encoder.encode` and for the ReLU mask
+`encoder.encoder_backward` reads off the layer inputs.
 """
 
 import binascii
@@ -15,7 +19,9 @@ import math
 
 import numpy as np
 
+from contrastlab.encoder import ForwardTrace
 from contrastlab.errors import ConfigurationError, FormatError
+from contrastlab.numerics import DEFAULT_NORM_EPS, l2_normalize_rows_vjp
 
 
 def infonce_direct(queries, keys, queue, tau):
@@ -259,3 +265,38 @@ def train_linear_probe_reference(embeddings, labels, class_count, epochs, lr0, b
             weight = weight - lr_now * vel_w
             bias = bias - lr_now * vel_b
     return weight, bias
+
+
+def encode_direct(params, x):
+    """The encoder forward with a new array for every bias add, ReLU and
+    division, and the row norms in one pass. Returns (output, trace, pre_activations): the trace as
+    `encoder.encode` fills it, and each layer's affine output."""
+    inputs, pre_activations = [], []
+    a = x
+    last = len(params.weights) - 1
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+        inputs.append(a)
+        z = a @ w.T
+        z = z + b
+        pre_activations.append(z)
+        a = np.maximum(z, 0.0) if l < last else z
+    guarded = np.maximum(np.sqrt((a * a).sum(axis=1, keepdims=True)), DEFAULT_NORM_EPS)
+    output = a / guarded
+    trace = ForwardTrace(inputs, output, guarded, (guarded <= DEFAULT_NORM_EPS).ravel())
+    return output, trace, pre_activations
+
+
+def encoder_backward_reference(params, trace, pre_activations, grad_v):
+    """The parameter gradient with each ReLU masked by its pre-activation
+    `> 0.0`, and the normalization pulled back by `l2_normalize_rows_vjp`
+    at the last affine output, as one flat vector in the parameter layout."""
+    grad_w, grad_b = [], []
+    gz = l2_normalize_rows_vjp(pre_activations[-1], grad_v)
+    for l in reversed(range(len(params.weights))):
+        grad_w.append((gz.T @ trace.inputs[l]).ravel())
+        grad_b.append(gz.sum(axis=0))
+        if l:
+            gz = gz @ params.weights[l]
+            gz = gz * (pre_activations[l - 1] > 0.0)
+    blocks = [block for pair in zip(reversed(grad_w), reversed(grad_b)) for block in pair]
+    return np.concatenate(blocks)

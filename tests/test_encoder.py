@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,6 @@ from contrastlab import encoder
 from contrastlab.encoder import (
     EncoderParams,
     apply_sgd_step,
-    embed,
     encode,
     encoder_backward,
     init_encoder,
@@ -16,6 +16,7 @@ from contrastlab.encoder import (
 )
 from contrastlab.errors import ConfigurationError, DivergedRunError, FormatError
 from contrastlab.numerics import finite_difference_check, l2_normalize_rows_vjp, seeded_rng
+from oracles import encode_direct, encoder_backward_reference
 
 
 class TestInit:
@@ -73,6 +74,38 @@ class TestEncode:
         v2, _ = encode(params, x)
         assert np.array_equal(v1, v2)
 
+    @pytest.mark.parametrize("sizes", [[5, 4], [5, 6, 4], [5, 6, 7, 4]])
+    def test_in_place_forward_equals_the_direct_one_bitwise(self, sizes):
+        rng = seeded_rng(30)
+        params = init_encoder(sizes, rng)
+        x = rows_with_degenerate(rng, 9, 5)
+        x.flags.writeable = False
+        kept = x.copy()
+        v, trace = encode(params, x)
+        expected_v, expected, _ = encode_direct(params, x)
+        assert v is trace.output and v.tobytes() == expected_v.tobytes()
+        assert len(trace.inputs) == len(expected.inputs) == len(sizes) - 1
+        for got, want in zip(trace.inputs, expected.inputs):
+            assert got.tobytes() == want.tobytes()
+        assert trace.guarded_norms.tobytes() == expected.guarded_norms.tobytes()
+        assert np.array_equal(trace.degenerate_rows, expected.degenerate_rows)
+        assert np.flatnonzero(trace.degenerate_rows).tolist() == [2, 4]
+        assert x.tobytes() == kept.tobytes()
+
+    def test_one_hidden_layer_peaks_at_two_n_by_width_arrays(self):
+        # the hidden activations (kept in the trace) and the output; the
+        # norms' squares take a chunk, not a third N x width array
+        params = init_encoder([20, 64, 64], seeded_rng(34))
+        x = seeded_rng(35).normal(size=(2000, 20))
+        tracemalloc.start()
+        try:
+            encode(params, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * x.shape[0] * 64 * 8
+
+
 def rows_with_degenerate(rng, n, width):
     """Rows 2 and 4 encode, under zero biases, to a zero row and to a nonzero
     row of norm below eps: the two kinds of degenerate row."""
@@ -81,18 +114,6 @@ def rows_with_degenerate(rng, n, width):
     x[4] *= 1e-15
     return x
 
-
-class TestEmbed:
-    @pytest.mark.parametrize("sizes", [[5, 6, 7, 4], [5, 4]])
-    def test_equals_encode_bitwise(self, sizes):
-        rng = seeded_rng(30)
-        params = init_encoder(sizes, rng)
-        x = rows_with_degenerate(rng, 9, 5)
-        kept = x.copy()
-        v, trace = encode(params, x)
-        assert np.flatnonzero(trace.degenerate_rows).tolist() == [2, 4]
-        assert embed(params, x).tobytes() == v.tobytes()
-        assert x.tobytes() == kept.tobytes()
 
 class TestBackward:
     @pytest.mark.parametrize("degenerate", [True, False])
@@ -105,9 +126,28 @@ class TestBackward:
         if degenerate:  # a row the active formula would get wrong
             assert trace.output[4].any()
         g = rng.normal(size=(9, 4))
-        expected = l2_normalize_rows_vjp(trace.pre_activations[-1], g)
+        # the last affine output by the forward's own operations
+        z = trace.inputs[-1] @ params.weights[-1].T
+        z += params.biases[-1]
+        expected = l2_normalize_rows_vjp(z, g)
         assert encoder._normalization_pullback(trace, g).tobytes() == expected.tobytes()
 
+    def test_relu_mask_from_layer_inputs_equals_the_pre_activation_mask(self):
+        # zero biases: the zero row gives exact-zero pre-activations in every
+        # layer, and the random rows give negative ones
+        rng = seeded_rng(33)
+        params = init_encoder([5, 6, 7, 4], rng)
+        x = rows_with_degenerate(rng, 9, 5)
+        _, trace = encode(params, x)
+        for l in range(len(params.weights) - 1):
+            z = trace.inputs[l] @ params.weights[l].T
+            z += params.biases[l]
+            assert (z == 0.0).any() and (z < 0.0).any()
+            assert np.array_equal(trace.inputs[l + 1] > 0.0, z > 0.0)
+        _, reference, pre_activations = encode_direct(params, x)
+        g = rng.normal(size=(9, 4))
+        expected = encoder_backward_reference(params, reference, pre_activations, g)
+        assert encoder_backward(params, trace, g).tobytes() == expected.tobytes()
 
     def test_zero_upstream_gives_zero_grads(self):
         rng = seeded_rng(7)

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from contrastlab.errors import ConfigurationError, DivergedRunError
 from contrastlab.numerics import (
+    DEFAULT_NORM_EPS,
     finite_difference_check,
+    guarded_row_norms,
     l2_normalize_rows,
     l2_normalize_rows_vjp,
     log_softmax,
@@ -188,6 +190,15 @@ class TestL2NormalizeRows:
 
         report = finite_difference_check(f, x.ravel(), step=1e-6)
         assert report.max_relative_error < 1e-6
+
+    @pytest.mark.parametrize("rows", [0, 1, 255, 256, 257, 600])
+    @pytest.mark.parametrize("cols", [1, 9, 64])
+    def test_chunked_norms_equal_one_pass_bitwise(self, rows, cols):
+        x = seeded_rng(13).normal(size=(rows, cols))
+        x[::7] *= 1e-15  # some rows at or below eps
+        one_pass = np.maximum(np.sqrt((x * x).sum(axis=1, keepdims=True)), DEFAULT_NORM_EPS)
+        assert guarded_row_norms(x).tobytes() == one_pass.tobytes()
+        assert guarded_row_norms(x[::-1]).tobytes() == one_pass[::-1].tobytes()
 
 
 class TestSeededRng:

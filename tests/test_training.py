@@ -7,7 +7,7 @@ import pytest
 from contrastlab import contrastive, data, encoder, numerics, selfcheck, training
 from contrastlab.contrastive import simclr_contrastive_loss
 from contrastlab.data import Dataset, generate_spoke_clusters, split_dataset
-from contrastlab.encoder import EncoderParams, embed, encode, init_encoder
+from contrastlab.encoder import EncoderParams, encode, init_encoder
 from contrastlab.errors import ConfigurationError, DivergedRunError
 from contrastlab.numerics import seeded_rng
 from contrastlab.training import (
@@ -334,7 +334,7 @@ class TestBlasThreads:
         enc = init_encoder([20, 64, 64], seeded_rng(2))
 
         def evaluate():
-            return (embed(enc, ds.features),
+            return (encode(enc, ds.features)[0],
                     linear_eval(enc, train, test, epochs=3, rng=seeded_rng(3)))
 
         pooled_emb, pooled_top1 = evaluate()
@@ -428,7 +428,7 @@ class TestLinearEval:
     def test_probe_matches_the_reference_loop_bitwise(self, momentum):
         # 200 samples in batches of 64: the last batch of each epoch holds 8
         ds = axis_blob_dataset()
-        emb = embed(init_encoder([5, 6, 4], seeded_rng(2)), ds.features)
+        emb = encode(init_encoder([5, 6, 4], seeded_rng(2)), ds.features)[0]
         probe = train_linear_probe(emb, ds.labels, 5, 7, 3.0, 64, seeded_rng(4), momentum)
         weight, bias = train_linear_probe_reference(emb, ds.labels, 5, 7, 3.0, 64,
                                                     seeded_rng(4), momentum)
