@@ -10,16 +10,25 @@ per line. `write_hex_rows` writes such a block and `LineReader.hex_matrix`
 reads it, both in chunks of 256 rows, so a block costs a few C-level calls per
 chunk and temporaries of one chunk's size.
 Whole-file writers go through `atomic_write`, so a reader sees either the old
-file or the complete new one.
+file or the complete new one. `write_in_parts` formats a long run of rows on
+several processes at once and appends them in order, byte for byte as one
+process would.
 """
 
 import binascii
 import contextlib
 import os
+import signal
 
 import numpy as np
 
 from .errors import FormatError
+
+
+def _hidden_path(path, suffix: str) -> str:
+    """A new hidden file name next to `path`, unique to this process."""
+    head, tail = os.path.split(os.fspath(path))
+    return os.path.join(head, f".{tail}.{os.getpid()}.{os.urandom(4).hex()}.{suffix}")
 
 
 @contextlib.contextmanager
@@ -31,8 +40,7 @@ def atomic_write(path):
     the temp file is removed and `path` is left as it was; a killed process
     leaves at most the temp file.
     """
-    head, tail = os.path.split(os.fspath(path))
-    tmp = os.path.join(head, f".{tail}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    tmp = _hidden_path(path, "tmp")
     fh = open(tmp, "x")
     try:
         with fh:
@@ -44,6 +52,70 @@ def atomic_write(path):
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+# bytes per read when a part file is appended to the output
+_COPY_BYTES = 64 * 1024
+
+
+def write_in_parts(fh, path, bounds, write_rows) -> None:
+    """Write rows bounds[0]..bounds[-1] to the text handle `fh` of `path`'s
+    `atomic_write` block, as `write_rows(handle, lo, hi)` over each part
+    lo..hi of the ascending `bounds` would in turn.
+
+    Part 0 is written here, straight into `fh`. Each later part is written at
+    the same time by a helper made with `os.fork`, which inherits the rows,
+    writes its part to a hidden part file next to `path` and ends with
+    `os._exit`; `write_rows` must not call BLAS, whose thread pool does not
+    survive a fork. The parts are then appended in order and deleted. If a
+    helper fails this raises OSError; on any failure, Ctrl-C included, the
+    helpers still running are killed and every helper and part file is gone
+    before the error propagates. A killed process can leave part files, as it
+    can leave `atomic_write` temps.
+    """
+    parts = [_hidden_path(path, "part") for _ in bounds[2:]]
+    helpers = {}  # part index -> pid of the helper not yet waited for
+    try:
+        for i, part in enumerate(parts):
+            pid = os.fork()
+            if pid == 0:
+                _helper(part, write_rows, bounds[i + 1], bounds[i + 2])
+            helpers[i] = pid
+        write_rows(fh, bounds[0], bounds[1])
+        fh.flush()
+        for i, part in enumerate(parts):
+            status = os.waitstatus_to_exitcode(os.waitpid(helpers[i], 0)[1])
+            del helpers[i]
+            if status:
+                raise OSError(f"the helper writing rows {bounds[i + 1]}..{bounds[i + 2]} "
+                              f"of {path} ended with exit status {status}")
+            with open(part, "rb", buffering=0) as src:
+                while chunk := src.read(_COPY_BYTES):
+                    fh.buffer.write(chunk)
+    finally:
+        for pid in helpers.values():
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for part in parts:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(part)
+
+
+def _helper(part, write_rows, lo, hi):
+    """A forked helper's whole life: write rows lo..hi to the new file `part`
+    and end the process, with status 0 only if every row was written. It
+    never returns into the code it was forked from."""
+    status = 1
+    try:
+        with open(part, "x") as out:
+            write_rows(out, lo, hi)
+        status = 0
+    except Exception as exc:
+        with contextlib.suppress(OSError):
+            os.write(2, f"error writing rows {lo}..{hi} to {part}: {exc!r}\n".encode())
+    finally:
+        os._exit(status)
 
 
 def float_line(values) -> str:

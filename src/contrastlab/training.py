@@ -8,6 +8,7 @@ streams untouched.
 """
 
 import math
+import os
 import time
 import warnings
 from dataclasses import dataclass, fields
@@ -24,7 +25,7 @@ from .encoder import (
     init_encoder,
 )
 from .errors import ConfigurationError, DivergedRunError
-from .fileio import atomic_write, float_line
+from .fileio import atomic_write, float_line, write_in_parts
 from .moco import MoCoState, enqueue_dequeue, init_moco, key_forward_no_grad, momentum_update
 from .numerics import Tensor, as_matrix, seeded_rng, single_blas_thread, spawn_rngs
 
@@ -298,12 +299,13 @@ def train_linear_probe(
     params, velocity, grads, step = np.zeros((4, size + class_count))
     weight, grad_w = params[:size].reshape(class_count, dim), grads[:size].reshape(class_count, dim)
     bias, grad_b = params[size:], grads[size:]
-    batch_rows = np.arange(batch_size)
     base_lr = lr0 * batch_size / 256.0
     for epoch in range(epochs):
         lr_now = base_lr * 0.5 * (1.0 + math.cos(math.pi * epoch / epochs))
         perm = rng.permutation(n)
-        perm_labels = labels[perm]
+        # the epoch's one-hot targets in batch order; subtracting their 0.0
+        # entries leaves a softmax entry unchanged
+        targets = np.eye(class_count)[labels[perm]]
         for start in range(0, n, batch_size):
             take = perm[start : start + batch_size]
             m = take.size
@@ -314,7 +316,7 @@ def train_linear_probe(
             g -= np.maximum.reduce(g, axis=1, keepdims=True)
             np.exp(g, out=g)
             g /= np.add.reduce(g, axis=1, keepdims=True)
-            g[batch_rows[:m], perm_labels[start : start + m]] -= 1.0  # the one-hot targets
+            g -= targets[start : start + m]
             g /= m
             np.matmul(g.T, x, out=grad_w)
             np.add.reduce(g, axis=0, out=grad_b)
@@ -422,11 +424,28 @@ def calinski_harabasz(embeddings: Tensor, labels: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
+# an export starts at most one part per this many rows, rounded up: a helper's
+# fork and join cost a few ms, and 1024 rows of 64 floats take ~50 ms to format
+MIN_ROWS_PER_PART = 1024
+
+
 def export_embeddings(encoder: EncoderParams, dataset: Dataset, path) -> None:
     """One text row per sample: label then the embedding coordinates, written
-    so a reparse recovers the exact float64 values."""
+    so a reparse recovers the exact float64 values.
+
+    The rows are split into contiguous parts, one per CPU this process may
+    run on but at most ceil(N / MIN_ROWS_PER_PART), and formatted at the same
+    time (`fileio.write_in_parts`). The file's bytes do not depend on the part
+    count.
+    """
     v = encode(encoder, dataset.features)[0]
+
+    def write_rows(fh, lo, hi):
+        for label, row in zip(dataset.labels[lo:hi], v[lo:hi]):
+            fh.write(f"{int(label)} {float_line(row)}\n")
+
+    n = len(v)
+    parts = max(1, min(len(os.sched_getaffinity(0)), -(-n // MIN_ROWS_PER_PART)))
     with atomic_write(path) as fh:
         fh.write("label " + " ".join(f"v{j}" for j in range(v.shape[1])) + "\n")
-        for label, row in zip(dataset.labels, v):
-            fh.write(f"{int(label)} {float_line(row)}\n")
+        write_in_parts(fh, path, [n * i // parts for i in range(parts + 1)], write_rows)

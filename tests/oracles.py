@@ -5,7 +5,9 @@ calls so they share no code path with the vectorized library under test. The
 dense mixed-query logits and targets builders are numpy references for the
 sparse-target kernel: they materialise every column, queue included.
 `save_dataset_v1` writes the decimal dataset layout that version 2 replaced,
-as other tools still write it. `hex_line` and `read_hex_rows` are the hex
+as other tools still write it. `export_direct` is the embedding export one
+row at a time, the reference for the parts `training.export_embeddings`
+formats at once. `hex_line` and `read_hex_rows` are the hex
 block codec one row at a time, the reference for the chunked
 `fileio.write_hex_rows` and `LineReader.hex_matrix`. `encode_direct` and
 `encoder_backward_reference` are the encoder's forward and backward as first
@@ -187,6 +189,15 @@ def save_dataset_v1(dataset, path):
         lines.append(" ".join([str(int(label)), *(repr(float(v)) for v in row)]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def export_direct(embeddings, labels):
+    """The embedding export's bytes, one row at a time: the header, then each
+    label and the `repr` of each coordinate of its (N, C) `embeddings` row."""
+    lines = ["label " + " ".join(f"v{j}" for j in range(embeddings.shape[1]))]
+    for label, row in zip(labels, embeddings):
+        lines.append(" ".join([str(int(label)), *(repr(float(v)) for v in row)]))
+    return "".join(line + "\n" for line in lines).encode()
 
 
 def hex_line(values):

@@ -11,12 +11,13 @@ import pytest
 
 from contrastlab import cli
 from contrastlab.cli import OutputDirLock, main
-from contrastlab.data import load_dataset
+from contrastlab.data import generate_spoke_clusters, load_dataset, save_dataset
 from contrastlab.moco import load_moco
-from contrastlab.encoder import init_encoder, load_encoder, write_params_block
+from contrastlab.encoder import encode, init_encoder, load_encoder, save_encoder, write_params_block
 from contrastlab.errors import ConfigurationError, ContrastLabError, DivergedRunError, FormatError
 from contrastlab.numerics import seeded_rng
-from oracles import save_dataset_v1
+from contrastlab.training import MIN_ROWS_PER_PART
+from oracles import export_direct, save_dataset_v1
 
 
 def run_cli(capsys, *argv):
@@ -404,6 +405,24 @@ class TestEvalCommands:
         assert code == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 60 + 1
+
+    def test_export_bytes_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch, capsys,
+                                                         no_child_left):
+        dataset = generate_spoke_clusters(3, 2, 2 * MIN_ROWS_PER_PART // 6 + 1, 4, 8.0, 1.3, 0.5,
+                                          seeded_rng(3))
+        params = init_encoder([4, 6, 3], seeded_rng(4))
+        save_dataset(dataset, tmp_path / "data.txt")
+        save_encoder(params, tmp_path / "ck.txt")
+        exports = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            out = tmp_path / f"emb{cpus}.txt"
+            code, _, _ = run_cli(capsys, "export-embeddings", "--checkpoint",
+                                 str(tmp_path / "ck.txt"), "--data", str(tmp_path / "data.txt"),
+                                 "--out", str(out))
+            assert code == 0
+            exports.append(out.read_bytes())
+        assert exports == [export_direct(encode(params, dataset.features)[0], dataset.labels)] * 3
 
     @pytest.mark.parametrize("dim", [4, 8], ids=["narrower", "wider"])
     @pytest.mark.parametrize("command", ["linear-eval", "metrics", "export-embeddings"])

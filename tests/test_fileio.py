@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contrastlab import data, encoder, moco, training
+from contrastlab import cli, data, encoder, moco, training
 from contrastlab.data import generate_spoke_clusters
 from contrastlab.errors import FormatError
 from contrastlab.fileio import LineReader, atomic_write, float_line, write_hex_rows
@@ -63,6 +63,32 @@ def _fails_on_the_third_line(real):
     return fake
 
 
+def _fails_in_a_helper(real):
+    """A line formatter that raises in every process but this one: in an
+    export's helpers only."""
+    parent = os.getpid()
+
+    def fake(values):
+        if os.getpid() != parent:
+            raise Interrupted
+        return real(values)
+    return fake
+
+
+def _interrupted_on_the_third_line_here(real):
+    """A line formatter that raises KeyboardInterrupt, as Ctrl-C would, on the
+    third line this process formats; helpers format all their lines."""
+    parent, lines = os.getpid(), []
+
+    def fake(values):
+        if os.getpid() == parent:
+            lines.append(None)
+            if len(lines) == 3:
+                raise KeyboardInterrupt
+        return real(values)
+    return fake
+
+
 def _fails_after_two_rows(real):
     """A hex block writer that writes two rows with `real`, then raises."""
     def fake(fh, matrix):
@@ -71,34 +97,73 @@ def _fails_after_two_rows(real):
     return fake
 
 
+def _large_dataset(seed):
+    """A dataset with more rows than one export part: 3 x 2 x 171 = 1026."""
+    return generate_spoke_clusters(3, 2, training.MIN_ROWS_PER_PART // 6 + 1, 4, 8.0, 1.3, 0.5,
+                                   seeded_rng(seed))
+
+
+def _export_in_parts(seed, path):
+    training.export_embeddings(_state(seed).query, _large_dataset(seed), path)
+
+
 # writer name -> (module and name of the function the writer calls to format
-# its rows, a fake of it that fails partway, writer(seed, path)); the moco
-# queue rows come before the encoders, and a dataset's hex feature rows
-# follow its one labels line
+# its rows, a fake of it that fails partway, writer(seed, path), the error the
+# writer then raises); the moco queue rows come before the encoders, and a
+# dataset's hex feature rows follow its one labels line. The test gives the
+# process two CPUs, so the large export runs a helper, whose failure the
+# writer reports as OSError.
 WRITERS = {
     "save_dataset": (data, "write_hex_rows", _fails_after_two_rows,
-                     lambda seed, path: data.save_dataset(_dataset(seed), path)),
+                     lambda seed, path: data.save_dataset(_dataset(seed), path), Interrupted),
     "save_encoder": (encoder, "float_line", _fails_on_the_third_line,
-                     lambda seed, path: encoder.save_encoder(_state(seed).query, path)),
+                     lambda seed, path: encoder.save_encoder(_state(seed).query, path),
+                     Interrupted),
     "save_moco": (moco, "write_hex_rows", _fails_after_two_rows,
-                  lambda seed, path: moco.save_moco(_state(seed), path)),
+                  lambda seed, path: moco.save_moco(_state(seed), path), Interrupted),
     "export_embeddings": (training, "float_line", _fails_on_the_third_line,
                           lambda seed, path: training.export_embeddings(
-                              _state(seed).query, _dataset(seed), path)),
+                              _state(seed).query, _dataset(seed), path), Interrupted),
+    "export_embeddings_failing_in_a_helper": (training, "float_line", _fails_in_a_helper,
+                                              _export_in_parts, OSError),
+    "export_embeddings_interrupted_here": (training, "float_line",
+                                           _interrupted_on_the_third_line_here,
+                                           _export_in_parts, KeyboardInterrupt),
 }
 
 
 @pytest.mark.parametrize("writer", sorted(WRITERS))
-def test_writer_interrupted_partway_keeps_the_earlier_file(writer, tmp_path, monkeypatch):
-    module, formatter, failing, write = WRITERS[writer]
+def test_writer_interrupted_partway_keeps_the_earlier_file(writer, tmp_path, monkeypatch,
+                                                           no_child_left):
+    module, formatter, failing, write, raised = WRITERS[writer]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     path = tmp_path / "out.txt"
     write(1, path)
     before = path.read_bytes()
     monkeypatch.setattr(module, formatter, failing(getattr(module, formatter)))
-    with pytest.raises(Interrupted):
+    with pytest.raises(raised):
         write(2, path)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_cli_export_exits_3_when_a_helper_fails(tmp_path, monkeypatch, capfd, no_child_left):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    dataset, checkpoint, out = (tmp_path / name for name in ("data.txt", "ck.txt", "emb.txt"))
+    data.save_dataset(_large_dataset(1), dataset)
+    encoder.save_encoder(_state(1).query, checkpoint)
+    argv = ["export-embeddings", "--checkpoint", str(checkpoint), "--data", str(dataset),
+            "--out", str(out)]
+    assert cli.main(argv) == 0
+    before = out.read_bytes()
+    monkeypatch.setattr(training, "float_line", _fails_in_a_helper(training.float_line))
+    capfd.readouterr()
+    assert cli.main(argv) == 3
+    err = capfd.readouterr().err
+    assert "error writing rows 513..1026 to " in err and ": Interrupted()" in err
+    assert f"file error: the helper writing rows 513..1026 of {out} ended with exit status 1" in err
+    assert out.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["ck.txt", "data.txt", "emb.txt"]
 
 
 def test_write_metrics_interrupted_partway_keeps_the_earlier_file(tmp_path):

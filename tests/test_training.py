@@ -1,5 +1,7 @@
 import math
+import os
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from contrastlab.encoder import EncoderParams, encode, init_encoder
 from contrastlab.errors import ConfigurationError, DivergedRunError
 from contrastlab.numerics import seeded_rng
 from contrastlab.training import (
+    MIN_ROWS_PER_PART,
     RunConfig,
     calinski_harabasz,
     davies_bouldin,
@@ -24,6 +27,7 @@ from contrastlab.training import (
 from oracles import (
     calinski_harabasz_direct,
     davies_bouldin_direct,
+    export_direct,
     train_linear_probe_reference,
 )
 
@@ -536,3 +540,24 @@ class TestExport:
             parts = row.split()
             assert int(parts[0]) == label
             assert np.array_equal(np.array([float(p) for p in parts[1:]]), exp)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [0, 1, MIN_ROWS_PER_PART - 1, MIN_ROWS_PER_PART + 1,
+                                      2 * MIN_ROWS_PER_PART + 1])
+    def test_bytes_equal_the_row_loop_at_any_part_count(self, rows, cpus, tmp_path, monkeypatch,
+                                                        no_child_left):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        forks = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real_fork())
+        rng = seeded_rng(rows)
+        # `Dataset` refuses fewer rows than classes; the export reads only
+        # these two fields
+        ds = SimpleNamespace(features=rng.standard_normal((rows, 4)),
+                             labels=rng.integers(0, 3, rows))
+        params = init_encoder([4, 6, 3], seeded_rng(1))
+        path = tmp_path / "emb.txt"
+        export_embeddings(params, ds, path)
+        assert path.read_bytes() == export_direct(encode(params, ds.features)[0], ds.labels)
+        assert os.listdir(tmp_path) == ["emb.txt"]
+        assert len(forks) == max(1, min(cpus, -(-rows // MIN_ROWS_PER_PART))) - 1
