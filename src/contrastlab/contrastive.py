@@ -3,16 +3,15 @@ in-batch-negatives loss (SimCLR), and the mixed-query soft-target loss added
 to either.
 
 For a query row the two base methods differ only in their negatives: MoCo's
-are the queue, SimCLR's are the other batch keys. One private kernel,
-`_contrast`, computes every loss from one logits layout, rows [queries; mixed
-queries] against columns [batch keys; queue]. With a queue, a query row's
-other batch keys are masked out and the keys, which come from the EMA
-encoder, are constants. Without one, the batch keys are the negatives, both
-views train, and the kernel also returns the key gradient. The three public
-losses (`infonce_loss`, `simclr_contrastive_loss`, `mixed_query_loss`) check
-their operands, raising ConfigurationError, and call the kernel; the training
-step calls it directly, on operands its config has checked, and alone
-computes the simclr+mix term. A non-finite loss raises DivergedRunError.
+are the queue, SimCLR's are the other batch keys. One function, `contrast`,
+computes every loss from one logits layout, rows [queries; mixed queries]
+against columns [batch keys; queue]. With a queue, a query row's other batch
+keys are masked out and the keys, which come from the EMA encoder, are
+constants. Without one, the batch keys are the negatives, both views train,
+and it also returns the key gradient. `contrast` checks no operand; the
+training step calls it on operands its config has checked. `infonce_loss`
+and `mixed_query_loss` check theirs, raising ConfigurationError, and call
+it. A non-finite loss raises DivergedRunError.
 """
 
 import functools
@@ -23,29 +22,6 @@ import numpy as np
 
 from .errors import ConfigurationError, DivergedRunError
 from .numerics import Tensor, as_f64, as_matrix
-
-
-@dataclass
-class LossResult:
-    """Loss value plus gradient wrt the query-side input."""
-
-    value: float
-    grad: Tensor
-
-
-@dataclass
-class PairLossResult:
-    """Loss value with gradients wrt both views' embeddings."""
-
-    value: float
-    grad_queries: Tensor
-    grad_keys: Tensor
-
-
-def _half_batch(b: int) -> int:
-    if b < 2 or b % 2:
-        raise ConfigurationError(f"batch size must be even and >= 2, got {b}")
-    return b // 2
 
 
 def _mix(x: Tensor, lam: Tensor) -> Tensor:
@@ -76,29 +52,6 @@ def _check_temperature(name: str, value: float) -> None:
         raise ConfigurationError(f"{name} must be finite and positive, got {value}")
 
 
-def _query_operands(queries, keys, temperature: float) -> tuple[Tensor, Tensor]:
-    _check_temperature("temperature", temperature)
-    queries, keys = as_matrix(queries, "queries"), as_matrix(keys, "keys")
-    if keys.shape != queries.shape:
-        raise ConfigurationError(f"keys {keys.shape} do not match queries {queries.shape}")
-    return queries, keys
-
-
-def _mixed_operands(mixed_queries, keys, lambdas, mix_temperature: float):
-    """The mixed rows, the B keys and the coefficients, checked together."""
-    _check_temperature("mix temperature", mix_temperature)
-    mixed_queries, keys = as_matrix(mixed_queries, "mixed queries"), as_matrix(keys, "keys")
-    half, c = _half_batch(keys.shape[0]), keys.shape[1]
-    if mixed_queries.shape != (half, c):
-        raise ConfigurationError(f"need {half} mixed queries of width {c}, got {mixed_queries.shape}")
-    lam = as_f64(lambdas)
-    if lam.shape != (half,):
-        raise ConfigurationError(f"need {half} coefficients, got shape {lam.shape}")
-    if (lam <= 0.0).any() or (lam >= 1.0).any():
-        raise ConfigurationError("mixing coefficients must lie strictly inside (0, 1)")
-    return mixed_queries, keys, lam
-
-
 def _queue_operand(queue, keys: Tensor) -> Tensor:
     queue = as_matrix(queue, "queue")
     if queue.shape[1] != keys.shape[1]:
@@ -113,7 +66,7 @@ def _require_finite(loss: str, value: float, *grads: Tensor) -> None:
 
 
 @dataclass
-class _Contrast:
+class Contrast:
     """Both terms' values (0.0 for an empty row block), the gradient wrt the
     stacked [queries; mixed] rows, and without a queue the key gradient."""
 
@@ -125,7 +78,7 @@ class _Contrast:
 
 @functools.lru_cache(maxsize=16)
 def _index_plan(nq: int, half: int) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """`_contrast`'s read-only index arrays for nq query rows and half mixed
+    """`contrast`'s read-only index arrays for nq query rows and half mixed
     rows: all rows, the query rows, and each row's first and second target
     column (a query row's are both its own key)."""
     rows = np.arange(nq + half)
@@ -137,9 +90,9 @@ def _index_plan(nq: int, half: int) -> tuple[Tensor, Tensor, Tensor, Tensor]:
     return rows, own, first, second
 
 
-def _contrast(queries: Tensor, keys: Tensor, queue: Tensor | None, temperature: float,
-              mixed: Tensor, lambdas: Tensor, mix_temperature: float,
-              mix_weight: float = 1.0) -> _Contrast:
+def contrast(queries: Tensor, keys: Tensor, queue: Tensor | None, temperature: float,
+             mixed: Tensor, lambdas: Tensor, mix_temperature: float,
+             mix_weight: float = 1.0) -> Contrast:
     """The contrastive term of `queries` and the mixed-query term of `mixed`
     from one logits buffer: rows [queries; mixed], each divided by its
     term's temperature, against columns [keys; queue] (the keys alone when
@@ -152,9 +105,15 @@ def _contrast(queries: Tensor, keys: Tensor, queue: Tensor | None, temperature: 
     The mixed rows' gradient, and their share of the key gradient, are
     scaled by mix_weight.
 
-    Operands are not checked here, so the training step pays for no checks:
-    the public losses check theirs, and `RunConfig` the step's. A non-finite
-    value or gradient raises DivergedRunError naming its term.
+    Nothing is checked, so the training step, whose operands `RunConfig`
+    has checked, pays for no checks. The caller ensures that every operand
+    is a float64 array (none is written to); `keys` is (B, C); `queries` is
+    (nq, C) with nq <= B; `queue` is (K, C) or None; `mixed` is (B/2, C) with
+    B even, or has no rows; `lambdas` holds one coefficient per mixed row,
+    strictly inside (0, 1); both temperatures are finite and positive, and
+    mix_weight finite and >= 0. `infonce_loss` and `mixed_query_loss` check
+    their operands and call this. A non-finite value or gradient raises
+    DivergedRunError naming its term.
     """
     (b, c), nq, half = keys.shape, queries.shape[0], mixed.shape[0]
     rows, own, first, second = _index_plan(nq, half)
@@ -194,42 +153,32 @@ def _contrast(queries: Tensor, keys: Tensor, queue: Tensor | None, temperature: 
     else:
         grad += logits[:, b:] @ queue
     # sum / n: the bits of `mean`, without its overhead
-    contrast = float(losses[:nq].sum() / nq) if nq else 0.0
+    contrast_value = float(losses[:nq].sum() / nq) if nq else 0.0
     mixed_value = float(losses[nq:].sum() / half) if half else 0.0
     term = "InfoNCE" if queue is not None else "SimCLR"
-    _require_finite(term, contrast, grad[:nq])
+    _require_finite(term, contrast_value, grad[:nq])
     _require_finite("mixed-query", mixed_value, grad[nq:])
     if grad_keys is not None:
         _require_finite("mixed-query" if half else term, 0.0, grad_keys)
-    return _Contrast(contrast, mixed_value, grad, grad_keys)
+    return Contrast(contrast_value, mixed_value, grad, grad_keys)
 
 
-def infonce_loss(queries: Tensor, keys: Tensor, queue: Tensor, temperature: float) -> LossResult:
-    """Queue-negative InfoNCE: row i's positive is q_i . k_i, its negatives
-    the K queue entries.
+def infonce_loss(queries: Tensor, keys: Tensor, queue: Tensor, temperature: float) -> Contrast:
+    """`contrast` of the queries alone against a queue, operands checked:
+    queue-negative InfoNCE, where row i's positive is q_i . k_i and its
+    negatives are the K queue entries.
 
-    Mean over rows of -log softmax(logits / temperature) at the positive.
-    With an empty queue the softmax has a single entry, so the loss and its
-    gradient are exactly 0.
+    Mean over rows of -log softmax(logits / temperature) at the positive,
+    in `.contrast`, with its query gradient in `.grad`. With an empty queue
+    the softmax has a single entry, so the loss and its gradient are
+    exactly 0.
     """
-    queries, keys = _query_operands(queries, keys, temperature)
+    _check_temperature("temperature", temperature)
+    queries, keys = as_matrix(queries, "queries"), as_matrix(keys, "keys")
+    if keys.shape != queries.shape:
+        raise ConfigurationError(f"keys {keys.shape} do not match queries {queries.shape}")
     queue = _queue_operand(queue, keys)
-    res = _contrast(queries, keys, queue, temperature, keys[:0], np.empty(0), 1.0)
-    return LossResult(res.contrast, res.grad)
-
-
-def simclr_contrastive_loss(queries: Tensor, keys: Tensor, temperature: float) -> PairLossResult:
-    """In-batch negatives: row i's positive is k_i, negatives are k_j, j != i.
-
-    Mean over rows of -log softmax(q K^T / temperature)[i]. Gradients flow to
-    both views.
-    """
-    queries, keys = _query_operands(queries, keys, temperature)
-    if queries.shape[0] < 2:
-        raise ConfigurationError(
-            f"need a batch of >= 2 for in-batch negatives, got {queries.shape[0]}")
-    res = _contrast(queries, keys, None, temperature, keys[:0], np.empty(0), 1.0)
-    return PairLossResult(res.contrast, res.grad, res.grad_keys)
+    return contrast(queries, keys, queue, temperature, keys[:0], np.empty(0), 1.0)
 
 
 def mixed_query_loss(
@@ -238,17 +187,24 @@ def mixed_query_loss(
     queue: Tensor,
     lambdas,
     mix_temperature: float,
-) -> LossResult:
-    """Soft-target cross-entropy of mixed queries against batch keys plus the
-    queue. Keys and queue entries are constants (the moco contract: keys come
-    from the EMA encoder); the gradient is wrt the mixed queries only.
+) -> Contrast:
+    """`contrast` of the mixed queries alone against batch keys plus the
+    queue, operands checked: the soft-target cross-entropy in `.mixed`, its
+    gradient wrt the mixed queries in `.grad`. Keys and queue entries are
+    constants (the moco contract: keys come from the EMA encoder).
     """
-    mixed_queries, keys, lam = _mixed_operands(mixed_queries, keys, lambdas, mix_temperature)
+    _check_temperature("mix temperature", mix_temperature)
+    mixed_queries, keys = as_matrix(mixed_queries, "mixed queries"), as_matrix(keys, "keys")
+    b, c = keys.shape
+    if b < 2 or b % 2:
+        raise ConfigurationError(f"batch size must be even and >= 2, got {b}")
+    half = b // 2
+    if mixed_queries.shape != (half, c):
+        raise ConfigurationError(f"need {half} mixed queries of width {c}, got {mixed_queries.shape}")
+    lam = as_f64(lambdas)
+    if lam.shape != (half,):
+        raise ConfigurationError(f"need {half} coefficients, got shape {lam.shape}")
+    if (lam <= 0.0).any() or (lam >= 1.0).any():
+        raise ConfigurationError("mixing coefficients must lie strictly inside (0, 1)")
     queue = _queue_operand(queue, keys)
-    res = _contrast(keys[:0], keys, queue, 1.0, mixed_queries, lam, mix_temperature)
-    return LossResult(res.mixed, res.grad)
-
-
-def total_loss(l_contrast: float, l_mixed: float, mix_weight: float) -> float:
-    """Combined objective: contrastive term plus mix_weight times the mixed term."""
-    return l_contrast + mix_weight * l_mixed
+    return contrast(keys[:0], keys, queue, 1.0, mixed_queries, lam, mix_temperature)

@@ -196,7 +196,9 @@ def finite_difference_check(
     """Check f's analytic gradient against central differences at `point`.
 
     `f` maps an array to (scalar value, gradient array of the same shape).
-    Every coordinate is probed with (f(x+h*e_i) - f(x-h*e_i)) / 2h.
+    Every coordinate is probed with (f(x+h*e_i) - f(x-h*e_i)) / 2h. A
+    non-finite analytic gradient or probe value raises DivergedRunError: a
+    NaN's relative error is NaN, which no gate would catch.
     """
     if step <= 0.0:
         raise ConfigurationError(f"step must be positive, got {step}")
@@ -207,6 +209,9 @@ def finite_difference_check(
         raise ConfigurationError(
             f"analytic gradient shape {analytic.shape} does not match point {point.shape}"
         )
+    if not np.isfinite(analytic).all():
+        first = tuple(int(i) for i in np.argwhere(~np.isfinite(analytic))[0])
+        raise DivergedRunError(f"non-finite analytic gradient at {first}")
     report = GradCheckReport(-1.0, (), 0.0, 0.0)
     for idx in np.ndindex(point.shape):
         plus = point.copy()

@@ -9,7 +9,7 @@ four modes. Used by `contrastlab gradcheck` and by the acceptance tests.
 
 import numpy as np
 
-from .contrastive import infonce_loss, mixed_query_loss, mixup_half_batch, simclr_contrastive_loss
+from .contrastive import contrast, mixup_half_batch
 from .encoder import EncoderParams, encode, init_encoder
 from .errors import ConfigurationError
 from .moco import init_moco
@@ -20,50 +20,30 @@ from .numerics import (
     seeded_rng,
     spawn_rngs,
 )
-from .training import RunConfig, _loss_and_grads, total_loss
+from .training import RunConfig, _loss_and_grads
 
 
 def _unit_rows(rng, rows, cols):
     return l2_normalize_rows(rng.normal(size=(rows, cols)))
 
 
-def _contrastive_case(seed: int, b: int, k: int, c: int, tau: float):
+def _loss_case(seed: int, b: int, k: int | None, c: int, mix: bool):
+    """`contrastive.contrast` as a function of its B query rows (InfoNCE
+    against a queue of k rows, or SimCLR when k is None) or, with `mix`, of
+    its B/2 mixed rows alone, at temperature 0.2 and mix temperature 0.05."""
     rng = seeded_rng(seed)
-    queries = _unit_rows(rng, b, c)
+    point = _unit_rows(rng, b // 2 if mix else b, c)
     keys = _unit_rows(rng, b, c)
-    queue = _unit_rows(rng, k, c) if k else np.zeros((0, c))
+    queue = None if k is None else _unit_rows(rng, k, c)
+    lam = rng.uniform(0.05, 0.95, b // 2) if mix else np.empty(0)
 
     def f(v):
-        res = infonce_loss(v.reshape(b, c), keys, queue, tau)
-        return res.value, res.grad.ravel()
+        rows = v.reshape(point.shape)
+        queries, mixed = (keys[:0], rows) if mix else (rows, keys[:0])
+        res = contrast(queries, keys, queue, 0.2, mixed, lam, 0.05)
+        return res.mixed if mix else res.contrast, res.grad.ravel()
 
-    return f, queries.ravel()
-
-
-def _simclr_case(seed: int, b: int, c: int, tau: float):
-    rng = seeded_rng(seed)
-    queries = _unit_rows(rng, b, c)
-    keys = _unit_rows(rng, b, c)
-
-    def f(v):
-        res = simclr_contrastive_loss(v.reshape(b, c), keys, tau)
-        return res.value, res.grad_queries.ravel()
-
-    return f, queries.ravel()
-
-
-def _mixed_case(seed: int, b: int, k: int, c: int, tau_mix: float):
-    rng = seeded_rng(seed)
-    mixed = _unit_rows(rng, b // 2, c)
-    keys = _unit_rows(rng, b, c)
-    queue = _unit_rows(rng, k, c) if k else np.zeros((0, c))
-    lam = rng.uniform(0.05, 0.95, b // 2)
-
-    def f(v):
-        res = mixed_query_loss(v.reshape(b // 2, c), keys, queue, lam, tau_mix)
-        return res.value, res.grad.ravel()
-
-    return f, mixed.ravel()
+    return f, point.ravel()
 
 
 def _step_case(mode: str, seed: int, b: int, k: int, mix_weight: float):
@@ -95,7 +75,7 @@ def _step_case(mode: str, seed: int, b: int, k: int, mix_weight: float):
         params = EncoderParams(config.layer_sizes, vector)
         l_contrast, l_mix, grads, _ = _loss_and_grads(config, params, state, x_query, x_key,
                                                       mix_stream())
-        return total_loss(l_contrast, l_mix, mix_weight), grads
+        return l_contrast + mix_weight * l_mix, grads
 
     return f, params0.vector
 
@@ -115,11 +95,11 @@ def gradient_suite(step: float = 1e-5) -> list[tuple[str, GradCheckReport]]:
     """Run every configured check; returns (name, report) pairs."""
     cases = []
     for i, (b, k, c) in enumerate([(2, 2, 2), (4, 4, 3), (4, 8, 8), (8, 4, 5), (6, 6, 4), (8, 8, 2), (8, 512, 8)]):
-        cases.append((f"contrastive b{b} k{k} c{c}", *_contrastive_case(100 + i, b, k, c, 0.2)))
+        cases.append((f"contrastive b{b} k{k} c{c}", *_loss_case(100 + i, b, k, c, False)))
     for i, (b, c) in enumerate([(2, 2), (4, 4), (5, 3), (8, 8), (6, 5)]):
-        cases.append((f"simclr b{b} c{c}", *_simclr_case(200 + i, b, c, 0.2)))
+        cases.append((f"simclr b{b} c{c}", *_loss_case(200 + i, b, None, c, False)))
     for i, (b, k, c) in enumerate([(2, 2, 2), (4, 2, 4), (4, 8, 3), (8, 8, 8), (6, 4, 6), (8, 0, 4), (8, 512, 8)]):
-        cases.append((f"mixed b{b} k{k} c{c}", *_mixed_case(300 + i, b, k, c, 0.05)))
+        cases.append((f"mixed b{b} k{k} c{c}", *_loss_case(300 + i, b, k, c, True)))
     for mode, seed, b, k, mix_weight in STEP_CASES:
         cases.append((f"step {mode} b{b} k{k} w{mix_weight:g}",
                       *_step_case(mode, seed, b, k, mix_weight)))

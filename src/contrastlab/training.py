@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .contrastive import _contrast, mixup_half_batch, total_loss
+from .contrastive import contrast, mixup_half_batch
 from .data import Dataset, epoch_batches, two_views
 from .encoder import (
     EncoderParams,
@@ -193,7 +193,7 @@ def pretrain(config: RunConfig, dataset: Dataset) -> PretrainResult:
                     l_contrast, l_mix, grads, keys = _loss_and_grads(
                         config, params, state, x_query, x_key, mix_rng
                     )
-                l_total = total_loss(l_contrast, l_mix, config.mix_weight)
+                l_total = l_contrast + config.mix_weight * l_mix
                 if not math.isfinite(l_total):
                     raise DivergedRunError("non-finite loss")
                 apply_sgd_step(
@@ -228,7 +228,7 @@ def _loss_and_grads(config, params, state, x_query, x_key, mix_rng):
     batch, and back in one pass: [x_query; x_mix] in the moco modes, where
     the keys come from the EMA encoder, and [x_query; x_key; x_mix] in the
     simclr modes, where both views train. Both loss terms come from one
-    `contrastive._contrast` call in every mode; it scales the mixed term's
+    `contrastive.contrast` call in every mode; it scales the mixed term's
     gradients by mix_weight. The only per-mode choices are where the keys
     come from and whether their gradient joins the upstream. None of the
     functions called here checks its operands: `RunConfig` and the dataset
@@ -245,8 +245,8 @@ def _loss_and_grads(config, params, state, x_query, x_key, mix_rng):
         keys, queue, mixed = key_forward_no_grad(state, x_key), state.queue, v[b:]
     else:
         keys, queue, mixed = v[b : 2 * b], None, v[2 * b :]
-    res = _contrast(v[:b], keys, queue, config.temperature, mixed, lambdas,
-                    config.mix_temperature, config.mix_weight)
+    res = contrast(v[:b], keys, queue, config.temperature, mixed, lambdas,
+                   config.mix_temperature, config.mix_weight)
     upstream = res.grad
     if res.grad_keys is not None:
         upstream = np.concatenate([res.grad[:b], res.grad_keys, res.grad[b:]])
@@ -434,8 +434,9 @@ def export_embeddings(encoder: EncoderParams, dataset: Dataset, path) -> None:
     so a reparse recovers the exact float64 values.
 
     The rows are split into contiguous parts, one per CPU this process may
-    run on but at most ceil(N / MIN_ROWS_PER_PART), and formatted at the same
-    time (`fileio.write_in_parts`). The file's bytes do not depend on the part
+    run on (`os.cpu_count()` where the OS cannot say which) but at most
+    ceil(N / MIN_ROWS_PER_PART), and formatted at the same time
+    (`fileio.write_in_parts`). The file's bytes do not depend on the part
     count.
     """
     v = encode(encoder, dataset.features)[0]
@@ -445,7 +446,8 @@ def export_embeddings(encoder: EncoderParams, dataset: Dataset, path) -> None:
             fh.write(f"{int(label)} {float_line(row)}\n")
 
     n = len(v)
-    parts = max(1, min(len(os.sched_getaffinity(0)), -(-n // MIN_ROWS_PER_PART)))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    parts = max(1, min(cpus, -(-n // MIN_ROWS_PER_PART)))
     with atomic_write(path) as fh:
         fh.write("label " + " ".join(f"v{j}" for j in range(v.shape[1])) + "\n")
         write_in_parts(fh, path, [n * i // parts for i in range(parts + 1)], write_rows)

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import os
 import re
 import subprocess
@@ -7,6 +8,7 @@ import sys
 import threading
 import warnings
 
+import numpy as np
 import pytest
 
 from contrastlab import cli
@@ -15,7 +17,7 @@ from contrastlab.data import generate_spoke_clusters, load_dataset, save_dataset
 from contrastlab.moco import load_moco
 from contrastlab.encoder import encode, init_encoder, load_encoder, save_encoder, write_params_block
 from contrastlab.errors import ConfigurationError, ContrastLabError, DivergedRunError, FormatError
-from contrastlab.numerics import seeded_rng
+from contrastlab.numerics import finite_difference_check, seeded_rng
 from contrastlab.training import MIN_ROWS_PER_PART
 from oracles import export_direct, save_dataset_v1
 
@@ -546,6 +548,17 @@ class TestGradcheckCommand:
         assert "worst relative error" in stdout
         worst = float(stdout.split("worst relative error")[1].split()[0])
         assert worst < 1e-5
+
+    def test_non_finite_analytic_gradient_exits_2(self, monkeypatch, capsys):
+        def nan_gradient(x):
+            return float((x**2).sum()), np.full_like(x, math.nan)
+
+        def suite():
+            return [("nan", finite_difference_check(nan_gradient, np.ones(3)))]
+
+        monkeypatch.setattr(cli, "gradient_suite", suite)
+        assert run_cli(capsys, "gradcheck") == (
+            2, "", "diverged: non-finite analytic gradient at (0,)\n")
 
 
 class TestErrorExitCodes:

@@ -7,14 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contrastlab.contrastive import (
-    _contrast,
     _index_plan,
     _mix,
+    contrast,
     infonce_loss,
     mixed_query_loss,
     mixup_half_batch,
-    simclr_contrastive_loss,
-    total_loss,
 )
 from contrastlab.errors import ConfigurationError, DivergedRunError
 from contrastlab.numerics import (
@@ -37,6 +35,19 @@ from oracles import (
 
 def unit_rows(rng, rows, cols):
     return l2_normalize_rows(rng.normal(size=(rows, cols)))
+
+
+# `contrast` with one row block empty: each base loss, and the mixed term alone
+def infonce(queries, keys, queue, tau):
+    return contrast(queries, keys, queue, tau, keys[:0], np.empty(0), 1.0)
+
+
+def simclr(queries, keys, tau):
+    return contrast(queries, keys, None, tau, keys[:0], np.empty(0), 1.0)
+
+
+def mixed_term(mixed, keys, queue, lam, tau_mix):
+    return contrast(keys[:0], keys, queue, 1.0, mixed, lam, tau_mix)
 
 
 class TestMixup:
@@ -74,7 +85,7 @@ class TestInfoNCE:
     def test_empty_queue_is_degenerate_zero(self):
         rng = seeded_rng(2)
         res = infonce_loss(unit_rows(rng, 3, 4), unit_rows(rng, 3, 4), np.zeros((0, 4)), 0.2)
-        assert res.value == 0.0
+        assert res.contrast == 0.0
         assert np.array_equal(res.grad, np.zeros((3, 4)))
 
     def test_uniform_logits_give_log_k_plus_one(self):
@@ -83,14 +94,14 @@ class TestInfoNCE:
         e1[0, 0] = 1.0
         for k in (1, 3, 7):
             res = infonce_loss(e1, e1, np.repeat(e1, k, axis=0), 0.2)
-            assert res.value == pytest.approx(math.log(k + 1), rel=0, abs=1e-12)
+            assert res.contrast == pytest.approx(math.log(k + 1), rel=0, abs=1e-12)
 
     def test_direct_summation_small_instance(self):
         queries = np.array([[1.0, 0.0], [0.0, 1.0]])
         keys = np.array([[0.6, 0.8], [1.0, 0.0]])
         queue = np.array([[0.0, -1.0], [-1.0, 0.0]])
-        res = infonce_loss(queries, keys, queue, 0.2)
-        assert res.value == pytest.approx(
+        res = infonce(queries, keys, queue, 0.2)
+        assert res.contrast == pytest.approx(
             infonce_direct(queries, keys, queue, 0.2), rel=0, abs=1e-12
         )
 
@@ -102,8 +113,8 @@ class TestInfoNCE:
             c = int(rng.integers(1, 5))
             queries, keys = unit_rows(rng, b, c), unit_rows(rng, b, c)
             queue = unit_rows(rng, k, c)
-            res = infonce_loss(queries, keys, queue, 0.2)
-            assert res.value == pytest.approx(
+            res = infonce(queries, keys, queue, 0.2)
+            assert res.contrast == pytest.approx(
                 infonce_direct(queries, keys, queue, 0.2), rel=0, abs=1e-12
             )
 
@@ -113,7 +124,7 @@ class TestInfoNCE:
         queue = unit_rows(rng, 6, 3)
         base = infonce_loss(queries, keys, queue, 0.2)
         shuffled = infonce_loss(queries, keys, queue[rng.permutation(6)], 0.2)
-        assert shuffled.value == pytest.approx(base.value, rel=0, abs=1e-12)
+        assert shuffled.contrast == pytest.approx(base.contrast, rel=0, abs=1e-12)
 
     def test_rejects_bad_temperature(self):
         rng = seeded_rng(5)
@@ -125,17 +136,17 @@ class TestSimclr:
     def test_identical_views_on_orthonormal_basis(self):
         tau = 0.2
         v = np.eye(2)
-        res = simclr_contrastive_loss(v, v, tau)
+        res = simclr(v, v, tau)
         sigma = math.exp(1 / tau) / (math.exp(1 / tau) + 1.0)
-        assert res.value == pytest.approx(-math.log(sigma), rel=0, abs=1e-12)
+        assert res.contrast == pytest.approx(-math.log(sigma), rel=0, abs=1e-12)
 
     def test_all_rows_identical_gives_log_b(self):
         row = np.zeros((1, 3))
         row[0, 0] = 1.0
         for b in (2, 4, 6):
             v = np.repeat(row, b, axis=0)
-            res = simclr_contrastive_loss(v, v, 0.5)
-            assert res.value == pytest.approx(math.log(b), rel=0, abs=1e-12)
+            res = simclr(v, v, 0.5)
+            assert res.contrast == pytest.approx(math.log(b), rel=0, abs=1e-12)
 
     def test_oracle_equivalence(self):
         rng = seeded_rng(8)
@@ -143,27 +154,23 @@ class TestSimclr:
             b = int(rng.integers(2, 9))
             c = int(rng.integers(1, 5))
             queries, keys = unit_rows(rng, b, c), unit_rows(rng, b, c)
-            res = simclr_contrastive_loss(queries, keys, 0.2)
-            assert res.value == pytest.approx(simclr_direct(queries, keys, 0.2), rel=0, abs=1e-12)
+            res = simclr(queries, keys, 0.2)
+            assert res.contrast == pytest.approx(simclr_direct(queries, keys, 0.2), rel=0, abs=1e-12)
 
     def test_gradient_check_both_sides(self):
         rng = seeded_rng(9)
         queries, keys = unit_rows(rng, 4, 3), unit_rows(rng, 4, 3)
 
         def f_queries(flat):
-            res = simclr_contrastive_loss(np.reshape(flat, (4, 3)), keys, 0.2)
-            return res.value, res.grad_queries.ravel()
+            res = simclr(np.reshape(flat, (4, 3)), keys, 0.2)
+            return res.contrast, res.grad.ravel()
 
         def f_keys(flat):
-            res = simclr_contrastive_loss(queries, np.reshape(flat, (4, 3)), 0.2)
-            return res.value, res.grad_keys.ravel()
+            res = simclr(queries, np.reshape(flat, (4, 3)), 0.2)
+            return res.contrast, res.grad_keys.ravel()
 
         assert finite_difference_check(f_queries, queries.ravel()).max_relative_error < 1e-6
         assert finite_difference_check(f_keys, keys.ravel()).max_relative_error < 1e-6
-
-    def test_rejects_singleton_batch(self):
-        with pytest.raises(ConfigurationError):
-            simclr_contrastive_loss(np.ones((1, 2)), np.ones((1, 2)), 0.2)
 
 
 class TestMixedLogits:
@@ -240,7 +247,7 @@ class TestMixedQueryLoss:
         for i in range(b // 2):
             logits = stacked @ mixed[i] / 0.2
             expected += -(logits[i] - math.log(np.exp(logits).sum()))
-        assert res.value == pytest.approx(expected / (b // 2), rel=1e-9)
+        assert res.mixed == pytest.approx(expected / (b // 2), rel=1e-9)
 
     def test_uniform_logits_give_log_b_plus_k_for_any_lambda(self):
         e1 = np.zeros((1, 3))
@@ -250,7 +257,7 @@ class TestMixedQueryLoss:
         mixed = np.repeat(e1, 2, axis=0)
         for lam in ([0.5, 0.5], [0.123, 0.9], [0.999, 0.001]):
             res = mixed_query_loss(mixed, keys, queue, lam, 0.05)
-            assert res.value == pytest.approx(math.log(8.0), rel=0, abs=1e-12)
+            assert res.mixed == pytest.approx(math.log(8.0), rel=0, abs=1e-12)
 
     def test_direct_two_term_oracle(self):
         rng = seeded_rng(13)
@@ -258,8 +265,8 @@ class TestMixedQueryLoss:
         queue = unit_rows(rng, 2, 3)
         mixed = unit_rows(rng, 2, 3)
         lam = rng.uniform(0.1, 0.9, 2)
-        res = mixed_query_loss(mixed, keys, queue, lam, 0.05)
-        assert res.value == pytest.approx(
+        res = mixed_term(mixed, keys, queue, lam, 0.05)
+        assert res.mixed == pytest.approx(
             mixed_direct(mixed, keys, queue, lam, 0.05), rel=0, abs=1e-12
         )
 
@@ -273,8 +280,8 @@ class TestMixedQueryLoss:
             queue = unit_rows(rng, k, c) if k else np.zeros((0, c))
             mixed = unit_rows(rng, b // 2, c)
             lam = rng.uniform(0.05, 0.95, b // 2)
-            res = mixed_query_loss(mixed, keys, queue, lam, 0.05)
-            assert res.value == pytest.approx(
+            res = mixed_term(mixed, keys, queue, lam, 0.05)
+            assert res.mixed == pytest.approx(
                 mixed_direct(mixed, keys, queue, lam, 0.05), rel=0, abs=1e-12
             )
 
@@ -287,7 +294,7 @@ class TestMixedQueryLoss:
 
         def f(flat):
             res = mixed_query_loss(np.reshape(flat, (2, 3)), keys, queue, lam, 0.05)
-            return res.value, res.grad.ravel()
+            return res.mixed, res.grad.ravel()
 
         assert finite_difference_check(f, mixed.ravel()).max_relative_error < 1e-6
 
@@ -300,12 +307,12 @@ class TestMixedQueryLoss:
         queue = unit_rows(rng, 6, 4)
         mixed = unit_rows(rng, 3, 4)
         lam = rng.uniform(0.05, 0.95, 3)
-        ce = mixed_query_loss(mixed, keys, queue, lam, 0.05)
+        ce = mixed_term(mixed, keys, queue, lam, 0.05)
         logits = build_mixed_logits(mixed, keys, queue, 0.05)
         kl, kl_grad_logits = kl_direct(logits, build_mixed_targets(lam, 6, 6))
         kl_grad = np.array(kl_grad_logits) @ np.concatenate([keys, queue]) / 0.05
         entropy = -np.mean(lam * np.log(lam) + (1 - lam) * np.log(1 - lam))
-        assert ce.value - kl == pytest.approx(entropy, rel=0, abs=1e-10)
+        assert ce.mixed - kl == pytest.approx(entropy, rel=0, abs=1e-10)
         assert np.abs(ce.grad - kl_grad).max() <= 1e-12
 
     def test_queue_permutation_invariance(self):
@@ -316,7 +323,7 @@ class TestMixedQueryLoss:
         lam = rng.uniform(0.1, 0.9, 2)
         base = mixed_query_loss(mixed, keys, queue, lam, 0.05)
         shuffled = mixed_query_loss(mixed, keys, queue[rng.permutation(6)], lam, 0.05)
-        assert shuffled.value == pytest.approx(base.value, rel=0, abs=1e-12)
+        assert shuffled.mixed == pytest.approx(base.mixed, rel=0, abs=1e-12)
 
 
 def dense_infonce(queries, keys, queue, tau):
@@ -361,16 +368,16 @@ class TestDenseReferences:
             b, c = 8, int(rng.integers(1, 9))
             queries, keys = unit_rows(rng, b, c), unit_rows(rng, b, c)
             queue = unit_rows(rng, k, c) if k else np.zeros((0, c))
-            res = infonce_loss(queries, keys, queue, 0.2)
-            assert_close((res.value, res.grad), dense_infonce(queries, keys, queue, 0.2))
+            res = infonce(queries, keys, queue, 0.2)
+            assert_close((res.contrast, res.grad), dense_infonce(queries, keys, queue, 0.2))
 
     def test_simclr(self):
         rng = seeded_rng(20)
         for _ in range(10):
             b, c = int(rng.integers(2, 65)), int(rng.integers(1, 9))
             queries, keys = unit_rows(rng, b, c), unit_rows(rng, b, c)
-            res = simclr_contrastive_loss(queries, keys, 0.2)
-            assert_close((res.value, res.grad_queries, res.grad_keys),
+            res = simclr(queries, keys, 0.2)
+            assert_close((res.contrast, res.grad, res.grad_keys),
                          dense_simclr(queries, keys, 0.2))
 
     @pytest.mark.parametrize("k", [0, 8, 4096])
@@ -383,8 +390,8 @@ class TestDenseReferences:
             keys, mixed = unit_rows(rng, b, c), unit_rows(rng, b // 2, c)
             queue = unit_rows(rng, k, c) if k else np.zeros((0, c))
             lam = rng.uniform(*lam_range, b // 2)
-            res = mixed_query_loss(mixed, keys, queue, lam, 0.05)
-            assert_close((res.value, res.grad), dense_mixed(mixed, keys, queue, lam, 0.05))
+            res = mixed_term(mixed, keys, queue, lam, 0.05)
+            assert_close((res.mixed, res.grad), dense_mixed(mixed, keys, queue, lam, 0.05))
 
 
 class TestNonFiniteInputs:
@@ -393,12 +400,10 @@ class TestNonFiniteInputs:
             ops["queries"], ops["keys"], ops["queue"], 0.2)),
         "mixed-query": ("mixed-query", lambda ops: mixed_query_loss(
             ops["queries"][:2], ops["keys"], ops["queue"], [0.3, 0.6], 0.05)),
-        "SimCLR": ("SimCLR", lambda ops: simclr_contrastive_loss(
-            ops["queries"], ops["keys"], 0.2)),
+        "SimCLR": ("SimCLR", lambda ops: simclr(ops["queries"], ops["keys"], 0.2)),
         # the simclr+mix term, which only the training step computes
-        "mixed-in-batch": ("mixed-query", lambda ops: _contrast(
-            ops["keys"][:0], ops["keys"], None, 1.0, ops["queries"][:2], np.array([0.3, 0.6]),
-            0.05)),
+        "mixed-in-batch": ("mixed-query", lambda ops: mixed_term(
+            ops["queries"][:2], ops["keys"], None, np.array([0.3, 0.6]), 0.05)),
     }
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -426,8 +431,8 @@ MODES = ("moco", "moco+mix", "simclr", "simclr+mix")
 
 
 class TestContrastKernel:
-    """`_contrast`, the one kernel behind every loss and the training step:
-    rows [queries; mixed], columns [batch keys; queue]."""
+    """`contrast`, the one loss function behind both checked losses and the
+    training step: rows [queries; mixed], columns [batch keys; queue]."""
 
     @staticmethod
     def instance(seed, b, k, c):
@@ -440,30 +445,20 @@ class TestContrastKernel:
     @pytest.mark.parametrize("mode, k", [
         *[(mode, k) for mode in MODES[:2] for k in (0, 8, 4096)],
         ("simclr", None), ("simclr+mix", None)])
-    def test_public_losses_are_the_stacked_rows(self, mode, k):
+    def test_each_term_alone_is_its_block_of_the_stacked_rows(self, mode, k):
         queries, keys, queue, tau, mixed, lam, tau_mix = self.instance(31, 8, k or 0, 4)
         if not mode.endswith("+mix"):
             mixed, lam = mixed[:0], lam[:0]
         if k is None:
             queue = None
-        both = _contrast(queries, keys, queue, tau, mixed, lam, tau_mix)
-        if queue is None:
-            contrast = simclr_contrastive_loss(queries, keys, tau)
-            parts = [(contrast.value, contrast.grad_queries, contrast.grad_keys)]
-        else:
-            contrast = infonce_loss(queries, keys, queue, tau)
-            parts = [(contrast.value, contrast.grad, None)]
+        both = contrast(queries, keys, queue, tau, mixed, lam, tau_mix)
+        parts = [contrast(queries, keys, queue, tau, mixed[:0], lam[:0], tau_mix)]
         if lam.size:
-            if queue is None:
-                mix = _contrast(keys[:0], keys, None, 1.0, mixed, lam, tau_mix)
-                parts.append((mix.mixed, mix.grad, mix.grad_keys))
-            else:
-                mix = mixed_query_loss(mixed, keys, queue, lam, tau_mix)
-                parts.append((mix.value, mix.grad, None))
-        assert (both.contrast, both.mixed) == (parts[0][0], parts[1][0] if lam.size else 0.0)
-        assert np.array_equal(both.grad, np.concatenate([p[1] for p in parts]))
+            parts.append(contrast(queries[:0], keys, queue, tau, mixed, lam, tau_mix))
+        assert (both.contrast, both.mixed) == (parts[0].contrast, parts[-1].mixed)
+        assert np.array_equal(both.grad, np.concatenate([p.grad for p in parts]))
         if queue is None:
-            key_grad = sum(p[2] for p in parts)
+            key_grad = sum(p.grad_keys for p in parts)
             assert np.abs(both.grad_keys - key_grad).max() <= 1e-12
         else:
             assert both.grad_keys is None
@@ -475,7 +470,7 @@ class TestContrastKernel:
         queue = None if k is None else queue
         replaced = keys.copy()
         replaced[1:] = unit_rows(seeded_rng(34), 7, 4)
-        base, moved = (_contrast(queries[:1], ks, queue, tau, mixed[:0], np.empty(0), tau_mix)
+        base, moved = (contrast(queries[:1], ks, queue, tau, mixed[:0], np.empty(0), tau_mix)
                        for ks in (keys, replaced))
         if queue is not None:
             assert base.contrast == moved.contrast
@@ -498,7 +493,7 @@ class TestContrastKernel:
             warnings.simplefilter("error")
             with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                     DivergedRunError, match=f"^non-finite {term} loss$"):
-                _contrast(queries, keys, queue, tau, mixed, lam, tau_mix)
+                contrast(queries, keys, queue, tau, mixed, lam, tau_mix)
 
     def test_index_plan_is_cached_and_read_only(self):
         plan = _index_plan(4, 2)
@@ -514,17 +509,7 @@ class TestContrastKernel:
     def test_repeated_calls_give_identical_bits(self):
         # a call must leave nothing behind in the cached plan
         operands = self.instance(35, 8, 8, 4)
-        first, second = _contrast(*operands), _contrast(*operands)
+        first, second = contrast(*operands), contrast(*operands)
         assert (first.contrast, first.mixed) == (second.contrast, second.mixed)
         assert first.grad.tobytes() == second.grad.tobytes()
 
-
-class TestTotalLoss:
-    def test_zero_weight_disables_mixed_term(self):
-        assert total_loss(1.25, 7.5, 0.0) == 1.25
-
-    def test_unit_weight_is_plain_sum(self):
-        assert total_loss(1.25, 7.5, 1.0) == 1.25 + 7.5
-
-    def test_half_weight(self):
-        assert total_loss(1.0, 2.0, 0.5) == 2.0

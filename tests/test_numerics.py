@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -160,6 +161,18 @@ class TestFiniteDifferenceCheck:
         with pytest.raises(DivergedRunError):
             finite_difference_check(f, np.array([1e-7]), step=1e-5)
 
+    @pytest.mark.parametrize("bad, first", [([2], "(2,)"), ([0, 1, 2, 3], "(0,)")],
+                             ids=["one-nan", "all-nan"])
+    def test_rejects_non_finite_analytic_gradient(self, bad, first):
+        # a NaN's relative error is NaN, which compares False against any gate
+        def f(x):
+            grad = 2.0 * x
+            grad[bad] = math.nan
+            return float((x**2).sum()), grad
+
+        with pytest.raises(DivergedRunError, match=re.escape(f"gradient at {first}")):
+            finite_difference_check(f, np.arange(1.0, 5.0), step=1e-5)
+
 
 class TestL2NormalizeRows:
     def test_hand_example(self):
@@ -227,7 +240,7 @@ def test_contrastive_gradient_through_generic_checker():
 
     def f(flat):
         res = infonce_loss(np.reshape(flat, (4, 3)), keys, queue, 0.2)
-        return res.value, res.grad.ravel()
+        return res.contrast, res.grad.ravel()
 
     report = finite_difference_check(f, queries.ravel(), step=1e-5)
     assert report.max_relative_error < 1e-6

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from contrastlab import contrastive, data, encoder, numerics, selfcheck, training
-from contrastlab.contrastive import simclr_contrastive_loss
+from contrastlab.contrastive import contrast
 from contrastlab.data import Dataset, generate_spoke_clusters, split_dataset
 from contrastlab.encoder import EncoderParams, encode, init_encoder
 from contrastlab.errors import ConfigurationError, DivergedRunError
@@ -228,7 +228,7 @@ class TestStep:
     @pytest.mark.parametrize("mode, queue_size", [
         ("moco", 32), ("moco+mix", 32), ("simclr", 0), ("simclr+mix", 0)])
     def test_one_encode_and_one_backward_per_step(self, monkeypatch, mode, queue_size):
-        calls = {"two_views": 0, "encode": 0, "key_forward_no_grad": 0, "_contrast": 0,
+        calls = {"two_views": 0, "encode": 0, "key_forward_no_grad": 0, "contrast": 0,
                  "encoder_backward": 0, "enqueue_dequeue": 0}
         for name in calls:
             def spy(*args, _name=name, _real=getattr(training, name)):
@@ -242,7 +242,7 @@ class TestStep:
         # the moco modes take their keys from the EMA encoder and enqueue them
         keys = steps if config.uses_queue else 0
         assert calls == {"two_views": steps, "encode": steps, "key_forward_no_grad": keys,
-                         "_contrast": steps, "encoder_backward": steps, "enqueue_dequeue": keys}
+                         "contrast": steps, "encoder_backward": steps, "enqueue_dequeue": keys}
 
     @pytest.mark.parametrize("mode, queue_size", [
         ("moco", 32), ("moco+mix", 32), ("simclr", 0), ("simclr+mix", 0)])
@@ -254,8 +254,7 @@ class TestStep:
         def refuse(*args):
             raise AssertionError("operand check inside a training step")
 
-        for name in ("_query_operands", "_mixed_operands", "_queue_operand", "_half_batch",
-                     "as_matrix", "as_f64"):
+        for name in ("_check_temperature", "_queue_operand", "as_matrix", "as_f64"):
             monkeypatch.setattr(contrastive, name, refuse)
         # nor the augmentation's
         monkeypatch.setattr(data, "as_matrix", refuse)
@@ -285,10 +284,10 @@ class TestStep:
         l_contrast, l_mix, _, _ = training._loss_and_grads(
             config, params, None, x_query, x_key, seeded_rng(4))
         v, upstream, b = seen["v"], seen["upstream"], config.batch_size
-        contrast = simclr_contrastive_loss(v[:b], v[b:2 * b], config.temperature)
-        assert l_contrast == contrast.value and l_mix > 0.0
-        assert np.array_equal(upstream[:b], contrast.grad_queries)
-        assert np.array_equal(upstream[b:2 * b], contrast.grad_keys)
+        simclr = contrast(v[:b], v[b:2 * b], None, config.temperature, v[:0], np.empty(0), 1.0)
+        assert l_contrast == simclr.contrast and l_mix > 0.0
+        assert np.array_equal(upstream[:b], simclr.grad)
+        assert np.array_equal(upstream[b:2 * b], simclr.grad_keys)
         assert upstream.shape == (2 * b + b // 2, 8)
         assert not upstream[2 * b:].any()
 
@@ -561,3 +560,25 @@ class TestExport:
         assert path.read_bytes() == export_direct(encode(params, ds.features)[0], ds.labels)
         assert os.listdir(tmp_path) == ["emb.txt"]
         assert len(forks) == max(1, min(cpus, -(-rows // MIN_ROWS_PER_PART))) - 1
+
+    def test_without_sched_getaffinity_the_cpu_count_sets_the_parts(self, tmp_path, monkeypatch,
+                                                                     no_child_left):
+        # os.sched_getaffinity exists only on Linux; elsewhere the export
+        # splits over os.cpu_count() CPUs, or one when that is unknown
+        rows = 2 * MIN_ROWS_PER_PART + 1
+        rng = seeded_rng(5)
+        ds = SimpleNamespace(features=rng.standard_normal((rows, 4)),
+                             labels=rng.integers(0, 3, rows))
+        params = init_encoder([4, 6, 3], seeded_rng(1))
+        export_embeddings(params, ds, tmp_path / "linux.txt")
+        monkeypatch.delattr(os, "sched_getaffinity")
+        forks = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real_fork())
+        for cpus, helpers in ((None, 0), (3, 2)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            forks.clear()
+            path = tmp_path / f"cpus{cpus}.txt"
+            export_embeddings(params, ds, path)
+            assert path.read_bytes() == (tmp_path / "linux.txt").read_bytes()
+            assert len(forks) == helpers
