@@ -25,7 +25,7 @@ from .data import (
     save_dataset,
     split_dataset,
 )
-from .encoder import ENCODER_MAGIC, encode, load_encoder, save_encoder
+from .encoder import ENCODER_MAGIC, embed, load_encoder, save_encoder
 from .errors import ConfigurationError, ContrastLabError, DivergedRunError, FormatError
 from .fileio import atomic_write
 from .moco import MOCO_MAGIC, MOCO_V1_MAGIC, load_moco, save_moco
@@ -312,7 +312,7 @@ def _cmd_linear_eval(args) -> int:
 
 def _cmd_metrics(args) -> int:
     encoder, dataset = _load_eval_inputs(args)
-    embeddings = encode(encoder, dataset.features)[0]
+    embeddings = embed(encoder, dataset.features)
     print(f"davies_bouldin {davies_bouldin(embeddings, dataset.labels)!r}")
     print(f"calinski_harabasz {calinski_harabasz(embeddings, dataset.labels)!r}")
     return EXIT_OK

@@ -3,7 +3,8 @@
 Forward and backward passes are handwritten. `encode`, the one forward pass,
 keeps what the backward reads in a ForwardTrace, so `encoder_backward` can
 return exact gradients of the normalized output, normalization Jacobian
-included; callers that never differentiate take `encode(...)[0]`. Neither
+included; callers that never differentiate call `embed`, which runs `encode`
+on blocks of rows and drops each trace. None of them
 checks its operands: the training step calls them on operands `RunConfig`
 has checked, and the file loaders and the CLI check what comes from outside.
 """
@@ -117,6 +118,32 @@ def encode(params: EncoderParams, x: Tensor) -> tuple[Tensor, ForwardTrace]:
     trace.output = a
     trace.degenerate_rows = (guarded <= DEFAULT_NORM_EPS).ravel()
     return a, trace
+
+
+# `embed` passes `encode` at least this many rows per call: the last bits of
+# a product can depend on how many rows share the BLAS call, and blocks of a
+# handful of rows (<= 18 on OpenBLAS 0.3.31, [20,64,64]) changed them
+EMBED_BLOCK_ROWS = 1024
+
+
+def embed(params: EncoderParams, x: Tensor) -> Tensor:
+    """`encode(params, x)[0]`, bit for bit, without holding the trace of all
+    N rows at once.
+
+    The rows go through `encode` in blocks of EMBED_BLOCK_ROWS, the remainder
+    joining the last block, and each block's output is copied into one (N, C)
+    array; so no block is smaller than EMBED_BLOCK_ROWS, and the peak is that
+    array plus one block's trace. Under 2 * EMBED_BLOCK_ROWS rows this is one
+    `encode` call whose output is returned as it is. `x` is not checked.
+    """
+    n = x.shape[0]
+    if n < 2 * EMBED_BLOCK_ROWS:
+        return encode(params, x)[0]
+    out = np.empty((n, params.output_dim))
+    edges = [*range(0, n - n % EMBED_BLOCK_ROWS, EMBED_BLOCK_ROWS), n]
+    for lo, hi in zip(edges, edges[1:]):
+        out[lo:hi] = encode(params, x[lo:hi])[0]  # a bound trace would live through the next block
+    return out
 
 
 def _normalization_pullback(trace: ForwardTrace, grad_v: Tensor) -> Tensor:

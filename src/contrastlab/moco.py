@@ -11,7 +11,7 @@ import numpy as np
 
 from .encoder import (
     EncoderParams,
-    encode,
+    embed,
     init_encoder,
     read_params_block,
     write_params_block,
@@ -85,9 +85,9 @@ def enqueue_dequeue(state: MoCoState, keys: Tensor) -> None:
 
 
 def key_forward_no_grad(state: MoCoState, x: Tensor) -> Tensor:
-    """Embed with the key encoder (`encoder.encode`, trace discarded): nothing
+    """Embed with the key encoder (`encoder.embed`, no trace kept): nothing
     ever backpropagates into the key params."""
-    return encode(state.key, x)[0]
+    return embed(state.key, x)
 
 
 def save_moco(state: MoCoState, path, seed: int = 0) -> None:

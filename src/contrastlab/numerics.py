@@ -145,13 +145,32 @@ def guarded_row_norms(x: Tensor) -> Tensor:
     matrix `x`, as an (N, 1) column. `x` is not checked. The squares are
     formed 256 rows at a time (a desk step's encode is one chunk), so
     `encode`, which keeps its layer inputs alive, needs no third N-row array;
-    for a C-contiguous or row-strided `x` the bits are those of one pass."""
+    for a C-contiguous or row-strided `x` the bits are those of one pass.
+
+    A finite row whose sum of squares overflows (entries near 1e154 and up)
+    is measured again as max|x| * norm(x / max|x|), so it still normalizes
+    to a unit row; every other row keeps the bits of the plain sum."""
     norms = np.empty((x.shape[0], 1))
-    for start in range(0, x.shape[0], 256):
-        rows = x[start : start + 256]
-        (rows * rows).sum(axis=1, keepdims=True, out=norms[start : start + 256])
+    with np.errstate(over="ignore"):
+        for start in range(0, x.shape[0], 256):
+            rows = x[start : start + 256]
+            (rows * rows).sum(axis=1, keepdims=True, out=norms[start : start + 256])
     np.sqrt(norms, out=norms)
+    if np.isinf(norms).any():
+        _rescale_overflowed(x, norms)
     return np.maximum(norms, DEFAULT_NORM_EPS, out=norms)
+
+
+def _rescale_overflowed(x: Tensor, norms: Tensor) -> None:
+    """Replace, in `norms`, each infinite norm of a finite row of `x` by
+    max|x| * norm(x / max|x|); rows holding an inf keep norm inf."""
+    rows = np.flatnonzero(np.isinf(norms[:, 0]))
+    scale = np.abs(x[rows]).max(axis=1, keepdims=True)
+    finite = np.isfinite(scale[:, 0])
+    rows, scale = rows[finite], scale[finite]
+    unit = x[rows] / scale
+    with np.errstate(over="ignore"):
+        norms[rows] = scale * np.sqrt((unit * unit).sum(axis=1, keepdims=True))
 
 
 def l2_normalize_rows(x: Tensor) -> Tensor:

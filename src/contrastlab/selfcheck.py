@@ -68,7 +68,8 @@ def _step_case(mode: str, seed: int, b: int, k: int, mix_weight: float):
     rows = [x_query, x_key]
     if config.mixes:
         rows.append(mixup_half_batch(x_query, mix_stream())[0])
-    if encode(params0, np.concatenate(rows))[1].degenerate_rows.any():
+    _, trace = encode(params0, np.concatenate(rows))
+    if trace.degenerate_rows.any():
         raise ConfigurationError(f"step case {mode} seed {seed}: an encoded row has zero norm")
 
     def f(vector):

@@ -20,6 +20,7 @@ from .data import Dataset, epoch_batches, two_views
 from .encoder import (
     EncoderParams,
     apply_sgd_step,
+    embed,
     encode,
     encoder_backward,
     init_encoder,
@@ -349,11 +350,11 @@ def linear_eval(
     if present.size != train.class_count:
         missing = sorted(set(range(train.class_count)) - set(present.tolist()))
         raise ConfigurationError(f"classes missing from the train split: {missing}")
-    train_emb = encode(encoder, train.features)[0]
+    train_emb = embed(encoder, train.features)
     probe = train_linear_probe(
         train_emb, train.labels, train.class_count, epochs, lr0, batch_size, rng
     )
-    test_emb = encode(encoder, test.features)[0]
+    test_emb = embed(encoder, test.features)
     return probe_accuracy(probe, test_emb, test.labels)
 
 
@@ -439,7 +440,7 @@ def export_embeddings(encoder: EncoderParams, dataset: Dataset, path) -> None:
     (`fileio.write_in_parts`). The file's bytes do not depend on the part
     count.
     """
-    v = encode(encoder, dataset.features)[0]
+    v = embed(encoder, dataset.features)
 
     def write_rows(fh, lo, hi):
         for label, row in zip(dataset.labels[lo:hi], v[lo:hi]):

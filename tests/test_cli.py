@@ -426,6 +426,22 @@ class TestEvalCommands:
             exports.append(out.read_bytes())
         assert exports == [export_direct(encode(params, dataset.features)[0], dataset.labels)] * 3
 
+    def test_rows_whose_squares_overflow_embed_as_unit_rows(self, tmp_path, capsys):
+        data, checkpoint, out = tmp_path / "huge.txt", tmp_path / "ck.txt", tmp_path / "emb.txt"
+        assert main(["gen-data", "--out", str(data), "--set", "classes=3", "--set", "spokes=2",
+                     "--set", "per_mode=10", "--set", "dim=6", "--set", "base_radius=1e200"]) == 0
+        save_encoder(init_encoder([6, 8, 5], seeded_rng(6)), checkpoint)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for argv in (["linear-eval"], ["metrics"], ["export-embeddings", "--out", str(out)]):
+                code, _, err = run_cli(capsys, *argv, "--checkpoint", str(checkpoint),
+                                       "--data", str(data))
+                assert (code, err) == (0, "")
+        rows = np.loadtxt(out, skiprows=1)[:, 1:]
+        assert rows.shape == (60, 5)
+        assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() < 1e-12
+
     @pytest.mark.parametrize("dim", [4, 8], ids=["narrower", "wider"])
     @pytest.mark.parametrize("command", ["linear-eval", "metrics", "export-embeddings"])
     def test_dataset_of_another_width_exits_one(self, command, dim, trained_run, tmp_path,

@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 import warnings
 
@@ -6,8 +7,10 @@ import pytest
 
 from contrastlab import encoder
 from contrastlab.encoder import (
+    EMBED_BLOCK_ROWS,
     EncoderParams,
     apply_sgd_step,
+    embed,
     encode,
     encoder_backward,
     init_encoder,
@@ -15,7 +18,12 @@ from contrastlab.encoder import (
     save_encoder,
 )
 from contrastlab.errors import ConfigurationError, DivergedRunError, FormatError
-from contrastlab.numerics import finite_difference_check, l2_normalize_rows_vjp, seeded_rng
+from contrastlab.numerics import (
+    finite_difference_check,
+    l2_normalize_rows_vjp,
+    seeded_rng,
+    single_blas_thread,
+)
 from oracles import encode_direct, encoder_backward_reference
 
 
@@ -104,6 +112,56 @@ class TestEncode:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * x.shape[0] * 64 * 8
+
+
+EMBED_ROWS = [0, 1, 1023, 1024, 1025, 2047, 2048, 2049, 3071, 5000]
+
+
+class TestEmbed:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("sizes", [[20, 64, 64], [4, 6, 3], [5, 6, 7, 4]])
+    def test_equals_encode_bitwise(self, sizes, threads, two_blas_threads):
+        rng = seeded_rng(40)
+        params = init_encoder(sizes, rng)
+        params.vector[...] = rng.normal(0.0, 0.3, size=params.vector.shape)  # biases too
+        x = rng.normal(size=(max(EMBED_ROWS), sizes[0]))
+        with single_blas_thread() if threads == 1 else contextlib.nullcontext():
+            assert two_blas_threads() == threads
+            for n in EMBED_ROWS:
+                v = embed(params, x[:n])
+                assert v.shape == (n, sizes[-1])
+                assert v.tobytes() == encode(params, x[:n])[0].tobytes(), n
+
+    @pytest.mark.parametrize("n", EMBED_ROWS)
+    def test_blocks_hold_at_least_the_block_size(self, n, monkeypatch):
+        blocks = []
+        real = encoder.encode
+
+        def spy(params, x):
+            blocks.append(x.shape[0])
+            return real(params, x)
+
+        monkeypatch.setattr(encoder, "encode", spy)
+        embed(init_encoder([4, 6, 3], seeded_rng(41)), seeded_rng(42).normal(size=(n, 4)))
+        assert sum(blocks) == n
+        if n < 2 * EMBED_BLOCK_ROWS:
+            assert blocks == [n]
+        else:
+            assert len(blocks) == n // EMBED_BLOCK_ROWS
+            assert min(blocks) >= EMBED_BLOCK_ROWS and max(blocks) < 2 * EMBED_BLOCK_ROWS
+
+    def test_peaks_at_the_output_plus_two_blocks(self):
+        # `encode(...)[0]` of all rows holds the hidden layer beside the
+        # output, two N x 64 arrays; `embed` holds one, plus a block's trace
+        params = init_encoder([20, 64, 64], seeded_rng(34))
+        x = seeded_rng(35).normal(size=(20000, 20))
+        tracemalloc.start()
+        try:
+            v = embed(params, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= v.nbytes + 2 * (2 * EMBED_BLOCK_ROWS) * 64 * 8
 
 
 def rows_with_degenerate(rng, n, width):

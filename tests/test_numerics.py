@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +213,26 @@ class TestL2NormalizeRows:
         one_pass = np.maximum(np.sqrt((x * x).sum(axis=1, keepdims=True)), DEFAULT_NORM_EPS)
         assert guarded_row_norms(x).tobytes() == one_pass.tobytes()
         assert guarded_row_norms(x[::-1]).tobytes() == one_pass[::-1].tobytes()
+
+    def test_rows_whose_squares_overflow_normalize_to_unit_rows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = l2_normalize_rows([[1e200] * 3])
+        np.testing.assert_allclose(out, 3**-0.5, rtol=1e-15)
+
+    def test_only_overflowing_rows_are_measured_again(self):
+        x = seeded_rng(14).normal(size=(600, 9))
+        one_pass = np.maximum(np.sqrt((x * x).sum(axis=1, keepdims=True)), DEFAULT_NORM_EPS)
+        x[[3, 300]] *= 1e300
+        x[5] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = guarded_row_norms(x)
+        rest = np.ones(600, dtype=bool)
+        rest[[3, 5, 300]] = False
+        assert norms[rest].tobytes() == one_pass[rest].tobytes()
+        np.testing.assert_allclose(norms[[3, 300]], one_pass[[3, 300]] * 1e300, rtol=1e-15)
+        assert norms[5, 0] == np.inf  # a row holding an inf keeps norm inf
 
 
 class TestSeededRng:

@@ -2,7 +2,7 @@
 top-level name in src/contrastlab is referenced from the package itself or
 from the benchmark's driver (perfbench/run.py, worker.py, workloads.py), or
 is a function the benchmark traces (perfbench/layers.py). Tests do not count
-as users."""
+as users. And only `encoder.embed` drops the trace of an `encode` call."""
 
 import ast
 import importlib.util
@@ -60,3 +60,53 @@ def test_every_public_name_has_a_user():
     unused = [f"{module}.{name}" for module, tree in modules.items()
               for name in _public_names(tree) if name not in used and (module, name) not in traced]
     assert unused == []
+
+
+def _is_encode_call(node):
+    """`encode(...)` or `encoder.encode(...)`; not `str.encode`."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Name) and func.id == "encode") or (
+        isinstance(func, ast.Attribute) and func.attr == "encode"
+        and isinstance(func.value, ast.Name) and func.value.id == "encoder")
+
+
+def _discarded_traces(tree):
+    """Lines that take the output of an `encode(...)` call and drop its trace:
+    `encode(...)[i]`, or an unpack that binds the trace to `_`. The body of
+    `encoder.embed`, the one place that may, is skipped by the caller."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and _is_encode_call(node.value):
+            yield node.lineno
+        elif (isinstance(node, ast.Assign) and _is_encode_call(node.value)
+              and any(isinstance(t, ast.Tuple) and len(t.elts) == 2
+                      and isinstance(t.elts[1], ast.Name) and t.elts[1].id == "_"
+                      for t in node.targets)):
+            yield node.lineno
+
+
+def test_the_check_finds_every_form_of_a_discarded_trace():
+    assert sorted(_discarded_traces(ast.parse(
+        "a = encode(p, x)[0]\n"
+        "b, _ = encoder.encode(p, x)\n"
+        "c = encode(p, x)[1].output\n"
+        "d, trace = encode(p, x)\n"
+        "_, trace = encode(p, x)\n"
+        "e = 'text'.encode()[0]\n"))) == [1, 2, 3]
+
+
+def test_callers_that_discard_the_trace_call_embed():
+    """Only `encoder.embed` runs `encode` for its output alone; every other
+    caller either keeps the trace for a backward pass or calls `embed`, which
+    never holds the trace of all N rows at once."""
+    found = []
+    for name in sorted(os.listdir(PACKAGE)):
+        if not name.endswith(".py"):
+            continue
+        tree = _parse(os.path.join(PACKAGE, name))
+        if name == "encoder.py":
+            tree.body = [node for node in tree.body
+                         if not (isinstance(node, ast.FunctionDef) and node.name == "embed")]
+        found += [f"{name}:{line}" for line in _discarded_traces(tree)]
+    assert found == []

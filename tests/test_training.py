@@ -9,7 +9,7 @@ import pytest
 from contrastlab import contrastive, data, encoder, numerics, selfcheck, training
 from contrastlab.contrastive import contrast
 from contrastlab.data import Dataset, generate_spoke_clusters, split_dataset
-from contrastlab.encoder import EncoderParams, encode, init_encoder
+from contrastlab.encoder import EncoderParams, embed, encode, init_encoder
 from contrastlab.errors import ConfigurationError, DivergedRunError
 from contrastlab.numerics import seeded_rng
 from contrastlab.training import (
@@ -205,23 +205,6 @@ class TestPretrain:
         assert float(fields[3]) == result.metrics[0].l_total
 
 
-def blas_controls():
-    controls = numerics._openblas_threads()
-    if controls is None:
-        pytest.skip("numpy's OpenBLAS exports no thread-count functions")
-    return controls
-
-
-@pytest.fixture()
-def two_blas_threads():
-    """BLAS set to 2 threads for the test, then back to what it was."""
-    get, set_ = blas_controls()
-    previous = get()
-    set_(2)
-    yield get
-    set_(previous)
-
-
 class TestStep:
     """`training._loss_and_grads`, the step every mode trains with."""
 
@@ -337,7 +320,7 @@ class TestBlasThreads:
         enc = init_encoder([20, 64, 64], seeded_rng(2))
 
         def evaluate():
-            return (encode(enc, ds.features)[0],
+            return (embed(enc, ds.features),
                     linear_eval(enc, train, test, epochs=3, rng=seeded_rng(3)))
 
         pooled_emb, pooled_top1 = evaluate()
