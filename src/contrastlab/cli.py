@@ -175,55 +175,24 @@ def write_manifest(config, path) -> None:
 
 
 class OutputDirLock:
-    """One run at a time per output directory.
-
-    `.lock` holds the owner's pid and appears in one step (`atomic_write`).
-    Lockers judge and take it under an flock on the directory, so of two that
-    find one stale lock, only the first takes it. A lock whose pid no longer
-    exists was left by a killed run and is taken over; a lock without a
-    readable pid is treated as held.
-    """
+    """One run at a time per output directory: an exclusive `flock` on the
+    directory itself, held for the `with` block. The kernel releases it when
+    the descriptor closes, so a run that is killed leaves nothing to reclaim."""
 
     def __init__(self, out_dir):
-        self.path = os.path.join(out_dir, ".lock")
-        self.held = False
+        self.out_dir = out_dir
 
     def __enter__(self):
-        dir_fd = os.open(os.path.dirname(self.path), os.O_RDONLY)
+        self.fd = os.open(self.out_dir, os.O_RDONLY)
         try:
-            fcntl.flock(dir_fd, fcntl.LOCK_EX)  # released when dir_fd closes
-            if self._taken():
-                raise OSError(f"output directory is locked by another run: {self.path}")
-            with atomic_write(self.path) as fh:
-                fh.write(f"{os.getpid()}\n")
-            self.held = True
-        finally:
-            os.close(dir_fd)
+            fcntl.flock(self.fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(self.fd)
+            raise OSError(f"output directory is locked by another run: {self.out_dir}") from None
         return self
 
-    def _taken(self) -> bool:
-        """False when there is no lock or its pid names no process."""
-        try:
-            with open(self.path) as fh:
-                pid = int(fh.read())
-        except FileNotFoundError:
-            return False
-        except ValueError:
-            return True
-        if pid <= 0:
-            return True
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            print(f"note: removing the stale lock of exited pid {pid}", file=sys.stderr)
-            return False
-        except PermissionError:  # alive, owned by another user
-            return True
-        return True
-
     def __exit__(self, *exc_info):
-        if self.held:
-            os.unlink(self.path)
+        os.close(self.fd)
         return False
 
 
@@ -313,8 +282,10 @@ def _cmd_linear_eval(args) -> int:
 def _cmd_metrics(args) -> int:
     encoder, dataset = _load_eval_inputs(args)
     embeddings = embed(encoder, dataset.features)
-    print(f"davies_bouldin {davies_bouldin(embeddings, dataset.labels)!r}")
-    print(f"calinski_harabasz {calinski_harabasz(embeddings, dataset.labels)!r}")
+    # both before printing either: a failing index must leave stdout empty
+    db = davies_bouldin(embeddings, dataset.labels)
+    ch = calinski_harabasz(embeddings, dataset.labels)
+    print(f"davies_bouldin {db!r}\ncalinski_harabasz {ch!r}")
     return EXIT_OK
 
 
@@ -345,11 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=True):
-        if config:
-            p.add_argument("--config", help="key = value config file")
-            p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                           help="override a config key (repeatable)")
+    def add_common(p):
+        p.add_argument("--config", help="key = value config file")
+        p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                       help="override a config key (repeatable)")
 
     p = sub.add_parser("gen-data", help="generate a synthetic clustered dataset")
     add_common(p)

@@ -28,7 +28,7 @@ from .encoder import (
 from .errors import ConfigurationError, DivergedRunError
 from .fileio import atomic_write, float_line, write_in_parts
 from .moco import MoCoState, enqueue_dequeue, init_moco, key_forward_no_grad, momentum_update
-from .numerics import Tensor, as_matrix, seeded_rng, single_blas_thread, spawn_rngs
+from .numerics import Tensor, as_matrix, single_blas_thread, spawn_rngs
 
 MODES = ("moco", "moco+mix", "simclr", "simclr+mix")
 
@@ -260,9 +260,7 @@ def write_metrics(records: list[MetricsRecord], path) -> None:
     with atomic_write(path) as fh:
         fh.write(",".join(METRICS_FIELDS) + "\n")
         for r in records:
-            fh.write(
-                f"{r.epoch},{r.l_contrast!r},{r.l_mixed!r},{r.l_total!r},{r.lr!r},{r.seconds!r}\n"
-            )
+            fh.write(",".join(repr(getattr(r, f)) for f in METRICS_FIELDS) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +282,11 @@ def train_linear_probe(
     lr0: float,
     batch_size: int,
     rng: np.random.Generator,
-    sgd_momentum: float = 0.9,
 ) -> LinearProbe:
     """Multinomial logistic regression by minibatch SGD with cosine decay.
 
     The base rate is lr0 * batch_size / 256, matching the convention of
-    quoting probe learning rates at reference batch size 256.
+    quoting probe learning rates at reference batch size 256. Momentum is 0.9.
     """
     embeddings = as_matrix(embeddings, "embeddings")
     labels = np.asarray(labels, dtype=np.int64)
@@ -321,7 +318,7 @@ def train_linear_probe(
             g /= m
             np.matmul(g.T, x, out=grad_w)
             np.add.reduce(g, axis=0, out=grad_b)
-            velocity *= sgd_momentum
+            velocity *= 0.9
             velocity += grads
             np.multiply(velocity, lr_now, out=step)
             params -= step
@@ -337,15 +334,13 @@ def linear_eval(
     encoder: EncoderParams,
     train: Dataset,
     test: Dataset,
-    epochs: int = 100,
-    lr0: float = 3.0,
-    batch_size: int = 64,
-    rng: np.random.Generator | None = None,
+    epochs: int,
+    lr0: float,
+    batch_size: int,
+    rng: np.random.Generator,
 ) -> float:
     """Freeze the encoder, fit a linear classifier on its embeddings, and
     return top-1 accuracy on the test split."""
-    if rng is None:
-        rng = seeded_rng(0)
     present = np.unique(train.labels)
     if present.size != train.class_count:
         missing = sorted(set(range(train.class_count)) - set(present.tolist()))

@@ -248,8 +248,7 @@ def _dist(a, b):
     return math.sqrt(sum((float(x) - float(y)) ** 2 for x, y in zip(a, b)))
 
 
-def train_linear_probe_reference(embeddings, labels, class_count, epochs, lr0, batch_size, rng,
-                                 sgd_momentum=0.9):
+def train_linear_probe_reference(embeddings, labels, class_count, epochs, lr0, batch_size, rng):
     """The linear-probe loop as first written, one fresh array per
     intermediate: the bitwise reference for `training.train_linear_probe`.
     Returns (weight, bias)."""
@@ -271,8 +270,8 @@ def train_linear_probe_reference(embeddings, labels, class_count, epochs, lr0, b
             shifted = logits - logits.max(axis=1, keepdims=True)
             e = np.exp(shifted)
             g = (e / e.sum(axis=1, keepdims=True) - onehot[take]) / take.size
-            vel_w = sgd_momentum * vel_w + g.T @ x
-            vel_b = sgd_momentum * vel_b + g.sum(axis=0)
+            vel_w = 0.9 * vel_w + g.T @ x
+            vel_b = 0.9 * vel_b + g.sum(axis=0)
             weight = weight - lr_now * vel_w
             bias = bias - lr_now * vel_b
     return weight, bias

@@ -13,7 +13,7 @@ import pytest
 
 from contrastlab import cli
 from contrastlab.cli import OutputDirLock, main
-from contrastlab.data import generate_spoke_clusters, load_dataset, save_dataset
+from contrastlab.data import Dataset, generate_spoke_clusters, load_dataset, save_dataset
 from contrastlab.moco import load_moco
 from contrastlab.encoder import encode, init_encoder, load_encoder, save_encoder, write_params_block
 from contrastlab.errors import ConfigurationError, ContrastLabError, DivergedRunError, FormatError
@@ -99,6 +99,19 @@ class TestGenData:
         assert "bogus" in err
 
 
+@contextlib.contextmanager
+def lock_holder(out_dir):
+    """A child process that holds `OutputDirLock(out_dir)` until its stdin
+    closes; yields once the lock is held, and reaps the child on exit."""
+    code = ("import sys\nfrom contrastlab.cli import OutputDirLock\n"
+            "with OutputDirLock(sys.argv[1]):\n    print('held', flush=True)\n    sys.stdin.read()\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    with subprocess.Popen([sys.executable, "-c", code, str(out_dir)], env=env, text=True,
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE) as holder:
+        assert holder.stdout.readline() == "held\n"
+        yield holder
+
+
 class TestPretrainCommand:
     def test_writes_manifest_checkpoint_metrics(self, tiny_data, tmp_path, capsys):
         out_dir = tmp_path / "run"
@@ -109,7 +122,7 @@ class TestPretrainCommand:
         assert (out_dir / "metrics.csv").exists()
         state, seed = load_moco(out_dir / "checkpoint.txt")
         assert state.queue.shape == (20, 6)
-        assert not (out_dir / ".lock").exists()
+        assert sorted(os.listdir(out_dir)) == ["checkpoint.txt", "manifest.cfg", "metrics.csv"]
 
     def test_manifest_reproduces_run_bitwise(self, tiny_data, tmp_path, capsys):
         first = tmp_path / "first"
@@ -154,76 +167,72 @@ class TestPretrainCommand:
         params, _ = load_encoder(out_dir / "checkpoint.txt")
         assert params.layer_sizes == [6, 8, 6]
 
-    def test_locked_directory_exits_three(self, tiny_data, tmp_path, capsys):
+    def test_directory_held_by_another_process_exits_three(self, tiny_data, tmp_path, capsys,
+                                                             no_child_left):
         out_dir = tmp_path / "run"
         os.makedirs(out_dir)
-        (out_dir / ".lock").touch()
-        code, _, err = run_cli(capsys, "pretrain", "--data", str(tiny_data),
-                               "--out", str(out_dir), *PRETRAIN_SETS)
-        assert code == 3
-        assert "lock" in err
-
-    def test_live_lock_holds_its_pid_and_exits_three(self, tiny_data, tmp_path, capsys):
-        out_dir = tmp_path / "run"
-        os.makedirs(out_dir)
-        with OutputDirLock(out_dir):
-            assert (out_dir / ".lock").read_text() == f"{os.getpid()}\n"
+        with lock_holder(out_dir):
             code, _, err = run_cli(capsys, "pretrain", "--data", str(tiny_data),
                                    "--out", str(out_dir), *PRETRAIN_SETS)
-            assert code == 3
-            assert "locked by another run" in err
-            assert os.listdir(out_dir) == [".lock"]
+        assert code == 3
+        assert err == f"file error: output directory is locked by another run: {out_dir}\n"
         assert os.listdir(out_dir) == []
 
-    def test_stale_lock_is_reclaimed(self, tiny_data, tmp_path, capsys):
+    def test_lock_of_a_killed_holder_is_free_at_once(self, tiny_data, tmp_path, capsys,
+                                                     no_child_left):
         out_dir = tmp_path / "run"
         os.makedirs(out_dir)
-        exited = subprocess.Popen([sys.executable, "-c", "pass"])
-        exited.wait()  # reaped: its pid names no process now
-        (out_dir / ".lock").write_text(f"{exited.pid}\n")
+        with lock_holder(out_dir) as holder:
+            holder.kill()
+            holder.wait()
         code, _, err = run_cli(capsys, "pretrain", "--data", str(tiny_data),
                                "--out", str(out_dir), *PRETRAIN_SETS)
-        assert code == 0
-        assert f"stale lock of exited pid {exited.pid}" in err
-        assert sorted(os.listdir(out_dir)) == ["checkpoint.txt", "manifest.cfg", "metrics.csv"]
+        assert (code, err) == (0, "")
 
-    def test_lockers_racing_for_one_stale_lock_take_it_once(self, tmp_path, monkeypatch):
+    def test_leftover_lock_file_naming_a_live_pid_is_left_alone(self, tiny_data, tmp_path,
+                                                                capsys):
+        # older versions wrote their pid to `.lock`; this one's pid is alive
         out_dir = tmp_path / "run"
         os.makedirs(out_dir)
-        exited = subprocess.Popen([sys.executable, "-c", "pass"])
-        exited.wait()
-        (out_dir / ".lock").write_text(f"{exited.pid}\n")
-        # each locker waits after judging the lock until the other has judged it
-        # too (or 0.5 s pass): unless judging and taking are serialised, both
-        # find the lock stale and both take it
-        real_taken = OutputDirLock._taken
-        both_judged = threading.Barrier(2, timeout=0.5)
+        (out_dir / ".lock").write_text(f"{os.getpid()}\n")
+        code, _, err = run_cli(capsys, "pretrain", "--data", str(tiny_data),
+                               "--out", str(out_dir), *PRETRAIN_SETS)
+        assert (code, err) == (0, "")
+        assert (out_dir / ".lock").read_text() == f"{os.getpid()}\n"
 
-        def taken_after_both_judged(lock):
-            taken = real_taken(lock)
-            with contextlib.suppress(threading.BrokenBarrierError):
-                both_judged.wait()
-            return taken
-
-        monkeypatch.setattr(OutputDirLock, "_taken", taken_after_both_judged)
+    def test_one_of_eight_racing_lockers_holds_the_lock(self, tmp_path):
+        out_dir = tmp_path / "run"
+        os.makedirs(out_dir)
+        start = threading.Barrier(8, timeout=10)
         held, refused = [], []
 
         def race():
             lock = OutputDirLock(out_dir)
+            start.wait()
             try:
                 held.append(lock.__enter__())
             except OSError:
                 refused.append(lock)
 
-        racers = [threading.Thread(target=race) for _ in range(2)]
+        racers = [threading.Thread(target=race) for _ in range(8)]
         for t in racers:
             t.start()
         for t in racers:
             t.join()
-        assert (len(held), len(refused)) == (1, 1)
-        assert os.listdir(out_dir) == [".lock"]
-        held[0].__exit__(None, None, None)
+        assert (len(held), len(refused)) == (1, 7)
         assert os.listdir(out_dir) == []
+        held[0].__exit__(None, None, None)
+        with OutputDirLock(out_dir):
+            pass
+
+    def test_run_after_a_diverged_run_exits_zero(self, tiny_data, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        code, _, _ = run_cli(capsys, "pretrain", "--data", str(tiny_data), "--out", str(out_dir),
+                             *PRETRAIN_SETS, "--set", "lr=100", "--set", "weight_decay=1e308")
+        assert code == 2
+        code, _, err = run_cli(capsys, "pretrain", "--data", str(tiny_data),
+                               "--out", str(out_dir), *PRETRAIN_SETS)
+        assert (code, err) == (0, "")
 
     def test_corrupt_dataset_exits_three(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -399,6 +408,16 @@ class TestEvalCommands:
                                   "--data", str(tiny_data))
         assert code == 0
         assert "davies_bouldin" in stdout and "calinski_harabasz" in stdout
+
+    def test_metrics_that_fail_print_nothing_on_stdout(self, tmp_path, capsys):
+        # one sample per class: Davies-Bouldin is defined, Calinski-Harabasz is not
+        data, checkpoint = tmp_path / "pair.txt", tmp_path / "ck.txt"
+        save_dataset(Dataset(np.eye(2, 4), np.arange(2), 2), data)
+        save_encoder(init_encoder([4, 5, 3], seeded_rng(0)), checkpoint)
+        code, stdout, err = run_cli(capsys, "metrics", "--checkpoint", str(checkpoint),
+                                    "--data", str(data))
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: need fewer classes than samples")
 
     def test_export_writes_labeled_rows(self, tiny_data, trained_run, tmp_path, capsys):
         out = tmp_path / "emb.txt"

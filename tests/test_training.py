@@ -321,7 +321,7 @@ class TestBlasThreads:
 
         def evaluate():
             return (embed(enc, ds.features),
-                    linear_eval(enc, train, test, epochs=3, rng=seeded_rng(3)))
+                    linear_eval(enc, train, test, 3, 3.0, 64, seeded_rng(3)))
 
         pooled_emb, pooled_top1 = evaluate()
         assert two_blas_threads() == 2
@@ -372,13 +372,13 @@ class TestLinearEval:
     def test_identity_encoder_on_separable_clusters(self):
         ds = axis_blob_dataset()
         train, test = split_dataset(ds, 0.8, seeded_rng(0))
-        acc = linear_eval(identity_encoder(5), train, test, rng=seeded_rng(1))
+        acc = linear_eval(identity_encoder(5), train, test, 100, 3.0, 64, seeded_rng(1))
         assert acc >= 0.95
 
     def test_zero_epoch_probe_reports_chance_of_argmax_at_init(self):
         ds = axis_blob_dataset()
         train, test = split_dataset(ds, 0.8, seeded_rng(0))
-        acc = linear_eval(identity_encoder(5), train, test, epochs=0, rng=seeded_rng(1))
+        acc = linear_eval(identity_encoder(5), train, test, 0, 3.0, 64, seeded_rng(1))
         # all-zero probe predicts class 0 everywhere; reported, not asserted
         print(f"zero-epoch probe accuracy: {acc:.3f}")
         assert 0.0 <= acc <= 1.0
@@ -388,7 +388,7 @@ class TestLinearEval:
         shuffled = Dataset(
             ds.features, seeded_rng(3).permutation(ds.labels), ds.class_count)
         train, test = split_dataset(shuffled, 0.8, seeded_rng(0))
-        acc = linear_eval(identity_encoder(5), train, test, rng=seeded_rng(1))
+        acc = linear_eval(identity_encoder(5), train, test, 100, 3.0, 64, seeded_rng(1))
         assert abs(acc - 1.0 / 5) <= 0.05
 
     def test_encoder_bit_identical_after_eval(self):
@@ -396,7 +396,7 @@ class TestLinearEval:
         train, test = split_dataset(ds, 0.8, seeded_rng(0))
         encoder = init_encoder([5, 6, 4], seeded_rng(2))
         before = encoder.vector.copy()
-        linear_eval(encoder, train, test, epochs=5, rng=seeded_rng(1))
+        linear_eval(encoder, train, test, 5, 3.0, 64, seeded_rng(1))
         assert np.array_equal(encoder.vector, before)
 
     def test_rejects_missing_class(self):
@@ -408,16 +408,14 @@ class TestLinearEval:
             train.class_count,
         )
         with pytest.raises(ConfigurationError, match=r"\[2\]"):
-            linear_eval(identity_encoder(5), narrowed, test, rng=seeded_rng(1))
+            linear_eval(identity_encoder(5), narrowed, test, 100, 3.0, 64, seeded_rng(1))
 
-    @pytest.mark.parametrize("momentum", [0.9, 0.0])
-    def test_probe_matches_the_reference_loop_bitwise(self, momentum):
+    def test_probe_matches_the_reference_loop_bitwise(self):
         # 200 samples in batches of 64: the last batch of each epoch holds 8
         ds = axis_blob_dataset()
         emb = encode(init_encoder([5, 6, 4], seeded_rng(2)), ds.features)[0]
-        probe = train_linear_probe(emb, ds.labels, 5, 7, 3.0, 64, seeded_rng(4), momentum)
-        weight, bias = train_linear_probe_reference(emb, ds.labels, 5, 7, 3.0, 64,
-                                                    seeded_rng(4), momentum)
+        probe = train_linear_probe(emb, ds.labels, 5, 7, 3.0, 64, seeded_rng(4))
+        weight, bias = train_linear_probe_reference(emb, ds.labels, 5, 7, 3.0, 64, seeded_rng(4))
         assert probe.weight.tobytes() == weight.tobytes()
         assert probe.bias.tobytes() == bias.tobytes()
 
