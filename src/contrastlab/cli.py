@@ -7,8 +7,8 @@ is echoed to a manifest file (same format, so manifests are valid configs)
 before any work starts.
 
 Exit codes: 0 success, 1 usage or bad config (an eval dataset whose width
-differs from the checkpoint's input included), 2 diverged run or failed
-self-check, 3 file-format or I/O problems.
+differs from the checkpoint's input, and an array too large to allocate,
+included), 2 diverged run or failed self-check, 3 file-format or I/O problems.
 """
 
 import argparse
@@ -29,7 +29,7 @@ from .encoder import ENCODER_MAGIC, embed, load_encoder, save_encoder
 from .errors import ConfigurationError, ContrastLabError, DivergedRunError, FormatError
 from .fileio import atomic_write
 from .moco import MOCO_MAGIC, MOCO_V1_MAGIC, load_moco, save_moco
-from .numerics import seeded_rng
+from .numerics import fits_one_array, seeded_rng
 from .selfcheck import gradient_suite, worst_relative_error
 from .training import (
     RunConfig,
@@ -78,6 +78,12 @@ class DataGenConfig:
         # the generators check the other knobs
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        counts = ((self.classes, self.spokes, self.per_mode) if self.kind == "spokes"
+                  else (self.classes, self.per_class))
+        samples = math.prod(counts)
+        if min(*counts, self.dim) >= 1 and not fits_one_array(samples * self.dim):
+            raise ConfigurationError(
+                f"{samples} samples of dim {self.dim} are more values than one array can hold")
 
 
 @dataclass
@@ -117,7 +123,7 @@ def _parse_value(text: str, target_type):
 def read_config_file(path) -> dict[str, str]:
     entries: dict[str, str] = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for line_no, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -126,7 +132,7 @@ def read_config_file(path) -> dict[str, str]:
                     raise ConfigurationError(f"{path}:{line_no}: expected key = value, got {raw!r}")
                 key, value = line.split("=", 1)
                 entries[key.strip()] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     return entries
 
@@ -264,18 +270,21 @@ def _cmd_pretrain(args) -> int:
 def _cmd_linear_eval(args) -> int:
     cfg = build_config(EvalConfig, args.config, args.set)
     encoder, dataset = _load_eval_inputs(args)
+    # like pretrain's run directory: after the inputs are checked, before the probe
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        write_manifest(cfg, os.path.join(args.out, "eval-manifest.cfg"))
     train, test = split_dataset(dataset, cfg.train_fraction, seeded_rng(cfg.seed))
     accuracy = linear_eval(
         encoder, train, test,
         epochs=cfg.probe_epochs, lr0=cfg.probe_lr, batch_size=cfg.probe_batch_size,
         rng=seeded_rng(cfg.seed + 1),
     )
-    print(f"top1_accuracy {accuracy:.4f}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        write_manifest(cfg, os.path.join(args.out, "eval-manifest.cfg"))
         with open(os.path.join(args.out, "results.txt"), "a") as fh:
             fh.write(f"{args.checkpoint} top1_accuracy {accuracy!r}\n")
+    # last, so a failed write leaves stdout empty
+    print(f"top1_accuracy {accuracy:.4f}")
     return EXIT_OK
 
 
@@ -373,6 +382,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except ContrastLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
 
 

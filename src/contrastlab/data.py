@@ -133,22 +133,22 @@ def generate_spoke_clusters(
     overflow = ConfigurationError(
         "base_radius * radius_growth^(classes - 1) and within_sigma must keep the features "
         f"inside float64, got {base_radius}, {radius_growth}, {within_sigma}")
-    features, labels = [], []
-    n_per_class = spokes * per_mode
-    for c in range(class_count):
+    # row (c, s, j) is class c's j-th sample on spoke s, drawn in place in that
+    # order; noise + center has the bits of center + noise
+    features = np.empty((class_count, spokes, per_mode, dim))
+    for c, block in enumerate(features):
         try:
             radius = base_radius * radius_growth**c
         except OverflowError:
             raise overflow from None
         with np.errstate(over="ignore", invalid="ignore"):
-            centers = radius * directions
-            noise = within_sigma * rng.standard_normal((n_per_class, dim))
-            features.append(np.repeat(centers, per_mode, axis=0) + noise)
-        labels.append(np.full(n_per_class, c))
-    features = np.concatenate(features)
+            rng.standard_normal(out=block)
+            block *= within_sigma
+            block += (radius * directions)[:, None, :]
+    features = features.reshape(-1, dim)
     if not np.isfinite(features).all():
         raise overflow
-    return Dataset(features, np.concatenate(labels), class_count)
+    return Dataset(features, np.repeat(np.arange(class_count), spokes * per_mode), class_count)
 
 
 def _augment(x: Tensor, noise_sigma: float, mask_fraction: float, scale_min: float,
@@ -258,7 +258,7 @@ def _read_v2_block(reader: LineReader, n: int, dim: int, classes: int):
     if parts[0] != "labels":
         raise FormatError(f"bad labels line: expected key 'labels', got {parts[0]!r}", start)
     try:
-        labels = np.array([int(p) for p in parts[1:]], dtype=np.int64)
+        labels = np.array(parts[1:], dtype=np.int64)  # int()'s rules, in one call
     except (ValueError, OverflowError):
         raise FormatError("non-integer label", start) from None
     if labels.size and (labels.min() < 0 or labels.max() >= classes):

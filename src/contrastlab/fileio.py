@@ -41,7 +41,11 @@ def atomic_write(path):
     leaves at most the temp file.
     """
     tmp = _hidden_path(path, "tmp")
-    fh = open(tmp, "x")
+    try:
+        fh = open(tmp, "x")
+    except OSError as exc:
+        # name the target: the caller never sees the temp file
+        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with fh:
             yield fh

@@ -18,7 +18,7 @@ from .encoder import (
 )
 from .errors import ConfigurationError, FormatError
 from .fileio import LineReader, atomic_write, write_hex_rows
-from .numerics import Tensor, l2_normalize_rows
+from .numerics import Tensor, guarded_row_norms
 
 MOCO_MAGIC = "contrastlab-moco 2"
 # The first layout, still read: the same lines with the queue rows as `repr`
@@ -50,8 +50,10 @@ def init_moco(layer_sizes, queue_size: int, ema_momentum: float, rng: np.random.
         raise ConfigurationError(f"EMA momentum must be in [0, 1], got {ema_momentum}")
     query = init_encoder(layer_sizes, rng)
     embed_dim = query.output_dim
-    queue = l2_normalize_rows(rng.normal(size=(queue_size, embed_dim))) if queue_size else \
-        np.zeros((0, embed_dim))
+    # drawn and normalized in place; at K = 0 the empty draw leaves `rng` as it was
+    queue = rng.standard_normal((queue_size, embed_dim))
+    queue += 0.0  # a drawn -0.0 becomes +0.0, as in `rng.normal`'s 0.0 + 1.0 * z
+    queue /= guarded_row_norms(queue)
     key = EncoderParams(query.layer_sizes, query.vector.copy())
     return MoCoState(query, key, queue, 0, ema_momentum)
 

@@ -36,6 +36,12 @@ def as_matrix(x, name: str = "input") -> Tensor:
     return out
 
 
+def fits_one_array(count: int) -> bool:
+    """Whether one numpy array can hold `count` float64 values: numpy refuses
+    an array whose size in bytes exceeds its index type's maximum."""
+    return 8 * count <= np.iinfo(np.intp).max
+
+
 def seeded_rng(seed: int) -> np.random.Generator:
     """Deterministic random stream: numpy Generator over the PCG64 bit stream.
 

@@ -28,7 +28,7 @@ from .encoder import (
 from .errors import ConfigurationError, DivergedRunError
 from .fileio import atomic_write, float_line, write_in_parts
 from .moco import MoCoState, enqueue_dequeue, init_moco, key_forward_no_grad, momentum_update
-from .numerics import Tensor, as_matrix, single_blas_thread, spawn_rngs
+from .numerics import Tensor, as_matrix, fits_one_array, single_blas_thread, spawn_rngs
 
 MODES = ("moco", "moco+mix", "simclr", "simclr+mix")
 
@@ -103,6 +103,15 @@ class RunConfig:
         ):
             if not ok:
                 raise ConfigurationError(f"{key} must be {rule}, got {getattr(self, key)!r}")
+        sizes = self.layer_sizes
+        params = sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes, sizes[1:]))
+        if not fits_one_array(params):
+            raise ConfigurationError(
+                f"layer sizes {sizes} make {params} parameters, more than one array can hold")
+        if not fits_one_array(self.queue_size * self.embed_dim):
+            raise ConfigurationError(
+                f"queue_size {self.queue_size} x embed_dim {self.embed_dim} is more values "
+                "than one array can hold")
 
     @property
     def uses_queue(self) -> bool:

@@ -13,7 +13,10 @@ block codec one row at a time, the reference for the chunked
 `encoder_backward_reference` are the encoder's forward and backward as first
 written, one fresh array per operation and the pre-activations kept: the
 bitwise references for the in-place `encoder.encode` and for the ReLU mask
-`encoder.encoder_backward` reads off the layer inputs.
+`encoder.encoder_backward` reads off the layer inputs. `moco_queue_direct`
+and `spoke_clusters_direct` are the MoCo queue draw and the spoke generator as
+first written, one fresh array per step: the bitwise references for
+`moco.init_moco` and `data.generate_spoke_clusters`, which draw in place.
 """
 
 import binascii
@@ -23,7 +26,7 @@ import numpy as np
 
 from contrastlab.encoder import ForwardTrace
 from contrastlab.errors import ConfigurationError, FormatError
-from contrastlab.numerics import DEFAULT_NORM_EPS, l2_normalize_rows_vjp
+from contrastlab.numerics import DEFAULT_NORM_EPS, l2_normalize_rows, l2_normalize_rows_vjp
 
 
 def infonce_direct(queries, keys, queue, tau):
@@ -310,3 +313,28 @@ def encoder_backward_reference(params, trace, pre_activations, grad_v):
             gz = gz * (pre_activations[l - 1] > 0.0)
     blocks = [block for pair in zip(reversed(grad_w), reversed(grad_b)) for block in pair]
     return np.concatenate(blocks)
+
+
+def moco_queue_direct(queue_size, embed_dim, rng):
+    """The initial (K, C) queue: K rows of N(0, 1) draws, each divided by its
+    guarded norm; K = 0 draws nothing."""
+    if not queue_size:
+        return np.zeros((0, embed_dim))
+    return l2_normalize_rows(rng.normal(size=(queue_size, embed_dim)))
+
+
+def spoke_clusters_direct(class_count, spokes, per_mode, dim, base_radius, radius_growth,
+                          within_sigma, rng):
+    """Spoke features and labels one class at a time: unit directions, then
+    per class the repeated centers plus a fresh block of scaled noise, joined
+    at the end. Valid arguments only; nothing is checked."""
+    directions = l2_normalize_rows(rng.standard_normal((spokes, dim)))
+    features, labels = [], []
+    n_per_class = spokes * per_mode
+    for c in range(class_count):
+        radius = base_radius * radius_growth**c
+        centers = radius * directions
+        noise = within_sigma * rng.standard_normal((n_per_class, dim))
+        features.append(np.repeat(centers, per_mode, axis=0) + noise)
+        labels.append(np.full(n_per_class, c))
+    return np.concatenate(features), np.concatenate(labels)

@@ -614,6 +614,53 @@ class TestErrorExitCodes:
         assert run_cli(capsys, "gradcheck") == (code, "", f"{prefix}the command failed\n")
 
 
+MEMORY_ERROR = ("import runpy, contrastlab.data as data\n"
+                "def refuse(*args):\n"
+                "    raise MemoryError('Unable to allocate 142. PiB')\n"
+                "data.generate_spoke_clusters = refuse\n"
+                "runpy.run_module('contrastlab.cli', run_name='__main__', alter_sys=True)\n")
+
+
+class TestFailuresWithoutTraceback:
+    """Input that cannot be served exits with its code and one stderr line,
+    stdout empty, when run as a user runs it: `python -m contrastlab.cli`
+    (a patched generator stands in for an allocation that fails)."""
+
+    @pytest.mark.parametrize("prelude, argv, code, stderr", [
+        (None, ["linear-eval", "--checkpoint", "{checkpoint}", "--data", "{data}",
+                "--out", "{data}"],
+         3, "file error: [Errno 17] File exists: '{data}'"),
+        (None, ["gen-data", "--config", "{latin1}", "--out", "{tmp}/d.txt"],
+         1, "error: cannot read config {latin1}: 'utf-8' codec can't decode byte 0xe9 in "
+            "position 5: invalid continuation byte"),
+        (None, ["pretrain", "--data", "{data}", "--out", "{tmp}/run", *PRETRAIN_SETS,
+                "--set", "hidden_dims=1000000000000000000"],
+         1, "error: layer sizes [6, 1000000000000000000, 6] make 13000000000000000006 "
+            "parameters, more than one array can hold"),
+        (None, ["gen-data", "--set", "per_mode=100000000000000000", "--out", "{tmp}/d.txt"],
+         1, "error: 10000000000000000000 samples of dim 20 are more values than one array "
+            "can hold"),
+        (MEMORY_ERROR, ["gen-data", "--out", "{tmp}/d.txt"],
+         1, "error: Unable to allocate 142. PiB"),
+        (None, ["export-embeddings", "--checkpoint", "{checkpoint}", "--data", "{data}",
+                "--out", "{tmp}/nodir/e.txt"],
+         3, "file error: [Errno 2] No such file or directory: '{tmp}/nodir/e.txt'"),
+    ], ids=["linear-eval-out-is-a-file", "config-not-utf8", "parameters-beyond-numpy",
+            "dataset-beyond-numpy", "memory-error", "export-dir-missing"])
+    def test_exits_with_one_line(self, prelude, argv, code, stderr, tiny_data, trained_run,
+                                 tmp_path):
+        latin1 = tmp_path / "latin1.cfg"
+        latin1.write_bytes("seed=\u00e9\n".encode("latin-1"))
+        names = dict(checkpoint=trained_run, data=tiny_data, latin1=latin1, tmp=tmp_path)
+        argv = [arg.format(**names) for arg in argv]
+        run = [sys.executable, *(["-c", prelude] if prelude else ["-m", "contrastlab.cli"])]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        done = subprocess.run(run + argv, env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout) == (code, "")
+        assert done.stderr == stderr.format(**names) + "\n"
+        assert not (tmp_path / "d.txt").exists() and not (tmp_path / "run").exists()
+
+
 class TestUsage:
     def test_unknown_subcommand_exits_nonzero(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")

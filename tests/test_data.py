@@ -9,6 +9,7 @@ from contrastlab.data import (
     Dataset,
     epoch_batches,
     generate_gaussian_clusters,
+    generate_spoke_clusters,
     load_dataset,
     save_dataset,
     split_dataset,
@@ -16,7 +17,7 @@ from contrastlab.data import (
 )
 from contrastlab.errors import ConfigurationError, FormatError
 from contrastlab.numerics import seeded_rng
-from oracles import save_dataset_v1
+from oracles import save_dataset_v1, spoke_clusters_direct
 
 
 class TestGenerator:
@@ -53,6 +54,20 @@ class TestGenerator:
             generate_gaussian_clusters(1, 5, 2, 4.0, 0.5, seeded_rng(0))
         with pytest.raises(ConfigurationError):
             generate_gaussian_clusters(3, 5, 2, 4.0, 0.0, seeded_rng(0))
+
+
+class TestSpokeGenerator:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("args", [(10, 10, 50, 20, 8.0, 1.3, 0.5),
+                                      (2, 1, 1, 1, 1.0, 2.0, 1.0),
+                                      (3, 4, 7, 5, 0.1, 1.01, 3.0)])
+    def test_dataset_has_the_bits_of_the_per_class_draws(self, seed, args):
+        rng, direct_rng = seeded_rng(seed), seeded_rng(seed)
+        ds = generate_spoke_clusters(*args, rng)
+        features, labels = spoke_clusters_direct(*args, direct_rng)
+        assert ds.features.tobytes() == features.tobytes()
+        assert ds.labels.dtype == labels.dtype and np.array_equal(ds.labels, labels)
+        assert rng.bit_generator.state == direct_rng.bit_generator.state
 
 
 class TestTwoViews:
@@ -167,6 +182,24 @@ class TestDatasetFile:
         with pytest.raises(FormatError, match="byte offset") as info:
             load_dataset(path)
         assert info.value.offset == sum(len(line) + 1 for line in lines[:3])
+
+    @pytest.mark.parametrize("token, label", [
+        ("+1", 1), ("0_1", 1), ("-0", 0), ("002", 2),
+        ("1.5", None), ("1e0", None), ("0x1", None), ("1" * 20, None), ("-" + "9" * 19, None),
+    ])
+    def test_label_tokens_are_read_as_int_reads_them(self, token, label, tmp_path):
+        ds = generate_gaussian_clusters(3, 2, 4, 6.0, 1.3, seeded_rng(19))
+        path = tmp_path / "data.txt"
+        save_dataset(ds, path)
+        lines = path.read_text().split("\n")
+        assert lines[2] == "labels 0 0 1 1 2 2"
+        lines[2] = f"labels 0 0 {token} 1 2 2"
+        path.write_text("\n".join(lines))
+        if label is None:
+            with pytest.raises(FormatError, match="non-integer label"):
+                load_dataset(path)
+        else:
+            assert load_dataset(path).labels.tolist() == [0, 0, label, 1, 2, 2]
 
     def test_readme_recipe_reads_the_features_bit_for_bit(self, tmp_path, monkeypatch):
         readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()

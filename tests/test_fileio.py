@@ -37,6 +37,13 @@ class TestAtomicWrite:
         assert path.read_text() == "old\n"
         assert os.listdir(tmp_path) == ["out.txt"]
 
+    def test_a_missing_directory_is_reported_under_the_target_name(self, tmp_path):
+        path = tmp_path / "nodir" / "out.txt"
+        with pytest.raises(FileNotFoundError) as info, atomic_write(path):
+            pass
+        assert info.value.filename == str(path)
+        assert str(info.value) == f"[Errno 2] No such file or directory: '{path}'"
+
     def test_raising_block_creates_nothing(self, tmp_path):
         with pytest.raises(Interrupted), atomic_write(tmp_path / "new.txt"):
             raise Interrupted

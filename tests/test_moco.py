@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from contrastlab.cli import main
 from contrastlab.data import generate_spoke_clusters, load_dataset, save_dataset
-from contrastlab.encoder import encode, load_encoder, save_encoder
+from contrastlab.encoder import encode, init_encoder, load_encoder, save_encoder
 from contrastlab.errors import ConfigurationError, FormatError
 from contrastlab.moco import (
     enqueue_dequeue,
@@ -16,7 +16,7 @@ from contrastlab.moco import (
     save_moco,
 )
 from contrastlab.numerics import l2_normalize_rows, seeded_rng
-from oracles import save_dataset_v1
+from oracles import moco_queue_direct, save_dataset_v1
 
 
 def all_params(encoder_params):
@@ -41,6 +41,42 @@ class TestInit:
         assert np.array_equal(a.queue, b.queue)
         for qa, qb in zip(all_params(a.query), all_params(b.query)):
             assert np.array_equal(qa, qb)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("sizes, queue_size", [
+        ([20, 64, 64], 512), ([4, 6, 3], 8), ([3, 1], 5), ([4, 6, 3], 0)])
+    def test_state_has_the_bits_of_the_first_draws(self, seed, sizes, queue_size):
+        rng, direct_rng = seeded_rng(seed), seeded_rng(seed)
+        state = init_moco(sizes, queue_size, 0.99, rng)
+        query = init_encoder(sizes, direct_rng)
+        queue = moco_queue_direct(queue_size, sizes[-1], direct_rng)
+        assert state.query.vector.tobytes() == query.vector.tobytes()
+        assert state.queue.shape == queue.shape
+        assert state.queue.tobytes() == queue.tobytes()
+        assert rng.bit_generator.state == direct_rng.bit_generator.state
+
+    def test_a_drawn_negative_zero_enters_the_queue_as_positive_zero(self):
+        class NegativeZeroDraws:
+            """A Generator whose every standard normal block starts with -0.0;
+            `normal` is loc + scale * z over it, as numpy's is."""
+
+            def __init__(self):
+                self.rng = seeded_rng(8)
+
+            def standard_normal(self, size):
+                z = self.rng.standard_normal(size)
+                z.flat[0] = -0.0
+                return z
+
+            def normal(self, loc=0.0, scale=1.0, size=None):
+                return loc + scale * self.standard_normal(size)
+
+        state = init_moco([4, 6, 3], 8, 0.99, NegativeZeroDraws())
+        direct_rng = NegativeZeroDraws()
+        init_encoder([4, 6, 3], direct_rng)
+        queue = moco_queue_direct(8, 3, direct_rng)
+        assert state.queue[0, 0] == 0.0 and not np.signbit(state.queue[0, 0])
+        assert state.queue.tobytes() == queue.tobytes()
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ConfigurationError):

@@ -72,6 +72,12 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError):
             RunConfig(mode="moco", batch_size=64, queue_size=96)
 
+    def test_rejects_a_queue_no_array_can_hold(self):
+        limit = np.iinfo(np.intp).max // 8  # float64 values in the largest array
+        assert RunConfig(batch_size=2, embed_dim=1, queue_size=limit - 1).queue_size == limit - 1
+        with pytest.raises(ConfigurationError, match="queue_size .* than one array can hold"):
+            RunConfig(batch_size=2, embed_dim=1, queue_size=limit + 1)
+
     def test_rejects_unknown_mode(self):
         with pytest.raises(ConfigurationError):
             RunConfig(mode="byol")
