@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 from .data import (
     generate_gaussian_clusters,
@@ -199,7 +200,6 @@ class OutputDirLock:
 
     def __exit__(self, *exc_info):
         os.close(self.fd)
-        return False
 
 
 def load_any_encoder(path):
@@ -248,10 +248,24 @@ def _cmd_pretrain(args) -> int:
     config = build_config(RunConfig, args.config, args.set)
     dataset = load_dataset(args.data)
     config.require_fits(dataset)  # before the run directory exists
+    made = not os.path.isdir(args.out)
     os.makedirs(args.out, exist_ok=True)
+    manifest = os.path.join(args.out, "manifest.cfg")
     with OutputDirLock(args.out):
-        write_manifest(config, os.path.join(args.out, "manifest.cfg"))
-        result = pretrain(config, dataset)
+        previous = Path(manifest).read_bytes() if os.path.exists(manifest) else None
+        write_manifest(config, manifest)
+        try:
+            result = pretrain(config, dataset)
+        except (ConfigurationError, MemoryError):
+            # exit 1 (an encoder too large to allocate, say): undo the manifest
+            if previous is None:
+                os.unlink(manifest)
+            else:
+                with atomic_write(manifest) as fh:
+                    fh.buffer.write(previous)
+            if made:
+                os.rmdir(args.out)
+            raise
         checkpoint = os.path.join(args.out, "checkpoint.txt")
         if result.moco_state is not None:
             save_moco(result.moco_state, checkpoint, seed=config.seed)

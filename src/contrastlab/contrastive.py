@@ -14,7 +14,6 @@ and `mixed_query_loss` check theirs, raising ConfigurationError, and call
 it. A non-finite loss raises DivergedRunError.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -76,20 +75,6 @@ class Contrast:
     grad_keys: Tensor | None
 
 
-@functools.lru_cache(maxsize=16)
-def _index_plan(nq: int, half: int) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """`contrast`'s read-only index arrays for nq query rows and half mixed
-    rows: all rows, the query rows, and each row's first and second target
-    column (a query row's are both its own key)."""
-    rows = np.arange(nq + half)
-    own = rows[:nq]
-    first = np.concatenate([own, rows[:half]])
-    second = np.concatenate([own, rows[:half] + half])
-    for index in (rows, own, first, second):
-        index.flags.writeable = False
-    return rows, own, first, second
-
-
 def contrast(queries: Tensor, keys: Tensor, queue: Tensor | None, temperature: float,
              mixed: Tensor, lambdas: Tensor, mix_temperature: float,
              mix_weight: float = 1.0) -> Contrast:
@@ -116,23 +101,24 @@ def contrast(queries: Tensor, keys: Tensor, queue: Tensor | None, temperature: f
     DivergedRunError naming its term.
     """
     (b, c), nq, half = keys.shape, queries.shape[0], mixed.shape[0]
-    rows, own, first, second = _index_plan(nq, half)
-    scaled = np.empty((rows.size, c))
+    rows, width = nq + half, b + (0 if queue is None else queue.shape[0])
+    scaled = np.empty((rows, c))
     np.divide(queries, temperature, out=scaled[:nq])
     np.divide(mixed, mix_temperature, out=scaled[nq:])
-    logits = np.empty((rows.size, b + (0 if queue is None else queue.shape[0])))
+    flat = np.empty(rows * width)
+    logits = flat.reshape(rows, width)
+    # writable strided views of the targets: query row i at column i, mixed
+    # row m at columns m and m + B/2
+    own = flat[: nq * (width + 1) : width + 1]
+    first = flat[nq * width :: width + 1][:half]
+    second = flat[nq * width + half :: width + 1][:half]
     np.matmul(scaled, keys.T, out=logits[:, :b])
+    rest = 1.0 - lambdas
+    picked = np.concatenate([own, lambdas * first + rest * second])
     if queue is not None:
         np.matmul(scaled, queue.T, out=logits[:, b:])
-        positives = logits[own, own]
         logits[:nq, :b] = -np.inf
-        logits[own, own] = positives
-    # row r credits weight[r] to column first[r] and rest[r] to second[r]
-    weight = np.empty(rows.size)
-    weight[:nq] = 1.0
-    weight[nq:] = lambdas
-    rest = 1.0 - weight
-    picked = weight * logits[rows, first] + rest * logits[rows, second]
+        own[:] = picked[:nq]
     peak = logits.max(axis=1, keepdims=True)
     np.subtract(logits, peak, out=logits)
     np.exp(logits, out=logits)
@@ -140,11 +126,12 @@ def contrast(queries: Tensor, keys: Tensor, queue: Tensor | None, temperature: f
     losses = peak[:, 0] + np.log(total) - picked
     # softmax - targets, each row times d(term mean)/d(logit); max(., 1)
     # keeps an empty block's unused factor finite
-    scale = np.full(rows.size, 1.0 / (max(nq, 1) * temperature))
+    scale = np.full(rows, 1.0 / (max(nq, 1) * temperature))
     scale[nq:] = mix_weight / (max(half, 1) * mix_temperature)
     np.multiply(logits, (scale / total)[:, None], out=logits)
-    logits[rows, first] -= weight * scale
-    logits[rows, second] -= rest * scale
+    own -= scale[:nq]
+    first -= lambdas * scale[nq:]
+    second -= rest * scale[nq:]
 
     grad = logits[:, :b] @ keys
     grad_keys = None

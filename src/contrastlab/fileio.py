@@ -11,36 +11,34 @@ reads it, both in chunks of 256 rows, so a block costs a few C-level calls per
 chunk and temporaries of one chunk's size.
 Whole-file writers go through `atomic_write`, so a reader sees either the old
 file or the complete new one. `write_in_parts` formats a long run of rows on
-several processes at once and appends them in order, byte for byte as one
-process would.
+several processes at once, each into an unnamed temporary file, and appends
+them in order, byte for byte as one process would.
 """
 
 import binascii
 import contextlib
 import os
+import shutil
 import signal
+import tempfile
 
 import numpy as np
 
 from .errors import FormatError
 
 
-def _hidden_path(path, suffix: str) -> str:
-    """A new hidden file name next to `path`, unique to this process."""
-    head, tail = os.path.split(os.fspath(path))
-    return os.path.join(head, f".{tail}.{os.getpid()}.{os.urandom(4).hex()}.{suffix}")
-
-
 @contextlib.contextmanager
 def atomic_write(path):
     """Yield a text handle whose content replaces `path` when the block ends.
 
-    Writes go to a new hidden temp file in the target directory, which is
-    synced and then moved over `path` with `os.replace`. If the block raises,
+    Writes go to a new hidden temp file in the target directory, named for
+    the target and this process, which is synced and then moved over `path`
+    with `os.replace`. If the block raises,
     the temp file is removed and `path` is left as it was; a killed process
     leaves at most the temp file.
     """
-    tmp = _hidden_path(path, "tmp")
+    head, tail = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
         fh = open(tmp, "x")
     except OSError as exc:
@@ -58,66 +56,60 @@ def atomic_write(path):
         raise
 
 
-# bytes per read when a part file is appended to the output
-_COPY_BYTES = 64 * 1024
-
-
 def write_in_parts(fh, path, bounds, write_rows) -> None:
     """Write rows bounds[0]..bounds[-1] to the text handle `fh` of `path`'s
     `atomic_write` block, as `write_rows(handle, lo, hi)` over each part
     lo..hi of the ascending `bounds` would in turn.
 
     Part 0 is written here, straight into `fh`. Each later part is written at
-    the same time by a helper made with `os.fork`, which inherits the rows,
-    writes its part to a hidden part file next to `path` and ends with
+    the same time by a helper made with `os.fork`, into an unnamed temporary
+    file in `path`'s directory that it inherits, and the helper ends with
     `os._exit`; `write_rows` must not call BLAS, whose thread pool does not
-    survive a fork. The parts are then appended in order and deleted. If a
-    helper fails this raises OSError; on any failure, Ctrl-C included, the
-    helpers still running are killed and every helper and part file is gone
-    before the error propagates. A killed process can leave part files, as it
-    can leave `atomic_write` temps.
+    survive a fork. The parts are then appended in order. If a helper fails
+    this raises OSError; on any failure, Ctrl-C included, the helpers still
+    running are killed and reaped before the error propagates. A part has
+    no name, so however the process ends, it leaves no part file behind.
     """
-    parts = [_hidden_path(path, "part") for _ in bounds[2:]]
+    directory = os.path.dirname(os.path.abspath(path))
     helpers = {}  # part index -> pid of the helper not yet waited for
-    try:
-        for i, part in enumerate(parts):
-            pid = os.fork()
-            if pid == 0:
-                _helper(part, write_rows, bounds[i + 1], bounds[i + 2])
-            helpers[i] = pid
-        write_rows(fh, bounds[0], bounds[1])
-        fh.flush()
-        for i, part in enumerate(parts):
-            status = os.waitstatus_to_exitcode(os.waitpid(helpers[i], 0)[1])
-            del helpers[i]
-            if status:
-                raise OSError(f"the helper writing rows {bounds[i + 1]}..{bounds[i + 2]} "
-                              f"of {path} ended with exit status {status}")
-            with open(part, "rb", buffering=0) as src:
-                while chunk := src.read(_COPY_BYTES):
-                    fh.buffer.write(chunk)
-    finally:
-        for pid in helpers.values():
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        for part in parts:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(part)
+    with contextlib.ExitStack() as stack:
+        parts = [stack.enter_context(tempfile.TemporaryFile(dir=directory, buffering=0))
+                 for _ in bounds[2:]]
+        try:
+            for i, part in enumerate(parts):
+                pid = os.fork()
+                if pid == 0:
+                    _helper(part.fileno(), path, write_rows, bounds[i + 1], bounds[i + 2])
+                helpers[i] = pid
+            write_rows(fh, bounds[0], bounds[1])
+            fh.flush()
+            for i, part in enumerate(parts):
+                status = os.waitstatus_to_exitcode(os.waitpid(helpers[i], 0)[1])
+                del helpers[i]
+                if status:
+                    raise OSError(f"the helper writing rows {bounds[i + 1]}..{bounds[i + 2]} "
+                                  f"of {path} ended with exit status {status}")
+                part.seek(0)
+                shutil.copyfileobj(part, fh.buffer)
+        finally:
+            for pid in helpers.values():
+                with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
 
 
-def _helper(part, write_rows, lo, hi):
-    """A forked helper's whole life: write rows lo..hi to the new file `part`
-    and end the process, with status 0 only if every row was written. It
-    never returns into the code it was forked from."""
+def _helper(fd, path, write_rows, lo, hi):
+    """A forked helper's whole life: write rows lo..hi of `path` to the open
+    file `fd` and end the process, with status 0 only if every row was
+    written. It never returns into the code it was forked from."""
     status = 1
     try:
-        with open(part, "x") as out:
+        with open(fd, "w", closefd=False) as out:
             write_rows(out, lo, hi)
         status = 0
     except Exception as exc:
         with contextlib.suppress(OSError):
-            os.write(2, f"error writing rows {lo}..{hi} to {part}: {exc!r}\n".encode())
+            os.write(2, f"error writing rows {lo}..{hi} to {path}: {exc!r}\n".encode())
     finally:
         os._exit(status)
 
@@ -192,25 +184,16 @@ class LineReader:
         except ValueError as exc:
             raise FormatError(f"bad float in {what}", start) from exc
 
-    def int_after(self, key: str, what: str) -> int:
+    def value_after(self, key: str, what: str, parse):
+        """`parse` (int or float) of the value on a `key value` line."""
         start = self._pos
         parts = self.fields(what, 2)
         if parts[0] != key:
             raise FormatError(f"bad {what}: expected key {key!r}, got {parts[0]!r}", start)
         try:
-            return int(parts[1])
+            return parse(parts[1])
         except ValueError as exc:
-            raise FormatError(f"bad integer in {what}", start) from exc
-
-    def float_after(self, key: str, what: str) -> float:
-        start = self._pos
-        parts = self.fields(what, 2)
-        if parts[0] != key:
-            raise FormatError(f"bad {what}: expected key {key!r}, got {parts[0]!r}", start)
-        try:
-            return float(parts[1])
-        except ValueError as exc:
-            raise FormatError(f"bad float in {what}", start) from exc
+            raise FormatError(f"bad {parse.__name__} in {what}", start) from exc
 
     def check_size(self, rows: int, cols: int, what: str) -> None:
         """Reject a declared rows x cols block that is negative or larger than

@@ -121,13 +121,13 @@ def load_moco(path) -> tuple[MoCoState, int]:
     magic = reader.next_line("magic line")
     if magic not in (MOCO_MAGIC, MOCO_V1_MAGIC):
         raise FormatError(f"bad magic line: expected {MOCO_MAGIC!r}, got {magic!r}", 0)
-    seed = reader.int_after("seed", "seed line")
+    seed = reader.value_after("seed", "seed line", int)
     at = reader.offset
-    ema = reader.float_after("ema_momentum", "ema line")
+    ema = reader.value_after("ema_momentum", "ema line", float)
     if not 0.0 <= ema <= 1.0:  # NaN fails too
         raise FormatError(f"ema_momentum {ema!r} is not in [0, 1]", at)
     ptr_at = reader.offset
-    ptr = reader.int_after("queue_ptr", "pointer line")
+    ptr = reader.value_after("queue_ptr", "pointer line", int)
     queue_at = reader.offset
     head = reader.fields("queue header", 3)
     try:

@@ -92,8 +92,9 @@ STEP_CASES = [
 ]
 
 
-def gradient_suite(step: float = 1e-5) -> list[tuple[str, GradCheckReport]]:
-    """Run every configured check; returns (name, report) pairs."""
+def gradient_suite() -> list[tuple[str, GradCheckReport]]:
+    """Run every configured check at finite-difference step 1e-5; returns
+    (name, report) pairs."""
     cases = []
     for i, (b, k, c) in enumerate([(2, 2, 2), (4, 4, 3), (4, 8, 8), (8, 4, 5), (6, 6, 4), (8, 8, 2), (8, 512, 8)]):
         cases.append((f"contrastive b{b} k{k} c{c}", *_loss_case(100 + i, b, k, c, False)))
@@ -104,7 +105,7 @@ def gradient_suite(step: float = 1e-5) -> list[tuple[str, GradCheckReport]]:
     for mode, seed, b, k, mix_weight in STEP_CASES:
         cases.append((f"step {mode} b{b} k{k} w{mix_weight:g}",
                       *_step_case(mode, seed, b, k, mix_weight)))
-    return [(name, finite_difference_check(f, point, step)) for name, f, point in cases]
+    return [(name, finite_difference_check(f, point, 1e-5)) for name, f, point in cases]
 
 
 def worst_relative_error(results: list[tuple[str, GradCheckReport]]) -> float:

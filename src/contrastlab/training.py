@@ -157,11 +157,10 @@ class PretrainResult:
     moco_state: MoCoState | None  # None in simclr modes
 
 
-def epoch_lr(config: RunConfig, epoch: int) -> float:
-    """Learning rate for a 1-based epoch; cosine decays to 0 over the run."""
-    if config.lr_schedule == "constant":
-        return config.lr
-    return config.lr * 0.5 * (1.0 + math.cos(math.pi * (epoch - 1) / config.epochs))
+def _cosine(base: float, done: int, total: int) -> float:
+    """The cosine learning rate of pretraining and of the linear probe: `base`
+    after no epoch is done, decaying to 0 when all `total` are."""
+    return base * 0.5 * (1.0 + math.cos(math.pi * done / total))
 
 
 @single_blas_thread()
@@ -190,7 +189,8 @@ def pretrain(config: RunConfig, dataset: Dataset) -> PretrainResult:
     records: list[MetricsRecord] = []
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
-        lr_now = epoch_lr(config, epoch)
+        lr_now = (config.lr if config.lr_schedule == "constant"
+                  else _cosine(config.lr, epoch - 1, config.epochs))
         sum_contrast = sum_mix = sum_total = 0.0
         batches = epoch_batches(n, config.batch_size, batch_rng)
         for batch_index, idx in enumerate(batches):
@@ -308,7 +308,7 @@ def train_linear_probe(
     bias, grad_b = params[size:], grads[size:]
     base_lr = lr0 * batch_size / 256.0
     for epoch in range(epochs):
-        lr_now = base_lr * 0.5 * (1.0 + math.cos(math.pi * epoch / epochs))
+        lr_now = _cosine(base_lr, epoch, epochs)
         perm = rng.permutation(n)
         # the epoch's one-hot targets in batch order; subtracting their 0.0
         # entries leaves a softmax entry unchanged

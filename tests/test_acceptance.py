@@ -59,7 +59,7 @@ def test_gradient_suite():
     """Analytic gradients of every loss, and of the training step itself in
     each of the four modes, match central finite differences at < 1e-5."""
     started = time.perf_counter()
-    results = gradient_suite(step=1e-5)
+    results = gradient_suite()
     elapsed = time.perf_counter() - started
     assert len(results) >= 20
     for mode in MODES:

@@ -156,7 +156,22 @@ class TestPretrainCommand:
                 "--set", "epochs=2")
         assert code == 2
         assert stderr == "diverged: non-finite parameter in W0 (epoch 1, batch 0)\n"
-        assert not (out_dir / "checkpoint.txt").exists()
+        assert os.listdir(out_dir) == ["manifest.cfg"]  # kept to reproduce the run
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-directory", "earlier-run"])
+    def test_encoder_too_large_to_allocate_leaves_the_directory_as_it_was(
+            self, existing, tiny_data, tmp_path, capsys):
+        out_dir, before = tmp_path / "run", None
+        if existing:
+            assert run_cli(capsys, "pretrain", "--data", str(tiny_data), "--out", str(out_dir),
+                           *PRETRAIN_SETS)[0] == 0
+            before = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+        code, out, err = run_cli(capsys, "pretrain", "--data", str(tiny_data),
+                                 "--out", str(out_dir), *PRETRAIN_SETS,
+                                 "--set", "hidden_dims=10000000000000000")
+        assert (code, out) == (1, "") and err.startswith("error: Unable to allocate ")
+        after = {path.name: path.read_bytes() for path in out_dir.iterdir()} if existing else None
+        assert after == before and out_dir.exists() == existing
 
     def test_simclr_mode_writes_encoder_checkpoint(self, tiny_data, tmp_path, capsys):
         out_dir = tmp_path / "run"

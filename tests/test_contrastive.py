@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contrastlab.contrastive import (
-    _index_plan,
     _mix,
     contrast,
     infonce_loss,
@@ -495,19 +494,8 @@ class TestContrastKernel:
                     DivergedRunError, match=f"^non-finite {term} loss$"):
                 contrast(queries, keys, queue, tau, mixed, lam, tau_mix)
 
-    def test_index_plan_is_cached_and_read_only(self):
-        plan = _index_plan(4, 2)
-        assert _index_plan(4, 2) is plan
-        rows, own, first, second = plan
-        assert rows.tolist() == [0, 1, 2, 3, 4, 5] and own.tolist() == [0, 1, 2, 3]
-        assert first.tolist() == [0, 1, 2, 3, 0, 1]
-        assert second.tolist() == [0, 1, 2, 3, 2, 3]
-        for index in plan:
-            with pytest.raises(ValueError, match="read-only"):
-                index[0] = 7
-
     def test_repeated_calls_give_identical_bits(self):
-        # a call must leave nothing behind in the cached plan
+        # a call keeps no state: its targets are views of its own logits buffer
         operands = self.instance(35, 8, 8, 4)
         first, second = contrast(*operands), contrast(*operands)
         assert (first.contrast, first.mixed) == (second.contrast, second.mixed)

@@ -1,5 +1,9 @@
 import io
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -167,10 +171,57 @@ def test_cli_export_exits_3_when_a_helper_fails(tmp_path, monkeypatch, capfd, no
     capfd.readouterr()
     assert cli.main(argv) == 3
     err = capfd.readouterr().err
-    assert "error writing rows 513..1026 to " in err and ": Interrupted()" in err
+    assert f"error writing rows 513..1026 to {out}: Interrupted()\n" in err
     assert f"file error: the helper writing rows 513..1026 of {out} ended with exit status 1" in err
     assert out.read_bytes() == before
     assert sorted(os.listdir(tmp_path)) == ["ck.txt", "data.txt", "emb.txt"]
+
+
+def test_a_killed_export_leaves_only_its_temp_file(tmp_path, no_child_left):
+    """SIGKILL the process group of a two-part export while it writes: the
+    helper's part has no name, so at most the `atomic_write` temp remains."""
+    dataset, checkpoint, out = (tmp_path / name for name in ("data.txt", "ck.txt", "emb.txt"))
+    data.save_dataset(generate_spoke_clusters(10, 10, 400, 20, 8.0, 1.3, 0.5, seeded_rng(0)),
+                      dataset)
+    encoder.save_encoder(encoder.init_encoder([20, 64, 64], seeded_rng(0)), checkpoint)
+    code = ("import os, sys\nos.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from contrastlab.cli import main\nsys.exit(main(sys.argv[1:]))\n")
+    argv = ["export-embeddings", "--checkpoint", str(checkpoint), "--data", str(dataset),
+            "--out", str(out)]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    with subprocess.Popen([sys.executable, "-c", code, *argv], env=env,
+                          start_new_session=True) as export:
+        # part 0 is written after the helper starts: kill once it is well under way
+        deadline = time.monotonic() + 60
+        while not any(name.endswith(".tmp") and (tmp_path / name).stat().st_size > 1 << 18
+                      for name in os.listdir(tmp_path)):
+            assert export.poll() is None and time.monotonic() < deadline
+            time.sleep(0.005)
+        os.killpg(export.pid, signal.SIGKILL)
+    left = sorted(os.listdir(tmp_path))
+    assert left[:1] and left[0].startswith(".emb.txt.") and left[0].endswith(".tmp")
+    assert left[1:] == ["ck.txt", "data.txt"]
+
+
+@pytest.mark.parametrize("text, parse, message", [
+    ("seed 12\n", int, None),
+    ("ema 0.5\n", float, None),
+    ("seeds 12\n", int, "bad seed line: expected key 'seed', got 'seeds' (byte offset 6)"),
+    ("seed 1.5\n", int, "bad int in seed line (byte offset 6)"),
+    ("seed x\n", float, "bad float in seed line (byte offset 6)"),
+    ("seed 1 2\n", int, "bad seed line: expected 2 fields, got 3 (byte offset 6)"),
+], ids=["int", "float", "key", "not-an-int", "not-a-float", "fields"])
+def test_value_after_names_the_line_and_its_offset(text, parse, message, tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text("magic\n" + text)
+    reader = LineReader(path)
+    reader.next_line()
+    if message is None:
+        assert reader.value_after(text.split()[0], "seed line", parse) == parse(text.split()[1])
+    else:
+        with pytest.raises(FormatError) as info:
+            reader.value_after("seed", "seed line", parse)
+        assert str(info.value) == message
 
 
 def test_write_metrics_interrupted_partway_keeps_the_earlier_file(tmp_path):
