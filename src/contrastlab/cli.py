@@ -12,6 +12,7 @@ included), 2 diverged run or failed self-check, 3 file-format or I/O problems.
 """
 
 import argparse
+import contextlib
 import fcntl
 import math
 import os
@@ -34,6 +35,7 @@ from .numerics import fits_one_array, seeded_rng
 from .selfcheck import gradient_suite, worst_relative_error
 from .training import (
     RunConfig,
+    _check_rules,
     calinski_harabasz,
     davies_bouldin,
     export_embeddings,
@@ -77,8 +79,10 @@ class DataGenConfig:
 
     def __post_init__(self):
         # the generators check the other knobs
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        _check_rules(self, (
+            ("kind", self.kind in ("spokes", "gaussian"), "spokes or gaussian"),
+            ("seed", self.seed >= 0, ">= 0"),
+        ))
         counts = ((self.classes, self.spokes, self.per_mode) if self.kind == "spokes"
                   else (self.classes, self.per_class))
         samples = math.prod(counts)
@@ -99,66 +103,48 @@ class EvalConfig:
 
     def __post_init__(self):
         # a probe that never steps prints chance accuracy as if it were a result
-        for key, ok, rule in (
+        _check_rules(self, (
             ("probe_epochs", self.probe_epochs >= 1, ">= 1"),
             ("probe_lr", 0.0 < self.probe_lr < math.inf, "finite and > 0"),
             ("probe_batch_size", self.probe_batch_size >= 1, ">= 1"),
             ("train_fraction", 0.0 < self.train_fraction < 1.0, "in (0, 1)"),
             ("seed", self.seed >= 0, ">= 0"),
-        ):
-            if not ok:
-                raise ConfigurationError(f"{key} must be {rule}, got {getattr(self, key)!r}")
-
-
-def _parse_value(text: str, target_type):
-    if target_type is int:
-        return int(text)
-    if target_type is float:
-        return float(text)
-    if target_type is str:
-        return text
-    # tuple of ints, e.g. hidden_dims = 64,64
-    return tuple(int(part) for part in text.split(",") if part.strip())
-
-
-def read_config_file(path) -> dict[str, str]:
-    entries: dict[str, str] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigurationError(f"{path}:{line_no}: expected key = value, got {raw!r}")
-                key, value = line.split("=", 1)
-                entries[key.strip()] = value.strip()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-    return entries
+        ))
 
 
 def build_config(config_cls, path, overrides):
-    """Instantiate a config dataclass from an optional file plus --set pairs."""
-    entries: dict[str, str] = {}
+    """Instantiate a config dataclass from an optional file plus --set items.
+
+    Both are `key = value` lines, where `#` starts a comment; a file may also
+    hold blank and comment-only lines, and each --set item is one line. A
+    later line overrides an earlier one. A value converts with its field's
+    type; a tuple field takes comma-separated ints (hidden_dims = 64,64).
+    """
+    lines = []
     if path:
-        entries.update(read_config_file(path))
-    for item in overrides or []:
-        if "=" not in item:
-            raise ConfigurationError(f"--set expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        entries[key.strip()] = value.strip()
-    by_name = {f.name: f for f in fields(config_cls)}
-    kwargs = {}
-    for key, value in entries.items():
-        if key not in by_name:
-            raise ConfigurationError(f"unknown config key {key!r} for {config_cls.__name__}")
-        spec = by_name[key]
-        base = spec.type if isinstance(spec.type, type) else type(spec.default)
         try:
-            kwargs[key] = _parse_value(value, base)
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+        lines = [(f"{path}:{n}", raw) for n, raw in enumerate(text.split("\n"), 1)
+                 if raw.split("#", 1)[0].strip()]
+    types = {f.name: f.type for f in fields(config_cls)}
+    kwargs = {}
+    for where, raw in lines + [("--set", item) for item in overrides or []]:
+        key, eq, value = (part.strip() for part in raw.split("#", 1)[0].partition("="))
+        if not eq:
+            raise ConfigurationError(f"{where}: expected key = value, got {raw!r}")
+        if key not in types:
+            raise ConfigurationError(
+                f"{where}: unknown config key {key!r} for {config_cls.__name__}")
+        try:
+            if types[key] == tuple[int, ...]:
+                kwargs[key] = tuple(int(part) for part in value.split(",") if part.strip())
+            else:
+                kwargs[key] = types[key](value)
         except ValueError as exc:
-            raise ConfigurationError(f"config key {key!r}: cannot parse {value!r}") from exc
+            raise ConfigurationError(
+                f"{where}: config key {key!r}: cannot parse {value!r}") from exc
     return config_cls(**kwargs)
 
 
@@ -231,13 +217,11 @@ def _cmd_gen_data(args) -> int:
             cfg.classes, cfg.spokes, cfg.per_mode, cfg.dim, cfg.base_radius,
             cfg.radius_growth, cfg.within_sigma, seeded_rng(cfg.seed),
         )
-    elif cfg.kind == "gaussian":
+    else:
         dataset = generate_gaussian_clusters(
             cfg.classes, cfg.per_class, cfg.dim, cfg.center_spread, cfg.within_sigma,
             seeded_rng(cfg.seed), center_offset=cfg.center_offset,
         )
-    else:
-        raise ConfigurationError(f"kind must be spokes or gaussian, got {cfg.kind!r}")
     write_manifest(cfg, args.out + ".manifest")
     save_dataset(dataset, args.out)
     print(f"wrote {dataset.sample_count} samples of dim {dataset.dim} to {args.out}")
@@ -248,7 +232,10 @@ def _cmd_pretrain(args) -> int:
     config = build_config(RunConfig, args.config, args.set)
     dataset = load_dataset(args.data)
     config.require_fits(dataset)  # before the run directory exists
-    made = not os.path.isdir(args.out)
+    made, path = [], os.path.abspath(args.out)  # the directories this run makes, deepest first
+    while not os.path.exists(path):
+        made.append(path)
+        path = os.path.dirname(path)
     os.makedirs(args.out, exist_ok=True)
     manifest = os.path.join(args.out, "manifest.cfg")
     with OutputDirLock(args.out):
@@ -258,13 +245,15 @@ def _cmd_pretrain(args) -> int:
             result = pretrain(config, dataset)
         except (ConfigurationError, MemoryError):
             # exit 1 (an encoder too large to allocate, say): undo the manifest
-            if previous is None:
-                os.unlink(manifest)
-            else:
-                with atomic_write(manifest) as fh:
-                    fh.buffer.write(previous)
-            if made:
-                os.rmdir(args.out)
+            # and the directories, and report this error, not a failed undo
+            with contextlib.suppress(OSError):
+                if previous is None:
+                    os.unlink(manifest)
+                else:
+                    with atomic_write(manifest) as fh:
+                        fh.buffer.write(previous)
+                for path in made:
+                    os.rmdir(path)
             raise
         checkpoint = os.path.join(args.out, "checkpoint.txt")
         if result.moco_state is not None:

@@ -33,6 +33,14 @@ from .numerics import Tensor, as_matrix, fits_one_array, single_blas_thread, spa
 MODES = ("moco", "moco+mix", "simclr", "simclr+mix")
 
 
+def _check_rules(config, rules) -> None:
+    """Raise ConfigurationError for the first rule (key, ok, requirement)
+    whose `ok` is false, as "<key> must be <requirement>, got <value>"."""
+    for key, ok, rule in rules:
+        if not ok:
+            raise ConfigurationError(f"{key} must be {rule}, got {getattr(config, key)!r}")
+
+
 @dataclass
 class RunConfig:
     """Every scalar a pretraining run depends on.
@@ -64,22 +72,14 @@ class RunConfig:
 
     def __post_init__(self):
         self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
-        if self.mode not in MODES:
-            raise ConfigurationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.batch_size < 2 or self.batch_size % 2:
-            raise ConfigurationError(f"batch_size must be even and >= 2, got {self.batch_size}")
-        if self.uses_queue:
-            if self.queue_size < self.batch_size or self.queue_size % self.batch_size:
-                raise ConfigurationError(
-                    f"queue_size must be a positive multiple of batch_size, got "
-                    f"{self.queue_size} with batch_size {self.batch_size}"
-                )
-        elif self.queue_size != 0:
-            raise ConfigurationError(
-                f"queue_size must be 0 in mode {self.mode!r}, got {self.queue_size}"
-            )
+        q, b = self.queue_size, self.batch_size
         # written so that NaN, which fails every comparison, fails each check
-        for key, ok, rule in (
+        _check_rules(self, (
+            ("mode", self.mode in MODES, f"one of {MODES}"),
+            ("batch_size", b >= 2 and b % 2 == 0, "even and >= 2"),
+            ("queue_size", not self.uses_queue or q >= b > 0 and q % b == 0,
+             f"a positive multiple of batch_size {b}"),
+            ("queue_size", self.uses_queue or q == 0, f"0 in mode {self.mode!r}"),
             ("epochs", self.epochs >= 1, ">= 1"),
             ("lr_schedule", self.lr_schedule in ("cosine", "constant"), "cosine or constant"),
             ("input_dim", self.input_dim >= 1, ">= 1"),
@@ -100,9 +100,7 @@ class RunConfig:
             ("scale_min", 0.0 < self.scale_min < math.inf, "finite and > 0"),
             ("scale_max", self.scale_min <= self.scale_max < math.inf, "finite and >= scale_min"),
             ("seed", self.seed >= 0, ">= 0"),
-        ):
-            if not ok:
-                raise ConfigurationError(f"{key} must be {rule}, got {getattr(self, key)!r}")
+        ))
         sizes = self.layer_sizes
         params = sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes, sizes[1:]))
         if not fits_one_array(params):

@@ -158,10 +158,12 @@ class TestPretrainCommand:
         assert stderr == "diverged: non-finite parameter in W0 (epoch 1, batch 0)\n"
         assert os.listdir(out_dir) == ["manifest.cfg"]  # kept to reproduce the run
 
-    @pytest.mark.parametrize("existing", [False, True], ids=["new-directory", "earlier-run"])
+    @pytest.mark.parametrize("out, existing", [("run", False), ("run", True), ("a/b/c", False)],
+                             ids=["new-directory", "earlier-run", "new-parents"])
     def test_encoder_too_large_to_allocate_leaves_the_directory_as_it_was(
-            self, existing, tiny_data, tmp_path, capsys):
-        out_dir, before = tmp_path / "run", None
+            self, out, existing, tiny_data, tmp_path_factory, capsys):
+        root = tmp_path_factory.mktemp("out")
+        out_dir, before = root / out, None
         if existing:
             assert run_cli(capsys, "pretrain", "--data", str(tiny_data), "--out", str(out_dir),
                            *PRETRAIN_SETS)[0] == 0
@@ -171,7 +173,7 @@ class TestPretrainCommand:
                                  "--set", "hidden_dims=10000000000000000")
         assert (code, out) == (1, "") and err.startswith("error: Unable to allocate ")
         after = {path.name: path.read_bytes() for path in out_dir.iterdir()} if existing else None
-        assert after == before and out_dir.exists() == existing
+        assert after == before and os.listdir(root) == (["run"] if existing else [])
 
     def test_simclr_mode_writes_encoder_checkpoint(self, tiny_data, tmp_path, capsys):
         out_dir = tmp_path / "run"
@@ -610,6 +612,18 @@ class TestGradcheckCommand:
         assert run_cli(capsys, "gradcheck") == (
             2, "", "diverged: non-finite analytic gradient at (0,)\n")
 
+    def test_error_at_the_gate_exits_2(self, monkeypatch, capsys):
+        def off_by_a_part_in_ten_thousand(x):
+            return float((x**2).sum()), 2.0002 * x
+
+        def suite():
+            return [("off", finite_difference_check(off_by_a_part_in_ten_thousand, np.ones(3)))]
+
+        monkeypatch.setattr(cli, "gradient_suite", suite)
+        assert run_cli(capsys, "gradcheck") == (
+            2, "off: max relative error 5.000e-05\nworst relative error 5.000e-05 over 1 checks\n",
+            "FAIL: gradient check exceeded 1e-05\n")
+
 
 class TestErrorExitCodes:
     """Every library error leaves `cli.main` as its exit code and one stderr
@@ -636,12 +650,18 @@ MEMORY_ERROR = ("import runpy, contrastlab.data as data\n"
                 "runpy.run_module('contrastlab.cli', run_name='__main__', alter_sys=True)\n")
 
 
+COMMENTED_CONFIG = ("# a small spokes set\n\nclasses = 3  # three classes\n   # indented\n"
+                    "spokes = 2\nper_mode = 5\n\ndim = 4\n")
+
+
 class TestFailuresWithoutTraceback:
     """Input that cannot be served exits with its code and one stderr line,
     stdout empty, when run as a user runs it: `python -m contrastlab.cli`
-    (a patched generator stands in for an allocation that fails)."""
+    (a patched generator stands in for an allocation that fails). A config
+    file with comments and blank lines loads: its row exits 0 with its one
+    line on stdout."""
 
-    @pytest.mark.parametrize("prelude, argv, code, stderr", [
+    @pytest.mark.parametrize("prelude, argv, code, line", [
         (None, ["linear-eval", "--checkpoint", "{checkpoint}", "--data", "{data}",
                 "--out", "{data}"],
          3, "file error: [Errno 17] File exists: '{data}'"),
@@ -660,19 +680,37 @@ class TestFailuresWithoutTraceback:
         (None, ["export-embeddings", "--checkpoint", "{checkpoint}", "--data", "{data}",
                 "--out", "{tmp}/nodir/e.txt"],
          3, "file error: [Errno 2] No such file or directory: '{tmp}/nodir/e.txt'"),
+        (None, ["gen-data", "--config", "{no_equals}", "--out", "{tmp}/d.txt"],
+         1, "error: {no_equals}:2: expected key = value, got 'dim 6'"),
+        (None, ["gen-data", "--set", "classes=3", "--set", "dim", "--out", "{tmp}/d.txt"],
+         1, "error: --set: expected key = value, got 'dim'"),
+        (None, ["pretrain", "--data", "{data}", "--out", "{tmp}/run", *PRETRAIN_SETS,
+                "--set", "epochs=x"],
+         1, "error: --set: config key 'epochs': cannot parse 'x'"),
+        (None, ["gen-data", "--set", "kind=blobs", "--out", "{tmp}/d.txt"],
+         1, "error: kind must be spokes or gaussian, got 'blobs'"),
+        (None, ["gen-data", "--config", "{commented}", "--out", "{tmp}/c.txt"],
+         0, "wrote 30 samples of dim 4 to {tmp}/c.txt"),
     ], ids=["linear-eval-out-is-a-file", "config-not-utf8", "parameters-beyond-numpy",
-            "dataset-beyond-numpy", "memory-error", "export-dir-missing"])
-    def test_exits_with_one_line(self, prelude, argv, code, stderr, tiny_data, trained_run,
+            "dataset-beyond-numpy", "memory-error", "export-dir-missing",
+            "config-line-without-equals", "set-without-equals", "set-value-not-parsed",
+            "unknown-kind", "config-comments-and-blank-lines"])
+    def test_exits_with_one_line(self, prelude, argv, code, line, tiny_data, trained_run,
                                  tmp_path):
-        latin1 = tmp_path / "latin1.cfg"
-        latin1.write_bytes("seed=\u00e9\n".encode("latin-1"))
-        names = dict(checkpoint=trained_run, data=tiny_data, latin1=latin1, tmp=tmp_path)
+        files = {"latin1": "seed=\u00e9\n".encode("latin-1"),
+                 "no_equals": b"classes = 3\ndim 6\n",
+                 "commented": COMMENTED_CONFIG.encode()}
+        names = dict(checkpoint=trained_run, data=tiny_data, tmp=tmp_path)
+        for name, content in files.items():
+            names[name] = tmp_path / f"{name}.cfg"
+            names[name].write_bytes(content)
         argv = [arg.format(**names) for arg in argv]
         run = [sys.executable, *(["-c", prelude] if prelude else ["-m", "contrastlab.cli"])]
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
         done = subprocess.run(run + argv, env=env, capture_output=True, text=True, timeout=120)
-        assert (done.returncode, done.stdout) == (code, "")
-        assert done.stderr == stderr.format(**names) + "\n"
+        line = line.format(**names) + "\n"
+        assert (done.returncode, done.stdout, done.stderr) == (
+            (code, line, "") if code == 0 else (code, "", line))
         assert not (tmp_path / "d.txt").exists() and not (tmp_path / "run").exists()
 
 

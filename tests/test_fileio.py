@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contrastlab import cli, data, encoder, moco, training
+from contrastlab import cli, data, encoder, moco, numerics, training
 from contrastlab.data import generate_spoke_clusters
 from contrastlab.errors import FormatError
 from contrastlab.fileio import LineReader, atomic_write, float_line, write_hex_rows
@@ -201,6 +201,43 @@ def test_a_killed_export_leaves_only_its_temp_file(tmp_path, no_child_left):
     left = sorted(os.listdir(tmp_path))
     assert left[:1] and left[0].startswith(".emb.txt.") and left[0].endswith(".tmp")
     assert left[1:] == ["ck.txt", "data.txt"]
+
+
+FORK_THREADS = """\
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from contrastlab import numerics
+from contrastlab.cli import main
+
+def threads():
+    with open("/proc/self/status") as fh:
+        return int(next(line.split()[1] for line in fh if line.startswith("Threads:")))
+
+numerics._openblas_threads()[1](2)  # two BLAS threads, whatever the environment says
+counts = []
+os.register_at_fork(after_in_parent=lambda: counts.append(threads()))
+code = main(sys.argv[1:])
+print(counts)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_the_export_forks_from_a_process_of_one_thread(tmp_path, no_child_left):
+    """numpy's OpenBLAS stops its worker threads in its own fork handler, so
+    the process that forks an export helper runs one thread at the fork."""
+    if numerics._openblas_threads() is None:
+        pytest.skip("numpy's OpenBLAS exports no thread-count functions")
+    dataset, checkpoint, out = (tmp_path / name for name in ("data.txt", "ck.txt", "emb.txt"))
+    data.save_dataset(_large_dataset(1), dataset)
+    encoder.save_encoder(_state(1).query, checkpoint)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    done = subprocess.run([sys.executable, "-c", FORK_THREADS, "export-embeddings",
+                           "--checkpoint", str(checkpoint), "--data", str(dataset),
+                           "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == f"wrote 1026 embeddings to {out}\n[1]\n"
 
 
 @pytest.mark.parametrize("text, parse, message", [

@@ -165,6 +165,19 @@ class TestPretrain:
                            match=rf"^non-finite {term} loss \(epoch \d+, batch \d+\)$"):
             pretrain(small_config(lr=1e12, epochs=5, mode=mode, queue_size=queue_size), ds)
 
+    @pytest.mark.parametrize("mode, queue_size", [("moco+mix", 32), ("simclr+mix", 0)])
+    def test_total_loss_that_overflows_diverges(self, mode, queue_size):
+        # each term and its gradient stay finite; only l_contrast + mix_weight * l_mixed is not
+        config = small_config(mode=mode, queue_size=queue_size, mix_weight=1e308,
+                              mix_temperature=1.0)
+        with pytest.raises(DivergedRunError, match=r"^non-finite loss \(epoch 1, batch 0\)$"):
+            pretrain(config, small_dataset())
+
+    def test_constant_schedule_records_the_configured_lr(self):
+        result = pretrain(small_config(lr_schedule="constant", lr=0.03, epochs=3),
+                          small_dataset())
+        assert [r.lr for r in result.metrics] == [0.03] * 3
+
     @pytest.mark.parametrize("block", ["W1", "b0"])
     def test_diverged_run_names_the_parameter_block(self, monkeypatch, block):
         real = training.encoder_backward
