@@ -273,11 +273,12 @@ def _cmd_pretrain(args) -> int:
 def _cmd_linear_eval(args) -> int:
     cfg = build_config(EvalConfig, args.config, args.set)
     encoder, dataset = _load_eval_inputs(args)
-    # like pretrain's run directory: after the inputs are checked, before the probe
+    train, test = split_dataset(dataset, cfg.train_fraction, seeded_rng(cfg.seed))
+    # like pretrain's run directory: after the inputs and the split are checked,
+    # before the probe
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         write_manifest(cfg, os.path.join(args.out, "eval-manifest.cfg"))
-    train, test = split_dataset(dataset, cfg.train_fraction, seeded_rng(cfg.seed))
     accuracy = linear_eval(
         encoder, train, test,
         epochs=cfg.probe_epochs, lr0=cfg.probe_lr, batch_size=cfg.probe_batch_size,

@@ -8,7 +8,9 @@ written as the hex digits of their little-endian float64 bytes, which formats
 and parses about 10-20x faster than `repr` text and is still ASCII, one row
 per line. `write_hex_rows` writes such a block and `LineReader.hex_matrix`
 reads it, both in chunks of 256 rows, so a block costs a few C-level calls per
-chunk and temporaries of one chunk's size.
+chunk and temporaries of one chunk's size. The reader checks a chunk's digits
+in the decode itself (`binascii.a2b_hex` fails on any byte that is not a hex
+digit) plus a search for uppercase ones.
 Whole-file writers go through `atomic_write`, so a reader sees either the old
 file or the complete new one. `write_in_parts` formats a long run of rows on
 several processes at once, each into an unnamed temporary file, and appends
@@ -123,6 +125,7 @@ def float_line(values) -> str:
 # of text at 64 columns) while keeping its Python-level calls per row small
 _HEX_CHUNK_ROWS = 256
 _HEX_DIGITS = b"0123456789abcdef"
+_UPPER_HEX_DIGITS = b"ABCDEF"
 
 
 def write_hex_rows(fh, matrix) -> None:
@@ -225,9 +228,13 @@ class LineReader:
         lowercase hex digits and a newline, into a finite (rows, cols) array.
 
         The block is checked and decoded in chunks of 256 rows straight into
-        the result, so its temporaries are bounded by one chunk. Every row's
-        digits and newline are checked before any value's finiteness, so a
-        malformed row is reported ahead of an earlier non-finite one.
+        the result, so its temporaries are bounded by one chunk. A chunk is
+        decoded first, which fails on any byte outside [0-9a-fA-F]; a chunk
+        that fails, holds an uppercase digit or lacks a newline where one
+        belongs goes to `_reject_hex_row`, which names its first bad row.
+        Every row's digits and newline are checked before any value's
+        finiteness, so a malformed row is reported ahead of an earlier
+        non-finite one.
         """
         width, size = 16 * cols, 8 * cols  # digits and bytes per row
         start = self._pos
@@ -240,9 +247,14 @@ class LineReader:
         for lo in range(0, rows, _HEX_CHUNK_ROWS):
             chunk = lines[lo : lo + _HEX_CHUNK_ROWS]
             digits = chunk[:, :width].tobytes()
-            if (chunk[:, width] != 0x0A).any() or digits.translate(None, _HEX_DIGITS):
+            try:
+                decoded = binascii.a2b_hex(digits)
+            except binascii.Error:
+                decoded = None
+            if (decoded is None or (chunk[:, width] != 0x0A).any()
+                    or any(upper in digits for upper in _UPPER_HEX_DIGITS)):
                 self._reject_hex_row(lo, len(chunk), width, what)
-            dest[lo * size : (lo + len(chunk)) * size] = binascii.a2b_hex(digits)
+            dest[lo * size : (lo + len(chunk)) * size] = decoded
         # in slices of rows, so the check's temporaries stay small too
         for lo in range(0, rows, _HEX_CHUNK_ROWS):
             finite = np.isfinite(out[lo : lo + _HEX_CHUNK_ROWS]).all(axis=1)

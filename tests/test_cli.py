@@ -478,6 +478,20 @@ class TestEvalCommands:
         assert rows.shape == (60, 5)
         assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() < 1e-12
 
+    @pytest.mark.parametrize("command", ["linear-eval", "metrics", "export-embeddings"])
+    def test_command_leaves_numpy_ma_unimported(self, command, tiny_data, trained_run,
+                                                tmp_path):
+        # numpy.ma would cost each command over 10 ms and ~1.25 MB of RSS; none uses it
+        argv = [command, "--checkpoint", str(trained_run), "--data", str(tiny_data)]
+        if command == "export-embeddings":
+            argv += ["--out", str(tmp_path / "emb.txt")]
+        script = ("import sys\nfrom contrastlab.cli import main\n"
+                  "code = main(sys.argv[1:])\nprint(code, 'numpy.ma' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.stdout.splitlines()[-1], done.stderr) == ("0 False", "")
+
     @pytest.mark.parametrize("dim", [4, 8], ids=["narrower", "wider"])
     @pytest.mark.parametrize("command", ["linear-eval", "metrics", "export-embeddings"])
     def test_dataset_of_another_width_exits_one(self, command, dim, trained_run, tmp_path,
@@ -691,10 +705,13 @@ class TestFailuresWithoutTraceback:
          1, "error: kind must be spokes or gaussian, got 'blobs'"),
         (None, ["gen-data", "--config", "{commented}", "--out", "{tmp}/c.txt"],
          0, "wrote 30 samples of dim 4 to {tmp}/c.txt"),
+        (None, ["linear-eval", "--checkpoint", "{checkpoint}", "--data", "{data}",
+                "--out", "{tmp}/x/y", "--set", "train_fraction=0.01"],
+         1, "error: class 0 would be empty in one split"),
     ], ids=["linear-eval-out-is-a-file", "config-not-utf8", "parameters-beyond-numpy",
             "dataset-beyond-numpy", "memory-error", "export-dir-missing",
             "config-line-without-equals", "set-without-equals", "set-value-not-parsed",
-            "unknown-kind", "config-comments-and-blank-lines"])
+            "unknown-kind", "config-comments-and-blank-lines", "linear-eval-split-fails"])
     def test_exits_with_one_line(self, prelude, argv, code, line, tiny_data, trained_run,
                                  tmp_path):
         files = {"latin1": "seed=\u00e9\n".encode("latin-1"),
@@ -711,7 +728,7 @@ class TestFailuresWithoutTraceback:
         line = line.format(**names) + "\n"
         assert (done.returncode, done.stdout, done.stderr) == (
             (code, line, "") if code == 0 else (code, "", line))
-        assert not (tmp_path / "d.txt").exists() and not (tmp_path / "run").exists()
+        assert not any((tmp_path / name).exists() for name in ("d.txt", "run", "x"))
 
 
 class TestUsage:

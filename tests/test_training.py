@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contrastlab import contrastive, data, encoder, numerics, selfcheck, training
 from contrastlab.contrastive import contrast
@@ -418,16 +420,15 @@ class TestLinearEval:
         linear_eval(encoder, train, test, 5, 3.0, 64, seeded_rng(1))
         assert np.array_equal(encoder.vector, before)
 
-    def test_rejects_missing_class(self):
+    @pytest.mark.parametrize("dropped", [[2], [1, 4]])
+    def test_rejects_missing_class(self, dropped):
         ds = axis_blob_dataset()
         train, test = split_dataset(ds, 0.8, seeded_rng(0))
-        narrowed = Dataset(
-            train.features[train.labels != 2],
-            train.labels[train.labels != 2],
-            train.class_count,
-        )
-        with pytest.raises(ConfigurationError, match=r"\[2\]"):
+        kept = ~np.isin(train.labels, dropped)
+        narrowed = Dataset(train.features[kept], train.labels[kept], train.class_count)
+        with pytest.raises(ConfigurationError) as exc:
             linear_eval(identity_encoder(5), narrowed, test, 100, 3.0, 64, seeded_rng(1))
+        assert str(exc.value) == f"classes missing from the train split: {dropped}"
 
     def test_probe_matches_the_reference_loop_bitwise(self):
         # 200 samples in batches of 64: the last batch of each epoch holds 8
@@ -506,6 +507,30 @@ class TestClusterIndices:
         labels = np.array([0, 0, 1, 1])
         with pytest.warns(RuntimeWarning):
             assert math.isinf(calinski_harabasz(emb, labels))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_labels_with_gaps_give_the_bits_of_np_unique_classes(self, seed, monkeypatch):
+        rng = seeded_rng(20 + seed)
+        emb = rng.normal(size=(90, 5)) * 2
+        labels = rng.permutation(np.repeat([0, 3, 7], [25, 30, 35]))
+        ours = (davies_bouldin(emb, labels), calinski_harabasz(emb, labels))
+        monkeypatch.setattr(training, "_distinct_sorted", np.unique)
+        theirs = (davies_bouldin(emb, labels), calinski_harabasz(emb, labels))
+        assert [v.hex() for v in ours] == [v.hex() for v in theirs]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["<i8", "<u1", "?", "<f8", "<f4"]),
+           st.lists(st.sampled_from([0.0, -0.0, 1.0, 3.0, -2.0, 7.0, np.inf, -np.inf, np.nan]),
+                    max_size=12),
+           st.sampled_from([(-1,), (-1, 1), (1, -1)]))
+    def test_distinct_sorted_is_np_unique(self, dtype, values, shape):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # NaN and inf cast to ints
+            labels = np.array(values).astype(dtype).reshape(shape)
+        expected = np.unique(labels)
+        got = training._distinct_sorted(labels)
+        assert (got.dtype, got.shape, got.tobytes()) == (
+            expected.dtype, expected.shape, expected.tobytes())
 
     def test_both_match_brute_force_on_random_instances(self):
         rng = seeded_rng(10)
