@@ -490,7 +490,8 @@ class TestEvalCommands:
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
         done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
                               capture_output=True, text=True, timeout=120)
-        assert (done.stdout.splitlines()[-1], done.stderr) == ("0 False", "")
+        assert (done.returncode, done.stdout.splitlines()[-1:], done.stderr) == (
+            0, ["0 False"], "")
 
     @pytest.mark.parametrize("dim", [4, 8], ids=["narrower", "wider"])
     @pytest.mark.parametrize("command", ["linear-eval", "metrics", "export-embeddings"])

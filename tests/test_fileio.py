@@ -372,28 +372,15 @@ def test_hex_matrix_gives_the_row_loop_outcome(tmp_path_factory, case):
     assert _outcome(lambda: _read_hex_block(path, rows, cols)) == expected
 
 
-def test_a_bad_digit_is_reported_before_an_earlier_nan_row(tmp_path):
+@pytest.mark.parametrize("row, byte", [(400, ord("g")), (300, 0xE9), (599, ord("A"))],
+                         ids=["non-hex", "byte-above-ascii", "uppercase-in-partial-last-chunk"])
+def test_a_bad_digit_is_reported_before_an_earlier_nan_row(tmp_path, row, byte):
+    # 600 rows: chunks of 256, 256 and 88 rows; `binascii.a2b_hex` rejects
+    # "g" and 0xE9 but decodes "A", so only the uppercase search catches the last
     values = np.random.default_rng(0).standard_normal((600, 20))
     values[10, 3] = np.nan
     text = bytearray(HEADER + _row_loop_block(values))
-    text[len(HEADER) + 400 * 321 + 7] = ord("g")
-    path = tmp_path / "block.txt"
-    path.write_bytes(text)
-    with pytest.raises(FormatError) as exc:
-        _read_hex_block(path, 600, 20)
-    assert str(exc.value) == (
-        f"bad features row 400: expected 320 lowercase hex digits and a newline "
-        f"(byte offset {len(HEADER) + 400 * 321})")
-
-
-@pytest.mark.parametrize("row, byte", [(300, 0xE9), (599, ord("A"))],
-                         ids=["byte-above-ascii", "uppercase-in-partial-last-chunk"])
-def test_a_byte_the_decoder_accepts_or_rejects_names_its_row(tmp_path, row, byte):
-    # 600 rows: chunks of 256, 256 and 88 rows; `binascii.a2b_hex` rejects
-    # 0xE9 but decodes "A", so only the uppercase search catches the second
-    values = np.random.default_rng(1).standard_normal((600, 20))
-    text = bytearray(HEADER + _row_loop_block(values))
-    text[len(HEADER) + row * 321 + 100] = byte
+    text[len(HEADER) + row * 321 + 7] = byte
     path = tmp_path / "block.txt"
     path.write_bytes(text)
     with pytest.raises(FormatError) as exc:

@@ -5,8 +5,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from contrastlab import contrastive, data, encoder, numerics, selfcheck, training
 from contrastlab.contrastive import contrast
@@ -510,27 +508,18 @@ class TestClusterIndices:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_labels_with_gaps_give_the_bits_of_np_unique_classes(self, seed, monkeypatch):
+        def stats_from_np_unique(embeddings, labels):
+            classes = np.unique(labels)
+            centroids = np.stack([embeddings[labels == c].mean(axis=0) for c in classes])
+            return embeddings, labels, classes, centroids
+
         rng = seeded_rng(20 + seed)
         emb = rng.normal(size=(90, 5)) * 2
         labels = rng.permutation(np.repeat([0, 3, 7], [25, 30, 35]))
         ours = (davies_bouldin(emb, labels), calinski_harabasz(emb, labels))
-        monkeypatch.setattr(training, "_distinct_sorted", np.unique)
+        monkeypatch.setattr(training, "_cluster_stats", stats_from_np_unique)
         theirs = (davies_bouldin(emb, labels), calinski_harabasz(emb, labels))
         assert [v.hex() for v in ours] == [v.hex() for v in theirs]
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from(["<i8", "<u1", "?", "<f8", "<f4"]),
-           st.lists(st.sampled_from([0.0, -0.0, 1.0, 3.0, -2.0, 7.0, np.inf, -np.inf, np.nan]),
-                    max_size=12),
-           st.sampled_from([(-1,), (-1, 1), (1, -1)]))
-    def test_distinct_sorted_is_np_unique(self, dtype, values, shape):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # NaN and inf cast to ints
-            labels = np.array(values).astype(dtype).reshape(shape)
-        expected = np.unique(labels)
-        got = training._distinct_sorted(labels)
-        assert (got.dtype, got.shape, got.tobytes()) == (
-            expected.dtype, expected.shape, expected.tobytes())
 
     def test_both_match_brute_force_on_random_instances(self):
         rng = seeded_rng(10)
