@@ -227,25 +227,25 @@ def load_dataset(path) -> Dataset:
     layout (one `label f1 .. fD` row of decimals per sample), which other
     tools may write. Any defect is a `FormatError`; every version 2 defect
     names its byte offset."""
-    reader = LineReader(path)
-    magic = reader.next_line("magic line")
-    if magic not in (DATASET_MAGIC, DATASET_V1_MAGIC):
-        raise FormatError(f"bad magic line: expected {DATASET_MAGIC!r}, got {magic!r}", 0)
-    size_at = reader.offset
-    head = reader.fields("size line", 6)
-    try:
-        n, dim, classes = int(head[1]), int(head[3]), int(head[5])
-        if (head[0] != "samples" or head[2] != "dim" or head[4] != "classes"
-                or dim < 1 or not 2 <= classes <= n):
-            raise ValueError
-    except ValueError:
-        raise FormatError(
-            "malformed size line: need dim >= 1 and 2 <= classes <= samples", size_at) from None
-    if magic == DATASET_MAGIC:
-        features, labels = _read_v2_block(reader, n, dim, classes)
-    else:
-        features, labels = _read_v1_block(reader, n, dim)
-    reader.expect_eof()
+    with LineReader(path) as reader:
+        magic = reader.next_line("magic line")
+        if magic not in (DATASET_MAGIC, DATASET_V1_MAGIC):
+            raise FormatError(f"bad magic line: expected {DATASET_MAGIC!r}, got {magic!r}", 0)
+        size_at = reader.offset
+        head = reader.fields("size line", 6)
+        try:
+            n, dim, classes = int(head[1]), int(head[3]), int(head[5])
+            if (head[0] != "samples" or head[2] != "dim" or head[4] != "classes"
+                    or dim < 1 or not 2 <= classes <= n):
+                raise ValueError
+        except ValueError:
+            raise FormatError(
+                "malformed size line: need dim >= 1 and 2 <= classes <= samples", size_at) from None
+        if magic == DATASET_MAGIC:
+            features, labels = _read_v2_block(reader, n, dim, classes)
+        else:
+            features, labels = _read_v1_block(reader, n, dim)
+        reader.expect_eof()
     try:
         return Dataset(features, labels, classes)
     except ConfigurationError as exc:

@@ -279,10 +279,10 @@ def save_encoder(params: EncoderParams, path, seed: int = 0) -> None:
 
 
 def load_encoder(path) -> tuple[EncoderParams, int]:
-    reader = LineReader(path)
-    reader.expect(ENCODER_MAGIC, "magic line")
-    seed = reader.value_after("seed", "seed line", int)
-    params = read_params_block(reader)
-    reader.expect("end", "trailer")
-    reader.expect_eof()
+    with LineReader(path) as reader:
+        reader.expect(ENCODER_MAGIC, "magic line")
+        seed = reader.value_after("seed", "seed line", int)
+        params = read_params_block(reader)
+        reader.expect("end", "trailer")
+        reader.expect_eof()
     return params, seed

@@ -11,6 +11,9 @@ reads it, both in chunks of 256 rows, so a block costs a few C-level calls per
 chunk and temporaries of one chunk's size. The reader checks a chunk's digits
 in the decode itself (`binascii.a2b_hex` fails on any byte that is not a hex
 digit) plus a search for uppercase ones.
+Loaders read through `LineReader`, which reads from an open file handle one
+line, or one 256-row chunk of a hex block, at a time: no loader holds a whole
+file, so loading a file costs its arrays plus a chunk, whatever its size.
 Whole-file writers go through `atomic_write`, so a reader sees either the old
 file or the complete new one. `write_in_parts` formats a long run of rows on
 several processes at once, each into an unnamed temporary file, and appends
@@ -140,29 +143,41 @@ def write_hex_rows(fh, matrix) -> None:
 
 
 class LineReader:
-    """Reads a text file line by line, tracking the byte offset of each line."""
+    """Reads a text file through an open binary handle, line by line or, for a
+    hex block, 256 rows at a time, tracking the byte offset of each line. It
+    never holds the whole file: its buffers are one line or one chunk.
+
+    The size checks use the file's size when it was opened (`os.fstat`); a
+    file that then shrinks makes a read come back short, which raises
+    FormatError("unexpected end of file ...") at the offset where it ended.
+    Use it as a context manager, which closes the handle.
+    """
 
     def __init__(self, path):
         self.path = path
-        with open(path, "rb") as fh:
-            self._raw = fh.read()
+        self._fh = open(path, "rb")
+        self._size = os.fstat(self._fh.fileno()).st_size
         self._pos = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
 
     @property
     def offset(self) -> int:
         return self._pos
 
     def next_line(self, what: str = "line") -> str:
-        if self._pos >= len(self._raw):
-            raise FormatError(f"unexpected end of file, wanted {what}", self._pos)
-        end = self._raw.find(b"\n", self._pos)
-        if end < 0:
-            end = len(self._raw)
         start = self._pos
-        line = self._raw[start:end]
-        self._pos = end + 1
+        line = self._fh.readline()
+        if not line:
+            raise FormatError(f"unexpected end of file, wanted {what}", start)
+        # a last line without its newline leaves the offset one past the end
+        self._pos = start + len(line) + (not line.endswith(b"\n"))
         try:
-            return line.decode("ascii").rstrip("\r")
+            return line.rstrip(b"\n").decode("ascii").rstrip("\r")
         except UnicodeDecodeError as exc:
             raise FormatError(f"non-ascii bytes in {what}", start) from exc
 
@@ -201,7 +216,7 @@ class LineReader:
     def check_size(self, rows: int, cols: int, what: str) -> None:
         """Reject a declared rows x cols block that is negative or larger than
         the rest of the file could hold (every value takes at least 2 bytes)."""
-        if rows < 0 or cols < 0 or 2 * rows * cols > len(self._raw) - self._pos:
+        if rows < 0 or cols < 0 or 2 * rows * cols > self._size - self._pos:
             raise FormatError(f"{what} size {rows} x {cols} does not fit the file", self._pos)
 
     @staticmethod
@@ -211,9 +226,9 @@ class LineReader:
 
     def expect_eof(self) -> None:
         """Require that the last line read ended the file, newline included."""
-        if self._pos > len(self._raw):
-            raise FormatError("the last line has no newline", len(self._raw))
-        if self._pos < len(self._raw):
+        if self._pos > self._size:
+            raise FormatError("the last line has no newline", self._size)
+        if self._pos < self._size:
             raise FormatError("trailing content after the end of the data", self._pos)
 
     def matrix(self, rows: int, cols: int, what: str) -> np.ndarray:
@@ -227,8 +242,9 @@ class LineReader:
         """Read `rows` lines of `write_hex_rows` output, each exactly 16 * cols
         lowercase hex digits and a newline, into a finite (rows, cols) array.
 
-        The block is checked and decoded in chunks of 256 rows straight into
-        the result, so its temporaries are bounded by one chunk. A chunk is
+        The block is read from the handle, checked and decoded in chunks of
+        256 rows straight into the result, so its buffers are bounded by one
+        chunk. A chunk is
         decoded first, which fails on any byte outside [0-9a-fA-F]; a chunk
         that fails, holds an uppercase digit or lacks a newline where one
         belongs goes to `_reject_hex_row`, which names its first bad row.
@@ -237,15 +253,22 @@ class LineReader:
         non-finite one.
         """
         width, size = 16 * cols, 8 * cols  # digits and bytes per row
+        stride = width + 1  # bytes per line
         start = self._pos
-        if rows < 0 or cols < 0 or rows * (width + 1) > len(self._raw) - start:
+        if rows < 0 or cols < 0 or rows * stride > self._size - start:
             raise FormatError(f"{what} size {rows} x {cols} does not fit the file", start)
         out = np.empty((rows, cols), dtype="<f8")
         dest = memoryview(out.reshape(-1).view(np.uint8))
-        lines = np.frombuffer(self._raw, np.uint8, rows * (width + 1), start)
-        lines = lines.reshape(rows, width + 1)
+        text = bytearray(min(rows, _HEX_CHUNK_ROWS) * stride)
+        lines = np.frombuffer(text, np.uint8).reshape(-1, stride)
         for lo in range(0, rows, _HEX_CHUNK_ROWS):
-            chunk = lines[lo : lo + _HEX_CHUNK_ROWS]
+            count = min(_HEX_CHUNK_ROWS, rows - lo)
+            at = start + lo * stride
+            got = self._fh.readinto(memoryview(text)[: count * stride])
+            if got < count * stride:
+                raise FormatError(
+                    f"unexpected end of file, wanted {what} row {lo + got // stride}", at + got)
+            chunk = lines[:count]
             digits = chunk[:, :width].tobytes()
             try:
                 decoded = binascii.a2b_hex(digits)
@@ -253,25 +276,25 @@ class LineReader:
                 decoded = None
             if (decoded is None or (chunk[:, width] != 0x0A).any()
                     or any(upper in digits for upper in _UPPER_HEX_DIGITS)):
-                self._reject_hex_row(lo, len(chunk), width, what)
-            dest[lo * size : (lo + len(chunk)) * size] = decoded
+                _reject_hex_row(text, lo, count, width, at, what)
+            dest[lo * size : (lo + count) * size] = decoded
         # in slices of rows, so the check's temporaries stay small too
         for lo in range(0, rows, _HEX_CHUNK_ROWS):
             finite = np.isfinite(out[lo : lo + _HEX_CHUNK_ROWS]).all(axis=1)
             if not finite.all():
                 r = lo + int(np.argmin(finite))
-                raise FormatError(f"non-finite value in {what} row {r}", start + r * (width + 1))
-        self._pos = start + rows * (width + 1)
+                raise FormatError(f"non-finite value in {what} row {r}", start + r * stride)
+        self._pos = start + rows * stride
         return out.astype(np.float64, copy=False)
 
-    def _reject_hex_row(self, first: int, count: int, width: int, what: str) -> None:
-        """Raise for the first of rows `first`.. `first + count - 1` of the hex
-        block at the current offset that is not `width` lowercase hex digits
-        and a newline; the caller knows one of them is bad."""
-        raw = self._raw
-        for r in range(first, first + count):
-            pos = self._pos + r * (width + 1)
-            if raw[pos + width] != 0x0A or raw[pos : pos + width].translate(None, _HEX_DIGITS):
-                raise FormatError(
-                    f"bad {what} row {r}: expected {width} lowercase hex digits and a newline",
-                    pos)
+
+def _reject_hex_row(text, first: int, count: int, width: int, at: int, what: str) -> None:
+    """Raise for the first of the `count` lines in `text`, rows `first`.. of
+    a hex block, read from byte `at` of the file, that is not `width`
+    lowercase hex digits and a newline; the caller knows one is bad."""
+    for i in range(count):
+        row = text[i * (width + 1) : (i + 1) * (width + 1)]
+        if row[width] != 0x0A or row[:width].translate(None, _HEX_DIGITS):
+            raise FormatError(
+                f"bad {what} row {first + i}: expected {width} lowercase hex digits and a newline",
+                at + i * (width + 1))

@@ -117,41 +117,41 @@ def load_moco(path) -> tuple[MoCoState, int]:
     """Read a checkpoint written by `save_moco`, or one in the v1 layout. The
     state must be one training could leave: EMA momentum in [0, 1], pointer in
     [0, K) (0 when K = 0), queue width and key layer sizes the query's."""
-    reader = LineReader(path)
-    magic = reader.next_line("magic line")
-    if magic not in (MOCO_MAGIC, MOCO_V1_MAGIC):
-        raise FormatError(f"bad magic line: expected {MOCO_MAGIC!r}, got {magic!r}", 0)
-    seed = reader.value_after("seed", "seed line", int)
-    at = reader.offset
-    ema = reader.value_after("ema_momentum", "ema line", float)
-    if not 0.0 <= ema <= 1.0:  # NaN fails too
-        raise FormatError(f"ema_momentum {ema!r} is not in [0, 1]", at)
-    ptr_at = reader.offset
-    ptr = reader.value_after("queue_ptr", "pointer line", int)
-    queue_at = reader.offset
-    head = reader.fields("queue header", 3)
-    try:
-        if head[0] != "queue":
-            raise ValueError
-        rows, cols = int(head[1]), int(head[2])
-    except ValueError:
-        raise FormatError("malformed queue header", reader.offset) from None
-    if magic == MOCO_MAGIC:
-        queue = reader.hex_matrix(rows, cols, "queue")
-    else:
-        queue = reader.matrix(rows, cols, "queue")
-        reader.require_finite(queue, "queue")
-    if not 0 <= ptr < max(rows, 1):
-        raise FormatError(f"queue_ptr {ptr} is outside the queue of {rows} rows", ptr_at)
-    reader.expect("query", "query marker")
-    query = read_params_block(reader)
-    if cols != query.output_dim:
-        raise FormatError(f"queue width {cols} != encoder output {query.output_dim}", queue_at)
-    reader.expect("key", "key marker")
-    at = reader.offset
-    key = read_params_block(reader)
-    if key.layer_sizes != query.layer_sizes:
-        raise FormatError(f"key layers {key.layer_sizes} != query's {query.layer_sizes}", at)
-    reader.expect("end", "trailer")
-    reader.expect_eof()
+    with LineReader(path) as reader:
+        magic = reader.next_line("magic line")
+        if magic not in (MOCO_MAGIC, MOCO_V1_MAGIC):
+            raise FormatError(f"bad magic line: expected {MOCO_MAGIC!r}, got {magic!r}", 0)
+        seed = reader.value_after("seed", "seed line", int)
+        at = reader.offset
+        ema = reader.value_after("ema_momentum", "ema line", float)
+        if not 0.0 <= ema <= 1.0:  # NaN fails too
+            raise FormatError(f"ema_momentum {ema!r} is not in [0, 1]", at)
+        ptr_at = reader.offset
+        ptr = reader.value_after("queue_ptr", "pointer line", int)
+        queue_at = reader.offset
+        head = reader.fields("queue header", 3)
+        try:
+            if head[0] != "queue":
+                raise ValueError
+            rows, cols = int(head[1]), int(head[2])
+        except ValueError:
+            raise FormatError("malformed queue header", reader.offset) from None
+        if magic == MOCO_MAGIC:
+            queue = reader.hex_matrix(rows, cols, "queue")
+        else:
+            queue = reader.matrix(rows, cols, "queue")
+            reader.require_finite(queue, "queue")
+        if not 0 <= ptr < max(rows, 1):
+            raise FormatError(f"queue_ptr {ptr} is outside the queue of {rows} rows", ptr_at)
+        reader.expect("query", "query marker")
+        query = read_params_block(reader)
+        if cols != query.output_dim:
+            raise FormatError(f"queue width {cols} != encoder output {query.output_dim}", queue_at)
+        reader.expect("key", "key marker")
+        at = reader.offset
+        key = read_params_block(reader)
+        if key.layer_sizes != query.layer_sizes:
+            raise FormatError(f"key layers {key.layer_sizes} != query's {query.layer_sizes}", at)
+        reader.expect("end", "trailer")
+        reader.expect_eof()
     return MoCoState(query, key, queue, ptr, ema), seed

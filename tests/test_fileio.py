@@ -4,6 +4,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,14 +252,14 @@ def test_the_export_forks_from_a_process_of_one_thread(tmp_path, no_child_left):
 def test_value_after_names_the_line_and_its_offset(text, parse, message, tmp_path):
     path = tmp_path / "f.txt"
     path.write_text("magic\n" + text)
-    reader = LineReader(path)
-    reader.next_line()
-    if message is None:
-        assert reader.value_after(text.split()[0], "seed line", parse) == parse(text.split()[1])
-    else:
-        with pytest.raises(FormatError) as info:
-            reader.value_after("seed", "seed line", parse)
-        assert str(info.value) == message
+    with LineReader(path) as reader:
+        reader.next_line()
+        if message is None:
+            assert reader.value_after(text.split()[0], "seed line", parse) == parse(text.split()[1])
+        else:
+            with pytest.raises(FormatError) as info:
+                reader.value_after("seed", "seed line", parse)
+            assert str(info.value) == message
 
 
 def test_write_metrics_interrupted_partway_keeps_the_earlier_file(tmp_path):
@@ -357,9 +358,9 @@ def _outcome(read):
 
 
 def _read_hex_block(path, rows, cols):
-    reader = LineReader(path)
-    reader.next_line("header")
-    return reader.hex_matrix(rows, cols, "features"), reader.offset
+    with LineReader(path) as reader:
+        reader.next_line("header")
+        return reader.hex_matrix(rows, cols, "features"), reader.offset
 
 
 @settings(max_examples=300, deadline=None)
@@ -388,3 +389,49 @@ def test_a_bad_digit_is_reported_before_an_earlier_nan_row(tmp_path, row, byte):
     assert str(exc.value) == (
         f"bad features row {row}: expected 320 lowercase hex digits and a newline "
         f"(byte offset {len(HEADER) + row * 321})")
+
+
+def test_a_file_that_shrinks_before_a_hex_block_ends_the_read(tmp_path):
+    # 600 rows of 321 bytes, far more than the handle's buffer holds, cut in
+    # row 300 after the header has been read
+    values = np.random.default_rng(0).standard_normal((600, 20))
+    path = tmp_path / "block.txt"
+    path.write_bytes(HEADER + _row_loop_block(values) + TRAILER)
+    cut = len(HEADER) + 300 * 321 + 100
+    with LineReader(path) as reader:
+        reader.next_line("header")
+        os.truncate(path, cut)
+        with pytest.raises(FormatError) as info:
+            reader.hex_matrix(600, 20, "features")
+    assert str(info.value) == f"unexpected end of file, wanted features row 300 (byte offset {cut})"
+    assert info.value.offset == cut
+
+
+def test_a_file_that_shrinks_before_a_line_ends_the_read(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text("magic\nseed 12\n")
+    with LineReader(path) as reader:
+        os.truncate(path, 0)
+        with pytest.raises(FormatError) as info:
+            reader.next_line("magic line")
+    assert str(info.value) == "unexpected end of file, wanted magic line (byte offset 0)"
+
+
+def test_load_moco_holds_one_hex_chunk_of_the_file_at_a_time(tmp_path):
+    """The traced peak of loading a K=4096 moco checkpoint (4.4 MB of text)
+    stays under its arrays plus four 256-row chunks of queue text."""
+    state = init_moco([20, 64, 64], 4096, 0.99, seeded_rng(0))
+    path = tmp_path / "moco.txt"
+    moco.save_moco(state, path)
+    bound = (state.queue.nbytes + state.query.vector.nbytes + state.key.vector.nbytes
+             + 4 * 256 * (16 * 64 + 1))
+    del state
+    tracemalloc.start()
+    try:
+        loaded, _ = moco.load_moco(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.queue.shape == (4096, 64)
+    assert path.stat().st_size > bound
+    assert peak < bound
