@@ -121,9 +121,10 @@ def encode(params: EncoderParams, x: Tensor) -> tuple[Tensor, ForwardTrace]:
 
 
 # `embed` passes `encode` at least this many rows per call: the last bits of
-# a product can depend on how many rows share the BLAS call, and blocks of a
-# handful of rows (<= 18 on OpenBLAS 0.3.31, [20,64,64]) changed them
-EMBED_BLOCK_ROWS = 1024
+# a product can depend on how many rows share the BLAS call. On OpenBLAS
+# 0.3.31, over five layer shapes, three seeds and 1 and 2 threads, blocks of
+# 16, 18, 19 and 32 rows changed them and blocks of 64 to 512 rows did not
+EMBED_BLOCK_ROWS = 256
 
 
 def embed(params: EncoderParams, x: Tensor) -> Tensor:

@@ -355,12 +355,10 @@ def linear_eval(
     if not counts.all():
         missing = np.flatnonzero(counts == 0).tolist()
         raise ConfigurationError(f"classes missing from the train split: {missing}")
-    train_emb = embed(encoder, train.features)
-    probe = train_linear_probe(
-        train_emb, train.labels, train.class_count, epochs, lr0, batch_size, rng
-    )
-    test_emb = embed(encoder, test.features)
-    return probe_accuracy(probe, test_emb, test.labels)
+    # unbound, the train embeddings are freed before the test split is embedded
+    probe = train_linear_probe(embed(encoder, train.features), train.labels,
+                               train.class_count, epochs, lr0, batch_size, rng)
+    return probe_accuracy(probe, embed(encoder, test.features), test.labels)
 
 
 # ---------------------------------------------------------------------------

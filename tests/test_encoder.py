@@ -114,12 +114,16 @@ class TestEncode:
         assert peak < 2.5 * x.shape[0] * 64 * 8
 
 
-EMBED_ROWS = [0, 1, 1023, 1024, 1025, 2047, 2048, 2049, 3071, 5000]
+# both sides of the one-call edge (2B) and of the block size, and 3B - 1
+# rows, whose last block is the largest one (2B - 1 rows)
+B = EMBED_BLOCK_ROWS
+EMBED_ROWS = [0, 1, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B - 1, 5000]
 
 
 class TestEmbed:
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("sizes", [[20, 64, 64], [4, 6, 3], [5, 6, 7, 4]])
+    @pytest.mark.parametrize(
+        "sizes", [[20, 64, 64], [4, 6, 3], [5, 6, 7, 4], [20, 64, 32, 64]])
     def test_equals_encode_bitwise(self, sizes, threads, two_blas_threads):
         rng = seeded_rng(40)
         params = init_encoder(sizes, rng)

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -427,6 +428,26 @@ class TestLinearEval:
         with pytest.raises(ConfigurationError) as exc:
             linear_eval(identity_encoder(5), narrowed, test, 100, 3.0, 64, seeded_rng(1))
         assert str(exc.value) == f"classes missing from the train split: {dropped}"
+
+    def test_peak_is_the_train_embeddings_targets_and_one_block(self):
+        # the train embeddings are freed before the test split is embedded,
+        # and neither split holds a whole-array trace
+        ds = generate_spoke_clusters(10, 5, 100, 20, 8.0, 1.3, 0.5, seeded_rng(7))
+        train, test = split_dataset(ds, 0.8, seeded_rng(0))
+        assert (len(train.labels), len(test.labels)) == (4000, 1000)
+        encoder = init_encoder([20, 64, 64], seeded_rng(2))
+        tracemalloc.start()
+        try:
+            linear_eval(encoder, train, test, 3, 3.0, 64, seeded_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a fixed budget that does not grow with EMBED_BLOCK_ROWS: the train
+        # embeddings, one epoch's one-hot targets, and the trace of a 512-row
+        # block (its hidden layer and its output, 512 x 64 each)
+        train_embeddings = 4000 * 64 * 8
+        targets = 4000 * 10 * 8
+        assert peak <= train_embeddings + targets + 2 * 512 * 64 * 8
 
     def test_probe_matches_the_reference_loop_bitwise(self):
         # 200 samples in batches of 64: the last batch of each epoch holds 8
