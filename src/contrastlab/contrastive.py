@@ -29,7 +29,7 @@ def _mix(x: Tensor, lam: Tensor) -> Tensor:
     return lam * x[:half] + (1.0 - lam) * x[half:]
 
 
-def mixup_half_batch(x: Tensor, rng: np.random.Generator) -> tuple[Tensor, Tensor]:
+def mixup_half_batch(x: Tensor, rng: "np.random.Generator") -> tuple[Tensor, Tensor]:
     """Mix the front half of the batch with the back half, lambda ~ Unif(0, 1).
 
     Returns (x_mix, lambdas): row i of x_mix is lambdas[i] * x[i] +

@@ -58,7 +58,7 @@ def generate_gaussian_clusters(
     dim: int,
     center_spread: float,
     within_sigma: float,
-    rng: np.random.Generator,
+    rng: "np.random.Generator",
     center_offset: float = 0.0,
 ) -> Dataset:
     """Isotropic Gaussian blobs around class centers drawn uniformly in the
@@ -108,7 +108,7 @@ def generate_spoke_clusters(
     base_radius: float,
     radius_growth: float,
     within_sigma: float,
-    rng: np.random.Generator,
+    rng: "np.random.Generator",
 ) -> Dataset:
     """Scale-banded clusters: class c sits at radius base_radius * growth^c
     along a set of unit directions shared by every class.
@@ -152,7 +152,7 @@ def generate_spoke_clusters(
 
 
 def _augment(x: Tensor, noise_sigma: float, mask_fraction: float, scale_min: float,
-             scale_max: float, rng: np.random.Generator) -> Tensor:
+             scale_max: float, rng: "np.random.Generator") -> Tensor:
     out = x.copy()
     if noise_sigma > 0.0:
         out += noise_sigma * rng.standard_normal(x.shape)
@@ -165,7 +165,7 @@ def _augment(x: Tensor, noise_sigma: float, mask_fraction: float, scale_min: flo
 
 
 def two_views(x: Tensor, noise_sigma: float, mask_fraction: float, scale_min: float,
-              scale_max: float, rng: np.random.Generator) -> tuple[Tensor, Tensor]:
+              scale_max: float, rng: "np.random.Generator") -> tuple[Tensor, Tensor]:
     """Two independent stochastic corruptions of the same rows.
 
     Per view: add N(0, noise_sigma^2) noise, zero round(mask_fraction * D)
@@ -178,7 +178,7 @@ def two_views(x: Tensor, noise_sigma: float, mask_fraction: float, scale_min: fl
     return _augment(x, *args), _augment(x, *args)
 
 
-def epoch_batches(sample_count: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
+def epoch_batches(sample_count: int, batch_size: int, rng: "np.random.Generator") -> list[np.ndarray]:
     """A fresh uniform permutation split into full batches; remainder dropped.
     `batch_size` must be even and in [2, sample_count]; it is not checked."""
     perm = rng.permutation(sample_count)
@@ -186,7 +186,7 @@ def epoch_batches(sample_count: int, batch_size: int, rng: np.random.Generator) 
     return [perm[i : i + batch_size] for i in range(0, full, batch_size)]
 
 
-def split_dataset(dataset: Dataset, train_fraction: float, rng: np.random.Generator) -> tuple[Dataset, Dataset]:
+def split_dataset(dataset: Dataset, train_fraction: float, rng: "np.random.Generator") -> tuple[Dataset, Dataset]:
     """Stratified split; every class keeps floor(fraction * count) train rows."""
     if not 0.0 < train_fraction < 1.0:
         raise ConfigurationError(f"train fraction must be in (0, 1), got {train_fraction}")

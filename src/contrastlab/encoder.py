@@ -80,10 +80,9 @@ class ForwardTrace:
     inputs: list[Tensor] = field(default_factory=list)
     output: Tensor | None = None  # the normalized rows `encode` returned
     guarded_norms: Tensor | None = None  # (N, 1): max(eps, row norm of that output)
-    degenerate_rows: Tensor | None = None  # rows whose norm before normalization <= eps
 
 
-def init_encoder(layer_sizes, rng: np.random.Generator) -> EncoderParams:
+def init_encoder(layer_sizes, rng: "np.random.Generator") -> EncoderParams:
     """Weights drawn N(0, 1/fan_in), biases zero."""
     sizes = _checked_sizes(layer_sizes)
     blocks = []
@@ -97,8 +96,8 @@ def encode(params: EncoderParams, x: Tensor) -> tuple[Tensor, ForwardTrace]:
 
     `x` must be a float64 (N, input_dim) matrix; it is not checked, and it is
     not written to. Deterministic given (params, x). Rows whose final affine
-    output has norm <= eps are divided by eps instead (zero rows stay zero)
-    and flagged in the trace. The trace holds the returned array as `output`.
+    output has norm <= eps are divided by eps instead (zero rows stay zero),
+    so their guarded norm is eps. The trace holds the returned array as `output`.
 
     Bias, ReLU and normalization run in place. With one hidden layer, a
     caller that discards the trace holds at most two N x width arrays at
@@ -116,7 +115,6 @@ def encode(params: EncoderParams, x: Tensor) -> tuple[Tensor, ForwardTrace]:
     guarded = trace.guarded_norms = guarded_row_norms(a)
     a /= guarded
     trace.output = a
-    trace.degenerate_rows = (guarded <= DEFAULT_NORM_EPS).ravel()
     return a, trace
 
 
@@ -158,7 +156,7 @@ def _normalization_pullback(trace: ForwardTrace, grad_v: Tensor) -> Tensor:
     np.multiply(inner, y, out=gz)
     np.subtract(grad_v, gz, out=gz)
     gz /= guarded
-    degenerate = trace.degenerate_rows
+    degenerate = (guarded <= DEFAULT_NORM_EPS).ravel()
     if degenerate.any():  # rows divided by eps alone are linear
         gz[degenerate] = grad_v[degenerate] / guarded[degenerate]
     return gz

@@ -41,7 +41,7 @@ class MoCoState:
         return self.queue.shape[0]
 
 
-def init_moco(layer_sizes, queue_size: int, ema_momentum: float, rng: np.random.Generator) -> MoCoState:
+def init_moco(layer_sizes, queue_size: int, ema_momentum: float, rng: "np.random.Generator") -> MoCoState:
     """Fresh state: key params copied bit-identically from the query params,
     queue filled with random unit vectors, pointer at 0."""
     if queue_size < 0:

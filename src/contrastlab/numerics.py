@@ -3,7 +3,8 @@ the BLAS thread pin the training loop runs under.
 
 All values are carried in C-contiguous numpy float64 arrays; every reduction
 uses a fixed deterministic kernel, so identical inputs give bitwise-identical
-outputs across runs. Random streams come from `seeded_rng` (numpy's PCG64).
+outputs across runs. Random streams come from `seeded_rng` (numpy's PCG64);
+rng annotations are quoted, so numpy.random (~6 MB) loads at the first draw.
 """
 
 import contextlib
@@ -42,7 +43,7 @@ def fits_one_array(count: int) -> bool:
     return 8 * count <= np.iinfo(np.intp).max
 
 
-def seeded_rng(seed: int) -> np.random.Generator:
+def seeded_rng(seed: int) -> "np.random.Generator":
     """Deterministic random stream: numpy Generator over the PCG64 bit stream.
 
     Same seed, same sequence of uniforms/normals/permutations, on every
@@ -51,7 +52,7 @@ def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
+def spawn_rngs(seed: int, count: int) -> list["np.random.Generator"]:
     """Independent child streams derived from one master seed."""
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
 

@@ -14,6 +14,7 @@ from .encoder import EncoderParams, encode, init_encoder
 from .errors import ConfigurationError
 from .moco import init_moco
 from .numerics import (
+    DEFAULT_NORM_EPS,
     GradCheckReport,
     finite_difference_check,
     l2_normalize_rows,
@@ -69,7 +70,7 @@ def _step_case(mode: str, seed: int, b: int, k: int, mix_weight: float):
     if config.mixes:
         rows.append(mixup_half_batch(x_query, mix_stream())[0])
     _, trace = encode(params0, np.concatenate(rows))
-    if trace.degenerate_rows.any():
+    if (trace.guarded_norms <= DEFAULT_NORM_EPS).any():
         raise ConfigurationError(f"step case {mode} seed {seed}: an encoded row has zero norm")
 
     def f(vector):

@@ -288,7 +288,7 @@ def train_linear_probe(
     epochs: int,
     lr0: float,
     batch_size: int,
-    rng: np.random.Generator,
+    rng: "np.random.Generator",
 ) -> LinearProbe:
     """Multinomial logistic regression by minibatch SGD with cosine decay.
 
@@ -329,6 +329,7 @@ def train_linear_probe(
             velocity += grads
             np.multiply(velocity, lr_now, out=step)
             params -= step
+        del targets  # else it is still held while the next epoch builds its own
     return LinearProbe(weight, bias)
 
 
@@ -344,7 +345,7 @@ def linear_eval(
     epochs: int,
     lr0: float,
     batch_size: int,
-    rng: np.random.Generator,
+    rng: "np.random.Generator",
 ) -> float:
     """Freeze the encoder, fit a linear classifier on its embeddings, and
     return top-1 accuracy on the test split."""
@@ -367,13 +368,15 @@ def linear_eval(
 
 
 def _cluster_stats(embeddings: Tensor, labels: np.ndarray):
+    """The embeddings as a float64 matrix, the row indices of each nonempty
+    class in class order, and each such class's centroid."""
     embeddings = as_matrix(embeddings, "embeddings")
     labels = np.asarray(labels)
-    classes = np.flatnonzero(np.bincount(labels))
-    if classes.size < 2:
-        raise ConfigurationError(f"need >= 2 nonempty classes, got {classes.size}")
-    centroids = np.stack([embeddings[labels == c].mean(axis=0) for c in classes])
-    return embeddings, labels, classes, centroids
+    members = [np.flatnonzero(labels == c) for c in np.flatnonzero(np.bincount(labels))]
+    if len(members) < 2:
+        raise ConfigurationError(f"need >= 2 nonempty classes, got {len(members)}")
+    centroids = np.stack([embeddings[rows].mean(axis=0) for rows in members])
+    return embeddings, members, centroids
 
 
 def davies_bouldin(embeddings: Tensor, labels: np.ndarray) -> float:
@@ -383,14 +386,10 @@ def davies_bouldin(embeddings: Tensor, labels: np.ndarray) -> float:
     Scatter is the mean Euclidean distance to the centroid. Coincident
     centroids make the ratio undefined; that returns +inf with a warning.
     """
-    embeddings, labels, classes, centroids = _cluster_stats(embeddings, labels)
-    k = classes.size
-    scatter = np.array(
-        [
-            np.sqrt(((embeddings[labels == c] - centroids[i]) ** 2).sum(axis=1)).mean()
-            for i, c in enumerate(classes)
-        ]
-    )
+    embeddings, members, centroids = _cluster_stats(embeddings, labels)
+    k = len(members)
+    scatter = np.array([np.sqrt(((embeddings[rows] - centroid) ** 2).sum(axis=1)).mean()
+                        for rows, centroid in zip(members, centroids)])
     diff = centroids[:, None, :] - centroids[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=2))
     off_diagonal = ~np.eye(k, dtype=bool)
@@ -407,16 +406,15 @@ def calinski_harabasz(embeddings: Tensor, labels: np.ndarray) -> float:
 
     Zero within-cluster dispersion returns +inf with a warning.
     """
-    embeddings, labels, classes, centroids = _cluster_stats(embeddings, labels)
-    n, k = embeddings.shape[0], classes.size
+    embeddings, members, centroids = _cluster_stats(embeddings, labels)
+    n, k = embeddings.shape[0], len(members)
     if k >= n:
         raise ConfigurationError(f"need fewer classes than samples, got {k} of {n}")
     mean = embeddings.mean(axis=0)
-    counts = np.array([(labels == c).sum() for c in classes])
+    counts = np.array([rows.size for rows in members])
     between = float((counts * ((centroids - mean) ** 2).sum(axis=1)).sum())
-    within = float(
-        sum(((embeddings[labels == c] - centroids[i]) ** 2).sum() for i, c in enumerate(classes))
-    )
+    within = float(sum(((embeddings[rows] - centroid) ** 2).sum()
+                       for rows, centroid in zip(members, centroids)))
     if within == 0.0:
         warnings.warn("zero within-cluster dispersion: Calinski-Harabasz undefined", RuntimeWarning)
         return math.inf

@@ -295,7 +295,7 @@ def encode_direct(params, x):
         a = np.maximum(z, 0.0) if l < last else z
     guarded = np.maximum(np.sqrt((a * a).sum(axis=1, keepdims=True)), DEFAULT_NORM_EPS)
     output = a / guarded
-    trace = ForwardTrace(inputs, output, guarded, (guarded <= DEFAULT_NORM_EPS).ravel())
+    trace = ForwardTrace(inputs, output, guarded)
     return output, trace, pre_activations
 
 

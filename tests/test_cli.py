@@ -28,6 +28,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_fresh(script, *argv):
+    """`python -c script *argv` in a new interpreter that imports this contrastlab."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 @pytest.fixture()
 def tiny_data(tmp_path):
     path = tmp_path / "data.txt"
@@ -481,17 +488,22 @@ class TestEvalCommands:
     @pytest.mark.parametrize("command", ["linear-eval", "metrics", "export-embeddings"])
     def test_command_leaves_numpy_ma_unimported(self, command, tiny_data, trained_run,
                                                 tmp_path):
-        # numpy.ma would cost each command over 10 ms and ~1.25 MB of RSS; none uses it
+        # numpy.ma would cost each command over 10 ms and ~1.25 MB of RSS; none
+        # uses it. numpy.random (~6 MB) is loaded only by linear-eval, which draws
         argv = [command, "--checkpoint", str(trained_run), "--data", str(tiny_data)]
         if command == "export-embeddings":
             argv += ["--out", str(tmp_path / "emb.txt")]
-        script = ("import sys\nfrom contrastlab.cli import main\n"
-                  "code = main(sys.argv[1:])\nprint(code, 'numpy.ma' in sys.modules)")
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-        done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
+        script = ("import sys\nfrom contrastlab.cli import main\ncode = main(sys.argv[1:])\n"
+                  "print(code, 'numpy.ma' in sys.modules, 'numpy.random' in sys.modules)")
+        done = run_fresh(script, *argv)
+        drew = command == "linear-eval"
         assert (done.returncode, done.stdout.splitlines()[-1:], done.stderr) == (
-            0, ["0 False"], "")
+            0, [f"0 False {drew}"], "")
+
+    def test_importing_the_cli_leaves_numpy_random_unloaded(self):
+        # an unquoted np.random.Generator annotation would load it at import
+        done = run_fresh("import sys, contrastlab.cli\nprint('numpy.random' in sys.modules)")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
     @pytest.mark.parametrize("dim", [4, 8], ids=["narrower", "wider"])
     @pytest.mark.parametrize("command", ["linear-eval", "metrics", "export-embeddings"])

@@ -19,6 +19,7 @@ from contrastlab.encoder import (
 )
 from contrastlab.errors import ConfigurationError, DivergedRunError, FormatError
 from contrastlab.numerics import (
+    DEFAULT_NORM_EPS,
     finite_difference_check,
     l2_normalize_rows_vjp,
     seeded_rng,
@@ -66,13 +67,13 @@ class TestEncode:
             w[...] = 0.0
         v, trace = encode(params, np.ones((5, 3)))
         assert np.array_equal(v, np.zeros((5, 2)))
-        assert trace.degenerate_rows.all()
+        assert (trace.guarded_norms <= DEFAULT_NORM_EPS).all()
 
     def test_normal_rows_not_flagged(self):
         rng = seeded_rng(4)
         params = init_encoder([3, 4, 2], rng)
         _, trace = encode(params, rng.normal(size=(6, 3)))
-        assert not trace.degenerate_rows.any()
+        assert (trace.guarded_norms > DEFAULT_NORM_EPS).all()
 
     def test_deterministic(self):
         rng = seeded_rng(5)
@@ -96,8 +97,7 @@ class TestEncode:
         for got, want in zip(trace.inputs, expected.inputs):
             assert got.tobytes() == want.tobytes()
         assert trace.guarded_norms.tobytes() == expected.guarded_norms.tobytes()
-        assert np.array_equal(trace.degenerate_rows, expected.degenerate_rows)
-        assert np.flatnonzero(trace.degenerate_rows).tolist() == [2, 4]
+        assert np.flatnonzero(trace.guarded_norms <= DEFAULT_NORM_EPS).tolist() == [2, 4]
         assert x.tobytes() == kept.tobytes()
 
     def test_one_hidden_layer_peaks_at_two_n_by_width_arrays(self):
@@ -184,7 +184,7 @@ class TestBackward:
         params = init_encoder([5, 6, 7, 4], rng)
         x = rows_with_degenerate(rng, 9, 5) if degenerate else rng.normal(size=(9, 5))
         _, trace = encode(params, x)
-        assert trace.degenerate_rows.any() == degenerate
+        assert (trace.guarded_norms <= DEFAULT_NORM_EPS).any() == degenerate
         if degenerate:  # a row the active formula would get wrong
             assert trace.output[4].any()
         g = rng.normal(size=(9, 4))

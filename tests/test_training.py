@@ -449,6 +449,22 @@ class TestLinearEval:
         targets = 4000 * 10 * 8
         assert peak <= train_embeddings + targets + 2 * 512 * 64 * 8
 
+    def test_probe_holds_one_epoch_of_targets_at_a_time(self):
+        # each epoch's (4000, 10) one-hot targets are freed before the next
+        # epoch builds its own; holding both would add another 320 KB
+        rng = seeded_rng(3)
+        emb, labels = rng.normal(size=(4000, 64)), rng.integers(0, 10, 4000)
+        stream = seeded_rng(1)
+        tracemalloc.start()
+        try:
+            train_linear_probe(emb, labels, 10, 2, 3.0, 64, stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 160 KiB of temporaries: the permutation and its labels (2 x 32 KB),
+        # one batch of rows (32 KB), the probe's four flat vectors (21 KB)
+        assert peak <= 4000 * 10 * 8 + 160 * 1024
+
     def test_probe_matches_the_reference_loop_bitwise(self):
         # 200 samples in batches of 64: the last batch of each epoch holds 8
         ds = axis_blob_dataset()
@@ -532,7 +548,7 @@ class TestClusterIndices:
         def stats_from_np_unique(embeddings, labels):
             classes = np.unique(labels)
             centroids = np.stack([embeddings[labels == c].mean(axis=0) for c in classes])
-            return embeddings, labels, classes, centroids
+            return embeddings, [np.flatnonzero(labels == c) for c in classes], centroids
 
         rng = seeded_rng(20 + seed)
         emb = rng.normal(size=(90, 5)) * 2
