@@ -27,10 +27,10 @@ from .data import (
     save_dataset,
     split_dataset,
 )
-from .encoder import ENCODER_MAGIC, embed, load_encoder, save_encoder
+from .encoder import embed, save_encoder
 from .errors import ConfigurationError, ContrastLabError, DivergedRunError, FormatError
 from .fileio import atomic_write
-from .moco import MOCO_MAGIC, MOCO_V1_MAGIC, load_moco, save_moco
+from .moco import load_query_encoder, save_moco
 from .numerics import fits_one_array, seeded_rng
 from .selfcheck import gradient_suite, worst_relative_error
 from .training import (
@@ -188,21 +188,9 @@ class OutputDirLock:
         os.close(self.fd)
 
 
-def load_any_encoder(path):
-    """Read the query encoder out of either checkpoint flavor."""
-    with open(path, "rb") as fh:
-        magic = fh.readline(64).strip()
-    if magic in (MOCO_MAGIC.encode(), MOCO_V1_MAGIC.encode()):
-        state, seed = load_moco(path)
-        return state.query, seed
-    if magic == ENCODER_MAGIC.encode():
-        return load_encoder(path)
-    raise FormatError(f"unrecognized checkpoint magic {magic!r}", 0)
-
-
 def _load_eval_inputs(args):
     """An eval command's encoder and dataset, checked to agree in width."""
-    encoder, _ = load_any_encoder(args.checkpoint)
+    encoder, _ = load_query_encoder(args.checkpoint)
     dataset = load_dataset(args.data)
     if dataset.dim != encoder.input_dim:
         raise ConfigurationError(
@@ -243,7 +231,7 @@ def _cmd_pretrain(args) -> int:
         write_manifest(config, manifest)
         try:
             result = pretrain(config, dataset)
-        except (ConfigurationError, MemoryError):
+        except MemoryError:
             # exit 1 (an encoder too large to allocate, say): undo the manifest
             # and the directories, and report this error, not a failed undo
             with contextlib.suppress(OSError):

@@ -187,9 +187,8 @@ def epoch_batches(sample_count: int, batch_size: int, rng: "np.random.Generator"
 
 
 def split_dataset(dataset: Dataset, train_fraction: float, rng: "np.random.Generator") -> tuple[Dataset, Dataset]:
-    """Stratified split; every class keeps floor(fraction * count) train rows."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ConfigurationError(f"train fraction must be in (0, 1), got {train_fraction}")
+    """Stratified split; every class keeps floor(fraction * count) train rows.
+    Unchecked fraction (`EvalConfig` checks it); raises if a split would lack a class."""
     train_idx, test_idx = [], []
     for c in range(dataset.class_count):
         members = np.flatnonzero(dataset.labels == c)

@@ -4,34 +4,24 @@ Forward and backward passes are handwritten. `encode`, the one forward pass,
 keeps what the backward reads in a ForwardTrace, so `encoder_backward` can
 return exact gradients of the normalized output, normalization Jacobian
 included; callers that never differentiate call `embed`, which runs `encode`
-on blocks of rows and drops each trace. None of them
-checks its operands: the training step calls them on operands `RunConfig`
-has checked, and the file loaders and the CLI check what comes from outside.
+on blocks of rows and drops each trace. None of them, nor `init_encoder` or
+`EncoderParams`, checks its operands: `RunConfig` checks the sizes a run
+uses, and the file loaders and the CLI check what comes from outside.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergedRunError, FormatError
+from .errors import DivergedRunError, FormatError
 from .fileio import LineReader, atomic_write, float_line
 from .numerics import DEFAULT_NORM_EPS, Tensor, as_f64, guarded_row_norms
 
 ENCODER_MAGIC = "contrastlab-encoder 1"
 
 
-def _checked_sizes(layer_sizes) -> list[int]:
-    sizes = [int(s) for s in layer_sizes]
-    if len(sizes) < 2 or any(s < 1 for s in sizes):
-        raise ConfigurationError(f"layer sizes must be >= 2 entries of >= 1, got {sizes}")
-    return sizes
-
-
 def _block_views(sizes: list[int], vector: Tensor) -> tuple[list[Tensor], list[Tensor]]:
     """(out x in) weight and bias views into a flat W0, b0, W1, b1, ... vector."""
-    count = sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes, sizes[1:]))
-    if vector.shape != (count,):
-        raise ConfigurationError(f"vector shape {vector.shape} does not match layer sizes {sizes}")
     weights, biases = [], []
     pos = 0
     for fan_in, fan_out in zip(sizes, sizes[1:]):
@@ -47,7 +37,7 @@ class EncoderParams:
     """All weights (out x in) and biases in one flat float64 vector, laid out
     W0, b0, W1, b1, ...; `weights[l]` and `biases[l]` are views into it.
 
-    Gradients and SGD velocity are plain vectors in the same layout.
+    Gradients and SGD velocity use the same layout. Sizes and vector are unchecked.
     """
 
     layer_sizes: list[int]
@@ -56,11 +46,9 @@ class EncoderParams:
     biases: list[Tensor] = field(init=False, repr=False)
 
     def __post_init__(self):
-        sizes = self.layer_sizes = _checked_sizes(self.layer_sizes)
+        self.layer_sizes = [int(s) for s in self.layer_sizes]
         self.vector = as_f64(self.vector)
-        self.weights, self.biases = _block_views(sizes, self.vector)
-        if not np.isfinite(self.vector).all():
-            raise ConfigurationError("encoder parameters are not finite")
+        self.weights, self.biases = _block_views(self.layer_sizes, self.vector)
 
     @property
     def input_dim(self) -> int:
@@ -83,8 +71,8 @@ class ForwardTrace:
 
 
 def init_encoder(layer_sizes, rng: "np.random.Generator") -> EncoderParams:
-    """Weights drawn N(0, 1/fan_in), biases zero."""
-    sizes = _checked_sizes(layer_sizes)
+    """Weights drawn N(0, 1/fan_in), biases zero; the sizes are not checked."""
+    sizes = [int(s) for s in layer_sizes]
     blocks = []
     for fan_in, fan_out in zip(sizes, sizes[1:]):
         blocks += [rng.normal(0.0, fan_in**-0.5, size=fan_out * fan_in), np.zeros(fan_out)]

@@ -10,13 +10,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import (
+    ENCODER_MAGIC,
     EncoderParams,
     embed,
     init_encoder,
+    load_encoder,
     read_params_block,
     write_params_block,
 )
-from .errors import ConfigurationError, FormatError
+from .errors import FormatError
 from .fileio import LineReader, atomic_write, write_hex_rows
 from .numerics import Tensor, guarded_row_norms
 
@@ -42,12 +44,8 @@ class MoCoState:
 
 
 def init_moco(layer_sizes, queue_size: int, ema_momentum: float, rng: "np.random.Generator") -> MoCoState:
-    """Fresh state: key params copied bit-identically from the query params,
-    queue filled with random unit vectors, pointer at 0."""
-    if queue_size < 0:
-        raise ConfigurationError(f"queue size must be >= 0, got {queue_size}")
-    if not 0.0 <= ema_momentum <= 1.0:
-        raise ConfigurationError(f"EMA momentum must be in [0, 1], got {ema_momentum}")
+    """Fresh state, from arguments `RunConfig` has checked: key params copied
+    bit-identically from the query params, queue of random unit vectors, pointer 0."""
     query = init_encoder(layer_sizes, rng)
     embed_dim = query.output_dim
     # drawn and normalized in place; at K = 0 the empty draw leaves `rng` as it was
@@ -155,3 +153,15 @@ def load_moco(path) -> tuple[MoCoState, int]:
         reader.expect("end", "trailer")
         reader.expect_eof()
     return MoCoState(query, key, queue, ptr, ema), seed
+
+
+def load_query_encoder(path) -> tuple[EncoderParams, int]:
+    """Query encoder and seed of a moco (either layout) or encoder checkpoint."""
+    with open(path, "rb") as fh:
+        magic = fh.readline(64).strip()
+    if magic in (MOCO_MAGIC.encode(), MOCO_V1_MAGIC.encode()):
+        state, seed = load_moco(path)
+        return state.query, seed
+    if magic == ENCODER_MAGIC.encode():
+        return load_encoder(path)
+    raise FormatError(f"unrecognized checkpoint magic {magic!r}", 0)

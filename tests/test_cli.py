@@ -589,6 +589,10 @@ class TestConfigBoundary:
         ("pretrain", "hidden_dims=64,0"),
         ("pretrain", "embed_dim=0"),
         ("pretrain", "batch_size=3"),
+        ("pretrain", "ema_momentum=1.5"),
+        ("pretrain", "ema_momentum=nan"),
+        ("pretrain", "queue_size=-64"),
+        ("linear-eval", "train_fraction=1.0"),
     ])
     def test_out_of_range_value_exits_one_naming_the_key(self, command, setting, tiny_data,
                                                          tmp_path, request, capsys):

@@ -17,7 +17,7 @@ from contrastlab.encoder import (
     load_encoder,
     save_encoder,
 )
-from contrastlab.errors import ConfigurationError, DivergedRunError, FormatError
+from contrastlab.errors import DivergedRunError, FormatError
 from contrastlab.numerics import (
     DEFAULT_NORM_EPS,
     finite_difference_check,
@@ -46,12 +46,6 @@ class TestInit:
         params = init_encoder([50, 300, 2], seeded_rng(1))
         var = params.weights[0].var()
         assert abs(var - 1.0 / 50) < 0.2 / 50
-
-    def test_rejects_bad_sizes(self):
-        with pytest.raises(ConfigurationError):
-            init_encoder([4], seeded_rng(0))
-        with pytest.raises(ConfigurationError):
-            init_encoder([4, 0, 2], seeded_rng(0))
 
 
 class TestEncode:
@@ -377,6 +371,17 @@ class TestCheckpoint:
         save_encoder(init_encoder([3, 2], seeded_rng(15)), path)
         path.write_text(path.read_text() + "W0 2 3\n")
         with pytest.raises(FormatError, match="trailing"):
+            load_encoder(path)
+
+    @pytest.mark.parametrize("header", ["layers 3", "layers 3 0 2"])
+    def test_rejects_layer_sizes_no_encoder_has(self, tmp_path, header):
+        # the loader is where a file's sizes are checked; EncoderParams trusts them
+        path = tmp_path / "enc.txt"
+        save_encoder(init_encoder([3, 2], seeded_rng(16)), path)
+        lines = path.read_text().splitlines()
+        lines[2] = header
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="malformed layer sizes header"):
             load_encoder(path)
 
     def test_non_finite_parameter(self, tmp_path):

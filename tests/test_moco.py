@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from contrastlab.cli import main
 from contrastlab.data import generate_spoke_clusters, load_dataset, save_dataset
 from contrastlab.encoder import encode, init_encoder, load_encoder, save_encoder
-from contrastlab.errors import ConfigurationError, FormatError
+from contrastlab.errors import FormatError
 from contrastlab.moco import (
     enqueue_dequeue,
     init_moco,
@@ -77,12 +77,6 @@ class TestInit:
         queue = moco_queue_direct(8, 3, direct_rng)
         assert state.queue[0, 0] == 0.0 and not np.signbit(state.queue[0, 0])
         assert state.queue.tobytes() == queue.tobytes()
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ConfigurationError):
-            init_moco([4, 6, 3], -1, 0.99, seeded_rng(0))
-        with pytest.raises(ConfigurationError):
-            init_moco([4, 6, 3], 8, 1.5, seeded_rng(0))
 
 
 class TestMomentumUpdate:

@@ -2,7 +2,9 @@
 top-level name in src/contrastlab is referenced from the package itself or
 from the benchmark's driver (perfbench/run.py, worker.py, workloads.py), or
 is a function the benchmark traces (perfbench/layers.py). Tests do not count
-as users. And only `encoder.embed` drops the trace of an `encode` call."""
+as users. Only `encoder.embed` drops the trace of an `encode` call. And
+`encoder` and `moco` raise no ConfigurationError: `RunConfig` and the file
+loaders check what they are built from."""
 
 import ast
 import importlib.util
@@ -109,4 +111,36 @@ def test_callers_that_discard_the_trace_call_embed():
             tree.body = [node for node in tree.body
                          if not (isinstance(node, ast.FunctionDef) and node.name == "embed")]
         found += [f"{name}:{line}" for line in _discarded_traces(tree)]
+    assert found == []
+
+
+def _configuration_errors(tree):
+    """Lines that import ConfigurationError or raise it, by name or as an
+    attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            names = [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node.exc)
+                     if isinstance(n, (ast.Name, ast.Attribute))]
+        else:
+            continue
+        if "ConfigurationError" in names:
+            yield node.lineno
+
+
+def test_the_check_finds_every_form_of_a_configuration_error():
+    assert sorted(_configuration_errors(ast.parse(
+        "from .errors import ConfigurationError, FormatError\n"
+        "raise ConfigurationError('x')\n"
+        "raise errors.ConfigurationError('x') from None\n"
+        "raise FormatError('x', 0)\n"
+        "from .errors import FormatError\n"))) == [1, 2, 3]
+
+
+def test_encoder_and_moco_leave_config_checks_to_the_boundaries():
+    """A value `RunConfig` or a loader has checked is not checked again
+    where the encoder or the moco state is built."""
+    found = [f"{name}:{line}" for name in ("encoder.py", "moco.py")
+             for line in _configuration_errors(_parse(os.path.join(PACKAGE, name)))]
     assert found == []

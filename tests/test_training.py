@@ -419,16 +419,6 @@ class TestLinearEval:
         linear_eval(encoder, train, test, 5, 3.0, 64, seeded_rng(1))
         assert np.array_equal(encoder.vector, before)
 
-    @pytest.mark.parametrize("dropped", [[2], [1, 4]])
-    def test_rejects_missing_class(self, dropped):
-        ds = axis_blob_dataset()
-        train, test = split_dataset(ds, 0.8, seeded_rng(0))
-        kept = ~np.isin(train.labels, dropped)
-        narrowed = Dataset(train.features[kept], train.labels[kept], train.class_count)
-        with pytest.raises(ConfigurationError) as exc:
-            linear_eval(identity_encoder(5), narrowed, test, 100, 3.0, 64, seeded_rng(1))
-        assert str(exc.value) == f"classes missing from the train split: {dropped}"
-
     def test_peak_is_the_train_embeddings_targets_and_one_block(self):
         # the train embeddings are freed before the test split is embedded,
         # and neither split holds a whole-array trace
