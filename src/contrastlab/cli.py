@@ -58,7 +58,8 @@ class DataGenConfig:
 
     kind=spokes builds the scale-banded desk dataset (classes differ only in
     input scale); kind=gaussian builds plain isotropic blobs with centers in
-    a hypercube.
+    a hypercube. Every knob the selected kind uses is checked here, so the
+    generators trust their arguments.
     """
 
     kind: str = "spokes"
@@ -78,15 +79,24 @@ class DataGenConfig:
     within_sigma: float = 0.5
 
     def __post_init__(self):
-        # the generators check the other knobs
+        is_spokes = self.kind == "spokes"
+        # written so that NaN, which fails every comparison, fails each check
         _check_rules(self, (
-            ("kind", self.kind in ("spokes", "gaussian"), "spokes or gaussian"),
+            ("kind", is_spokes or self.kind == "gaussian", "spokes or gaussian"),
+            ("classes", self.classes >= 2, ">= 2"),
+            ("dim", self.dim >= 1, ">= 1"),
             ("seed", self.seed >= 0, ">= 0"),
+            ("within_sigma", 0.0 < self.within_sigma < math.inf, "finite and > 0"),
+            ("spokes", not is_spokes or self.spokes >= 1, ">= 1"),
+            ("per_mode", not is_spokes or self.per_mode >= 1, ">= 1"),
+            ("base_radius", not is_spokes or 0.0 < self.base_radius < math.inf, "finite and > 0"),
+            ("radius_growth", not is_spokes or 1.0 < self.radius_growth < math.inf, "finite and > 1"),
+            ("per_class", is_spokes or self.per_class >= 1, ">= 1"),
+            ("center_spread", is_spokes or 0.0 < self.center_spread < math.inf, "finite and > 0"),
+            ("center_offset", is_spokes or -math.inf < self.center_offset < math.inf, "finite"),
         ))
-        counts = ((self.classes, self.spokes, self.per_mode) if self.kind == "spokes"
-                  else (self.classes, self.per_class))
-        samples = math.prod(counts)
-        if min(*counts, self.dim) >= 1 and not fits_one_array(samples * self.dim):
+        samples = self.classes * (self.spokes * self.per_mode if is_spokes else self.per_class)
+        if not fits_one_array(samples * self.dim):
             raise ConfigurationError(
                 f"{samples} samples of dim {self.dim} are more values than one array can hold")
 

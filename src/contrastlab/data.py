@@ -2,17 +2,18 @@
 dataset file format.
 
 Labels exist only for evaluation; the pretraining loop receives a plain
-feature matrix and never sees them.
+feature matrix and never sees them. `DataGenConfig` checks the generators'
+arguments and `load_dataset` a file's, each fact once, where it enters, so
+`Dataset` and the generators trust their callers.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, FormatError
 from .fileio import LineReader, atomic_write, write_hex_rows
-from .numerics import Tensor, as_matrix, l2_normalize_rows
+from .numerics import Tensor, as_f64, l2_normalize_rows
 
 DATASET_MAGIC = "contrastlab-dataset 2"
 DATASET_V1_MAGIC = "contrastlab-dataset 1"
@@ -20,28 +21,16 @@ DATASET_V1_MAGIC = "contrastlab-dataset 1"
 
 @dataclass
 class Dataset:
-    """Feature matrix with integer labels held out for evaluation."""
+    """Feature matrix with integer labels held out for evaluation. It checks
+    nothing: the generators, `split_dataset` and `load_dataset` build valid ones."""
 
     features: Tensor  # (N, D)
     labels: np.ndarray  # (N,) ints in [0, class_count)
-    class_count: int
+    class_count: int  # 2 <= class_count <= N
 
     def __post_init__(self):
-        self.features = as_matrix(self.features, "features")
+        self.features = as_f64(self.features)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.labels.shape != (self.features.shape[0],):
-            raise ConfigurationError(
-                f"label shape {self.labels.shape} does not match {self.features.shape[0]} samples"
-            )
-        if self.class_count < 2:
-            raise ConfigurationError(f"need at least 2 classes, got {self.class_count}")
-        if self.features.shape[0] < self.class_count:
-            raise ConfigurationError("fewer samples than classes")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.class_count):
-            raise ConfigurationError(
-                f"labels must lie in [0, {self.class_count}), got "
-                f"[{self.labels.min()}, {self.labels.max()}]"
-            )
 
     @property
     def sample_count(self) -> int:
@@ -68,20 +57,9 @@ def generate_gaussian_clusters(
     cone of input directions; the default 0 anchors one cube corner at the
     origin. Draw order is fixed: one uniform block for the centers, then one
     normal block for the point offsets, so the centers can be reproduced from
-    the same seed.
+    the same seed. The arguments are `DataGenConfig`'s checked knobs and are
+    not checked again; only features that overflow float64 raise.
     """
-    if class_count < 2 or per_class < 1 or dim < 1:
-        raise ConfigurationError(
-            f"counts must be positive with >= 2 classes, got classes={class_count}, "
-            f"per_class={per_class}, dim={dim}"
-        )
-    # written so that NaN, which fails every comparison, fails each check
-    if not (math.isfinite(center_offset) and 0.0 < center_spread < math.inf
-            and 0.0 < within_sigma < math.inf):
-        raise ConfigurationError(
-            "need a finite center_offset, and center_spread and within_sigma finite and "
-            f"positive, got {center_offset}, {center_spread}, {within_sigma}"
-        )
     overflow = ConfigurationError(
         "center_offset + center_spread and within_sigma must keep the features inside float64, "
         f"got {center_offset}, {center_spread}, {within_sigma}")
@@ -116,19 +94,10 @@ def generate_spoke_clusters(
     Direction carries no class information, so class identity lives purely in
     the input scale. A bias-free ReLU network is positively homogeneous and
     therefore blind to it, which makes this the reference dataset for showing
-    that pretraining learns something a random encoder cannot express.
+    that pretraining learns something a random encoder cannot express. The
+    arguments are `DataGenConfig`'s checked knobs and are not checked again;
+    only features that overflow float64 raise.
     """
-    if class_count < 2 or spokes < 1 or per_mode < 1 or dim < 1:
-        raise ConfigurationError(
-            f"counts must be positive with >= 2 classes, got classes={class_count}, "
-            f"spokes={spokes}, per_mode={per_mode}, dim={dim}"
-        )
-    if not (0.0 < base_radius < math.inf and 1.0 < radius_growth < math.inf
-            and 0.0 < within_sigma < math.inf):
-        raise ConfigurationError(
-            "need finite base_radius > 0, radius_growth > 1, and within_sigma > 0, got "
-            f"{base_radius}, {radius_growth}, {within_sigma}"
-        )
     directions = l2_normalize_rows(rng.standard_normal((spokes, dim)))
     overflow = ConfigurationError(
         "base_radius * radius_growth^(classes - 1) and within_sigma must keep the features "
@@ -243,12 +212,9 @@ def load_dataset(path) -> Dataset:
         if magic == DATASET_MAGIC:
             features, labels = _read_v2_block(reader, n, dim, classes)
         else:
-            features, labels = _read_v1_block(reader, n, dim)
+            features, labels = _read_v1_block(reader, n, dim, classes)
         reader.expect_eof()
-    try:
-        return Dataset(features, labels, classes)
-    except ConfigurationError as exc:
-        raise FormatError(f"bad dataset: {exc}") from None
+    return Dataset(features, labels, classes)
 
 
 def _read_v2_block(reader: LineReader, n: int, dim: int, classes: int):
@@ -265,7 +231,7 @@ def _read_v2_block(reader: LineReader, n: int, dim: int, classes: int):
     return reader.hex_matrix(n, dim, "features"), labels
 
 
-def _read_v1_block(reader: LineReader, n: int, dim: int):
+def _read_v1_block(reader: LineReader, n: int, dim: int, classes: int):
     reader.check_size(n, dim + 1, "sample block")
     features = np.empty((n, dim), dtype=np.float64)
     labels = np.empty(n, dtype=np.int64)
@@ -277,5 +243,7 @@ def _read_v1_block(reader: LineReader, n: int, dim: int):
             features[i] = [float(p) for p in parts[1:]]
         except (ValueError, OverflowError):
             raise FormatError(f"malformed sample {i}", start) from None
+        if not 0 <= labels[i] < classes:
+            raise FormatError(f"label outside [0, {classes})", start)
     reader.require_finite(features, "features")
     return features, labels

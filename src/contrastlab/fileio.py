@@ -47,14 +47,17 @@ def atomic_write(path):
     try:
         fh = open(tmp, "x")
     except OSError as exc:
-        # name the target: the caller never sees the temp file
+        # errors name the target: the caller never sees the temp file
         raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with fh:
             yield fh
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)

@@ -88,6 +88,7 @@ class TestGenData:
         ["kind=gaussian", "center_offset=nan"], ["kind=gaussian", "center_spread=inf"],
         ["radius_growth=1e300"], ["base_radius=1e308"],
         ["kind=gaussian", "center_offset=1e308", "center_spread=1e308"],
+        ["kind=gaussian", "per_class=0"], ["kind=gaussian", "center_spread=0"],
     ])
     def test_non_finite_generator_value_exits_one_and_writes_nothing(self, settings, tmp_path,
                                                                      capsys):
@@ -593,6 +594,13 @@ class TestConfigBoundary:
         ("pretrain", "ema_momentum=nan"),
         ("pretrain", "queue_size=-64"),
         ("linear-eval", "train_fraction=1.0"),
+        ("gen-data", "classes=1"),
+        ("gen-data", "dim=0"),
+        ("gen-data", "spokes=0"),
+        ("gen-data", "per_mode=0"),
+        ("gen-data", "within_sigma=0"),
+        ("gen-data", "base_radius=0"),
+        ("gen-data", "radius_growth=1.0"),
     ])
     def test_out_of_range_value_exits_one_naming_the_key(self, command, setting, tiny_data,
                                                          tmp_path, request, capsys):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from contrastlab.data import (
-    Dataset,
     epoch_batches,
     generate_gaussian_clusters,
     generate_spoke_clusters,
@@ -48,12 +47,6 @@ class TestGenerator:
         a = generate_gaussian_clusters(3, 5, 2, 4.0, 0.5, seeded_rng(3))
         b = generate_gaussian_clusters(3, 5, 2, 4.0, 0.5, seeded_rng(3))
         assert np.array_equal(a.features, b.features)
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ConfigurationError):
-            generate_gaussian_clusters(1, 5, 2, 4.0, 0.5, seeded_rng(0))
-        with pytest.raises(ConfigurationError):
-            generate_gaussian_clusters(3, 5, 2, 4.0, 0.0, seeded_rng(0))
 
 
 class TestSpokeGenerator:
@@ -235,7 +228,14 @@ class TestDatasetV1:
         assert loaded.features.tobytes() == ds.features.tobytes()
         assert np.array_equal(loaded.labels, ds.labels) and loaded.class_count == 3
 
-
-def test_labels_invariant_enforced():
-    with pytest.raises(ConfigurationError):
-        Dataset(np.zeros((4, 2)), np.array([0, 1, 2, 3]), 3)
+    @pytest.mark.parametrize("label", ["3", "-1"])
+    def test_label_outside_the_classes_names_its_row_offset(self, label, tmp_path):
+        ds = generate_gaussian_clusters(3, 2, 4, 6.0, 1.3, seeded_rng(23))
+        path = tmp_path / "v1.txt"
+        save_dataset_v1(ds, path)
+        lines = path.read_text().splitlines()
+        lines[3] = " ".join([label, *lines[3].split()[1:]])  # the second sample row
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=r"label outside \[0, 3\)") as info:
+            load_dataset(path)
+        assert info.value.offset == sum(len(line) + 1 for line in lines[:3])

@@ -1,3 +1,4 @@
+import errno
 import io
 import os
 import signal
@@ -48,6 +49,15 @@ class TestAtomicWrite:
             pass
         assert info.value.filename == str(path)
         assert str(info.value) == f"[Errno 2] No such file or directory: '{path}'"
+
+    def test_a_directory_target_is_reported_under_the_target_name(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError) as info, atomic_write(path) as fh:
+            fh.write("new\n")
+        assert info.value.filename == str(path) and info.value.filename2 is None
+        assert str(info.value) == f"[Errno {errno.EISDIR}] Is a directory: '{path}'"
+        assert os.listdir(tmp_path) == ["out.txt"] and path.is_dir()
 
     def test_raising_block_creates_nothing(self, tmp_path):
         with pytest.raises(Interrupted), atomic_write(tmp_path / "new.txt"):

@@ -4,7 +4,9 @@ from the benchmark's driver (perfbench/run.py, worker.py, workloads.py), or
 is a function the benchmark traces (perfbench/layers.py). Tests do not count
 as users. Only `encoder.embed` drops the trace of an `encode` call. And
 `encoder` and `moco` raise no ConfigurationError: `RunConfig` and the file
-loaders check what they are built from."""
+loaders check what they are built from; nor does `data.Dataset` raise, and
+the generators raise only for overflow, since `DataGenConfig` and the loaders
+check what a dataset is built from. No module imports a name it never uses."""
 
 import ast
 import importlib.util
@@ -143,4 +145,67 @@ def test_encoder_and_moco_leave_config_checks_to_the_boundaries():
     where the encoder or the moco state is built."""
     found = [f"{name}:{line}" for name in ("encoder.py", "moco.py")
              for line in _configuration_errors(_parse(os.path.join(PACKAGE, name)))]
+    assert found == []
+
+
+def _raises(node):
+    """The source of every `raise` statement under `node`."""
+    return [ast.unparse(n) for n in ast.walk(node) if isinstance(n, ast.Raise)]
+
+
+def test_dataset_and_the_generators_leave_checks_to_the_boundaries():
+    """`Dataset` raises nothing, and each generator raises only its
+    `overflow` error, for features that leave float64."""
+    tree = _parse(os.path.join(PACKAGE, "data.py"))
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    assert _raises(defs["Dataset"]) == []
+    for name in ("generate_gaussian_clusters", "generate_spoke_clusters"):
+        raised = _raises(defs[name])
+        assert raised and set(raised) <= {"raise overflow", "raise overflow from None"}
+
+
+def _read_names(tree):
+    """Every name a module reads, in its code or in a quoted annotation."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    quoted = [ast.parse(n.value, mode="eval") for a in annotations if a is not None
+              for n in ast.walk(a) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+    for root in (tree, *quoted):
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                yield node.id
+
+
+def _unused_imports(tree):
+    """`name:line` for each name an import binds that the module never reads."""
+    read = set(_read_names(tree))
+    return [f"{bound}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+            for bound in [alias.asname or alias.name.split(".")[0]] if bound not in read]
+
+
+def test_the_check_finds_every_unused_import():
+    assert _unused_imports(ast.parse(
+        "import os\n"
+        "import numpy as np\n"
+        "from .a import b, c as d\n"
+        "import json\n"
+        "import xml.dom\n"
+        "def f(x: 'np.ndarray') -> d:\n"
+        "    return json.dumps(x, default=xml.dom)\n")) == ["os:1", "b:3"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """`__init__.py` is exempt: its imports are the package's re-exports."""
+    found = [f"{name}:{entry}" for name in sorted(os.listdir(PACKAGE))
+             if name.endswith(".py") and name != "__init__.py"
+             for entry in _unused_imports(_parse(os.path.join(PACKAGE, name)))]
     assert found == []

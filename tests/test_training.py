@@ -260,7 +260,7 @@ class TestStep:
         for name in ("_check_temperature", "_queue_operand", "as_matrix", "as_f64"):
             monkeypatch.setattr(contrastive, name, refuse)
         # nor the augmentation's
-        monkeypatch.setattr(data, "as_matrix", refuse)
+        monkeypatch.setattr(data, "as_f64", refuse)
         result = pretrain(config, ds)
         assert math.isfinite(result.metrics[0].l_total)
 
