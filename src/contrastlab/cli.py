@@ -3,8 +3,8 @@
 Subcommands: gen-data, pretrain, linear-eval, metrics, export-embeddings,
 gradcheck. Configuration comes from a flat `key = value` text file with
 repeatable `--set key=value` overrides applied on top; the effective config
-is echoed to a manifest file (same format, so manifests are valid configs)
-before any work starts.
+is echoed to a manifest file (same format, so manifests are valid configs):
+before the run by `pretrain` and `linear-eval`, after the dataset by `gen-data`.
 
 Exit codes: 0 success, 1 usage or bad config (an eval dataset whose width
 differs from the checkpoint's input, and an array too large to allocate,
@@ -220,8 +220,8 @@ def _cmd_gen_data(args) -> int:
             cfg.classes, cfg.per_class, cfg.dim, cfg.center_spread, cfg.within_sigma,
             seeded_rng(cfg.seed), center_offset=cfg.center_offset,
         )
+    save_dataset(dataset, args.out)  # first: a failed write leaves no manifest of it
     write_manifest(cfg, args.out + ".manifest")
-    save_dataset(dataset, args.out)
     print(f"wrote {dataset.sample_count} samples of dim {dataset.dim} to {args.out}")
     return EXIT_OK
 

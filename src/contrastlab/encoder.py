@@ -234,22 +234,23 @@ def write_params_block(fh, params: EncoderParams) -> None:
 
 
 def read_params_block(reader: LineReader) -> EncoderParams:
+    at = reader.offset  # each header's error names the start of its line
     parts = reader.fields("layer sizes")
     try:
         sizes = [int(p) for p in parts[1:]]
         if len(sizes) < 2 or parts[0] != "layers" or min(sizes) < 1:
             raise ValueError
     except ValueError:
-        raise FormatError("malformed layer sizes header", reader.offset) from None
+        raise FormatError("malformed layer sizes header", at) from None
     blocks = []
     for l, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-        head = reader.fields(f"W{l} header", 3)
-        if head != [f"W{l}", str(fan_out), str(fan_in)]:
-            raise FormatError(f"malformed W{l} header", reader.offset)
+        at = reader.offset
+        if reader.fields(f"W{l} header", 3) != [f"W{l}", str(fan_out), str(fan_in)]:
+            raise FormatError(f"malformed W{l} header", at)
         blocks.append(reader.matrix(fan_out, fan_in, f"W{l}").ravel())
-        head = reader.fields(f"b{l} header", 2)
-        if head != [f"b{l}", str(fan_out)]:
-            raise FormatError(f"malformed b{l} header", reader.offset)
+        at = reader.offset
+        if reader.fields(f"b{l} header", 2) != [f"b{l}", str(fan_out)]:
+            raise FormatError(f"malformed b{l} header", at)
         blocks.append(reader.floats(fan_out, f"b{l}"))
     vector = np.concatenate(blocks)
     reader.require_finite(vector, "encoder parameters")

@@ -133,7 +133,7 @@ def load_moco(path) -> tuple[MoCoState, int]:
                 raise ValueError
             rows, cols = int(head[1]), int(head[2])
         except ValueError:
-            raise FormatError("malformed queue header", reader.offset) from None
+            raise FormatError("malformed queue header", queue_at) from None
         if magic == MOCO_MAGIC:
             queue = reader.hex_matrix(rows, cols, "queue")
         else:

@@ -28,7 +28,7 @@ from .encoder import (
 from .errors import ConfigurationError, DivergedRunError
 from .fileio import atomic_write, float_line, write_in_parts
 from .moco import MoCoState, enqueue_dequeue, init_moco, key_forward_no_grad, momentum_update
-from .numerics import Tensor, as_matrix, fits_one_array, single_blas_thread, spawn_rngs
+from .numerics import Tensor, fits_one_array, single_blas_thread, spawn_rngs
 
 MODES = ("moco", "moco+mix", "simclr", "simclr+mix")
 
@@ -275,12 +275,6 @@ def write_metrics(records: list[MetricsRecord], path) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LinearProbe:
-    weight: Tensor  # (classes, C)
-    bias: Tensor  # (classes,)
-
-
 def train_linear_probe(
     embeddings: Tensor,
     labels: np.ndarray,
@@ -289,53 +283,55 @@ def train_linear_probe(
     lr0: float,
     batch_size: int,
     rng: "np.random.Generator",
-) -> LinearProbe:
-    """Multinomial logistic regression by minibatch SGD with cosine decay.
-
-    The base rate is lr0 * batch_size / 256, matching the convention of
-    quoting probe learning rates at reference batch size 256. Momentum is 0.9.
-    """
-    embeddings = as_matrix(embeddings, "embeddings")
-    labels = np.asarray(labels, dtype=np.int64)
+) -> EncoderParams:
+    """Multinomial logistic regression by minibatch SGD with cosine decay
+    from base rate lr0 * batch_size / 256 (probe rates are quoted at batch
+    size 256) and momentum 0.9, as the one-layer encoder [C, class_count].
+    Unchecked: `embed`'s float64 (N, C) `embeddings`, `Dataset`'s int64
+    `labels`. A probe that goes non-finite raises DivergedRunError."""
     n, dim = embeddings.shape
-    # weight and bias are views into one flat vector, and so are the
-    # velocity and gradient blocks: the update runs once over each vector
-    size = class_count * dim
-    params, velocity, grads, step = np.zeros((4, size + class_count))
-    weight, grad_w = params[:size].reshape(class_count, dim), grads[:size].reshape(class_count, dim)
-    bias, grad_b = params[size:], grads[size:]
+    # the gradient, velocity and step share the probe's flat layout
+    probe = EncoderParams([dim, class_count], np.zeros(class_count * (dim + 1)))
+    grads = EncoderParams(probe.layer_sizes, np.zeros_like(probe.vector))
+    velocity, step = np.zeros((2, probe.vector.size))
     base_lr = lr0 * batch_size / 256.0
-    for epoch in range(epochs):
-        lr_now = _cosine(base_lr, epoch, epochs)
-        perm = rng.permutation(n)
-        # the epoch's one-hot targets in batch order; subtracting their 0.0
-        # entries leaves a softmax entry unchanged
-        targets = np.eye(class_count)[labels[perm]]
-        for start in range(0, n, batch_size):
-            take = perm[start : start + batch_size]
-            m = take.size
-            x = embeddings[take]
-            # logits, then softmax, then the gradient, in one buffer
-            g = x @ weight.T
-            g += bias
-            g -= np.maximum.reduce(g, axis=1, keepdims=True)
-            np.exp(g, out=g)
-            g /= np.add.reduce(g, axis=1, keepdims=True)
-            g -= targets[start : start + m]
-            g /= m
-            np.matmul(g.T, x, out=grad_w)
-            np.add.reduce(g, axis=0, out=grad_b)
-            velocity *= 0.9
-            velocity += grads
-            np.multiply(velocity, lr_now, out=step)
-            params -= step
-        del targets  # else it is still held while the next epoch builds its own
-    return LinearProbe(weight, bias)
+    # a diverging probe raises DivergedRunError below, not numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            lr_now = _cosine(base_lr, epoch, epochs)
+            perm = rng.permutation(n)
+            # the epoch's one-hot targets in batch order; subtracting their 0.0
+            # entries leaves a softmax entry unchanged
+            targets = np.eye(class_count)[labels[perm]]
+            for start in range(0, n, batch_size):
+                take = perm[start : start + batch_size]
+                m = take.size
+                x = embeddings[take]
+                # logits, then softmax, then the gradient, in one buffer
+                g = x @ probe.weights[0].T
+                g += probe.biases[0]
+                g -= np.maximum.reduce(g, axis=1, keepdims=True)
+                np.exp(g, out=g)
+                g /= np.add.reduce(g, axis=1, keepdims=True)
+                g -= targets[start : start + m]
+                g /= m
+                np.matmul(g.T, x, out=grads.weights[0])
+                np.add.reduce(g, axis=0, out=grads.biases[0])
+                velocity *= 0.9
+                velocity += grads.vector
+                np.multiply(velocity, lr_now, out=step)
+                probe.vector -= step
+            del targets  # else it is still held while the next epoch builds its own
+    # a non-finite value stays non-finite through every later update
+    if not np.isfinite(probe.vector).all():
+        raise DivergedRunError("non-finite linear probe")
+    return probe
 
 
-def probe_accuracy(probe: LinearProbe, embeddings: Tensor, labels: np.ndarray) -> float:
-    logits = as_matrix(embeddings) @ probe.weight.T + probe.bias
-    return float((logits.argmax(axis=1) == np.asarray(labels)).mean())
+def probe_accuracy(probe: EncoderParams, embeddings: Tensor, labels: np.ndarray) -> float:
+    """Top-1 accuracy on `embed`'s float64 rows and `Dataset`'s int64 labels, unchecked."""
+    logits = embeddings @ probe.weights[0].T + probe.biases[0]
+    return float((logits.argmax(axis=1) == labels).mean())
 
 
 def linear_eval(
@@ -361,17 +357,15 @@ def linear_eval(
 
 
 def _cluster_stats(embeddings: Tensor, labels: np.ndarray):
-    """The embeddings as a float64 matrix, the row indices of each nonempty
-    class in class order, and each such class's centroid."""
-    embeddings = as_matrix(embeddings, "embeddings")
-    labels = np.asarray(labels)
+    """Each nonempty class's row indices, in class order, and centroid, from
+    `embed`'s float64 (N, C) rows and `Dataset`'s int64 labels, unchecked."""
     # np.bincount, not np.unique: np.unique imports numpy.ma (over 10 ms and
     # ~1.25 MB of RSS, kept until the process ends), which no command uses
     members = [np.flatnonzero(labels == c) for c in np.flatnonzero(np.bincount(labels))]
     if len(members) < 2:
         raise ConfigurationError(f"need >= 2 nonempty classes, got {len(members)}")
     centroids = np.stack([embeddings[rows].mean(axis=0) for rows in members])
-    return embeddings, members, centroids
+    return members, centroids
 
 
 def davies_bouldin(embeddings: Tensor, labels: np.ndarray) -> float:
@@ -381,7 +375,7 @@ def davies_bouldin(embeddings: Tensor, labels: np.ndarray) -> float:
     Scatter is the mean Euclidean distance to the centroid. Coincident
     centroids make the ratio undefined; that returns +inf with a warning.
     """
-    embeddings, members, centroids = _cluster_stats(embeddings, labels)
+    members, centroids = _cluster_stats(embeddings, labels)
     k = len(members)
     scatter = np.array([np.sqrt(((embeddings[rows] - centroid) ** 2).sum(axis=1)).mean()
                         for rows, centroid in zip(members, centroids)])
@@ -401,7 +395,7 @@ def calinski_harabasz(embeddings: Tensor, labels: np.ndarray) -> float:
 
     Zero within-cluster dispersion returns +inf with a warning.
     """
-    embeddings, members, centroids = _cluster_stats(embeddings, labels)
+    members, centroids = _cluster_stats(embeddings, labels)
     n, k = embeddings.shape[0], len(members)
     if k >= n:
         raise ConfigurationError(f"need fewer classes than samples, got {k} of {n}")

@@ -100,6 +100,15 @@ class TestGenData:
         assert all(kv.split("=")[0] in err for kv in settings if not kv.startswith("kind="))
         assert not list(tmp_path.iterdir())
 
+    def test_out_that_is_a_directory_exits_three_and_writes_no_manifest(self, tmp_path, capsys):
+        # the dataset is written first: a failed write leaves no manifest of it
+        out = tmp_path / "d.txt"
+        out.mkdir()
+        code, stdout, err = run_cli(capsys, "gen-data", "--out", str(out), "--set", "classes=3",
+                                    "--set", "spokes=2", "--set", "per_mode=5", "--set", "dim=4")
+        assert (code, stdout) == (3, "") and err.startswith("file error: ")
+        assert os.listdir(tmp_path) == ["d.txt"] and os.listdir(out) == []
+
     def test_unknown_key_exits_one(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "gen-data", "--out", str(tmp_path / "x.txt"),
                                "--set", "bogus=1")
@@ -428,6 +437,16 @@ class TestEvalCommands:
         results = (out_dir / "results.txt").read_text()
         assert "top1_accuracy" in results
 
+    def test_diverging_probe_exits_two_with_one_line(self, tiny_data, trained_run, tmp_path,
+                                                     capsys):
+        # at this rate the probe's first steps overflow
+        out_dir = tmp_path / "eval"
+        code, stdout, err = run_cli(capsys, "linear-eval", "--checkpoint", str(trained_run),
+                                    "--data", str(tiny_data), "--out", str(out_dir),
+                                    "--set", "probe_lr=1e308")
+        assert (code, stdout, err) == (2, "", "diverged: non-finite linear probe\n")
+        assert not (out_dir / "results.txt").exists()
+
     def test_metrics_prints_both_indices(self, tiny_data, trained_run, capsys):
         code, stdout, _ = run_cli(capsys, "metrics", "--checkpoint", str(trained_run),
                                   "--data", str(tiny_data))
@@ -435,14 +454,16 @@ class TestEvalCommands:
         assert "davies_bouldin" in stdout and "calinski_harabasz" in stdout
 
     def test_metrics_that_fail_print_nothing_on_stdout(self, tmp_path, capsys):
-        # one sample per class: Davies-Bouldin is defined, Calinski-Harabasz is not
+        # one sample per class: Davies-Bouldin is defined, Calinski-Harabasz is
+        # not; one nonempty class: neither is
         data, checkpoint = tmp_path / "pair.txt", tmp_path / "ck.txt"
-        save_dataset(Dataset(np.eye(2, 4), np.arange(2), 2), data)
         save_encoder(init_encoder([4, 5, 3], seeded_rng(0)), checkpoint)
-        code, stdout, err = run_cli(capsys, "metrics", "--checkpoint", str(checkpoint),
-                                    "--data", str(data))
-        assert (code, stdout) == (1, "")
-        assert err.startswith("error: need fewer classes than samples")
+        for labels, message in [(np.arange(2), "need fewer classes than samples, got 2 of 2"),
+                                (np.zeros(2), "need >= 2 nonempty classes, got 1")]:
+            save_dataset(Dataset(np.eye(2, 4), labels, 2), data)
+            code, stdout, err = run_cli(capsys, "metrics", "--checkpoint", str(checkpoint),
+                                        "--data", str(data))
+            assert (code, stdout, err) == (1, "", f"error: {message}\n")
 
     def test_export_writes_labeled_rows(self, tiny_data, trained_run, tmp_path, capsys):
         out = tmp_path / "emb.txt"

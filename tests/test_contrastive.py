@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -129,6 +130,12 @@ class TestInfoNCE:
         rng = seeded_rng(5)
         with pytest.raises(ConfigurationError):
             infonce_loss(unit_rows(rng, 2, 2), unit_rows(rng, 2, 2), unit_rows(rng, 2, 2), 0.0)
+
+    def test_rejects_keys_that_do_not_match_the_queries(self):
+        rng = seeded_rng(5)
+        with pytest.raises(ConfigurationError,
+                           match=re.escape("keys (3, 2) do not match queries (2, 2)")):
+            infonce_loss(unit_rows(rng, 2, 2), unit_rows(rng, 3, 2), unit_rows(rng, 2, 2), 0.2)
 
 
 class TestSimclr:
@@ -323,6 +330,19 @@ class TestMixedQueryLoss:
         base = mixed_query_loss(mixed, keys, queue, lam, 0.05)
         shuffled = mixed_query_loss(mixed, keys, queue[rng.permutation(6)], lam, 0.05)
         assert shuffled.mixed == pytest.approx(base.mixed, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("batch, mixed_rows, lam, message", [
+        (3, 1, [0.5], "batch size must be even and >= 2, got 3"),
+        (4, 3, [0.5, 0.5], "need 2 mixed queries of width 3, got (3, 3)"),
+        (4, 2, [0.5, 0.5, 0.5], "need 2 coefficients, got shape (3,)"),
+        (4, 2, [0.5, 1.0], "mixing coefficients must lie strictly inside (0, 1)"),
+    ], ids=["odd-batch", "mixed-shape", "coefficient-shape", "coefficient-at-one"])
+    def test_rejects_operands_outside_the_contract(self, batch, mixed_rows, lam, message):
+        rng = seeded_rng(18)
+        keys, mixed = unit_rows(rng, batch, 3), unit_rows(rng, mixed_rows, 3)
+        queue = unit_rows(rng, 2, 3)
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            mixed_query_loss(mixed, keys, queue, lam, 0.05)
 
 
 def dense_infonce(queries, keys, queue, tau):

@@ -381,8 +381,19 @@ class TestCheckpoint:
         lines = path.read_text().splitlines()
         lines[2] = header
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match="malformed layer sizes header"):
+        with pytest.raises(FormatError, match="malformed layer sizes header") as info:
             load_encoder(path)
+        assert info.value.offset == len(lines[0]) + len(lines[1]) + 2  # where the header starts
+
+    @pytest.mark.parametrize("header, bad", [("W0 2 3", "W0 3 2"), ("b0 2", "b0 3")])
+    def test_malformed_block_header_names_the_offset_of_its_line(self, tmp_path, header, bad):
+        path = tmp_path / "enc.txt"
+        save_encoder(init_encoder([3, 2], seeded_rng(16)), path)
+        text = path.read_text()
+        path.write_text(text.replace(f"\n{header}\n", f"\n{bad}\n"))
+        with pytest.raises(FormatError, match=f"malformed {header[:2]} header") as info:
+            load_encoder(path)
+        assert info.value.offset == text.index(f"\n{header}\n") + 1
 
     def test_non_finite_parameter(self, tmp_path):
         path = tmp_path / "enc.txt"

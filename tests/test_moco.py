@@ -236,6 +236,15 @@ class TestCheckpoint:
         assert lines[5:13] == [row.astype("<f8").tobytes().hex() for row in state.queue]
         assert lines[13] == "query"
 
+    def test_malformed_queue_header_names_the_offset_of_its_line(self, tmp_path):
+        path = tmp_path / "moco.txt"
+        save_moco(init_moco([4, 6, 3], 8, 0.999, seeded_rng(25)), path)
+        text = path.read_text()
+        path.write_text(text.replace("\nqueue 8 3\n", "\nqueue 8 x\n"))
+        with pytest.raises(FormatError, match="malformed queue header") as info:
+            load_moco(path)
+        assert info.value.offset == text.index("\nqueue 8 3\n") + 1
+
     BAD_ROW = "expected 48 lowercase hex digits and a newline"
 
     @pytest.mark.parametrize("edit, message", [

@@ -41,6 +41,8 @@ class TestLogSoftmax:
     def test_rejects_non_finite(self):
         with pytest.raises(ConfigurationError):
             log_softmax([[0.0, math.nan]])
+        with pytest.raises(ConfigurationError, match="^softmax input must be finite"):
+            softmax([[0.0, math.inf]])
 
     @given(
         st.lists(st.floats(-50, 50), min_size=2, max_size=6),
@@ -97,6 +99,9 @@ class TestSoftCrossEntropy:
             soft_cross_entropy(np.zeros((1, 3)), [[0.5, 0.2, 0.2]])
         with pytest.raises(ConfigurationError):
             soft_cross_entropy(np.zeros((1, 3)), [[1.2, -0.2, 0.0]])
+        with pytest.raises(ConfigurationError,
+                           match=re.escape("logits (1, 3) and targets (1, 2) must match")):
+            soft_cross_entropy(np.zeros((1, 3)), [[0.5, 0.5]])
 
 
 class TestKLDivergence:
@@ -154,6 +159,11 @@ class TestFiniteDifferenceCheck:
         with pytest.raises(ConfigurationError):
             finite_difference_check(lambda x: (0.0, x), np.ones(2), step=0.0)
 
+    def test_rejects_gradient_of_another_shape(self):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "analytic gradient shape (3,) does not match point (2,)")):
+            finite_difference_check(lambda x: (0.0, np.ones(3)), np.ones(2))
+
     def test_rejects_non_finite_probe(self):
         def f(x):
             with np.errstate(invalid="ignore"):
@@ -204,6 +214,11 @@ class TestL2NormalizeRows:
 
         report = finite_difference_check(f, x.ravel(), step=1e-6)
         assert report.max_relative_error < 1e-6
+
+    def test_vjp_rejects_a_gradient_of_another_shape(self):
+        with pytest.raises(ConfigurationError,
+                           match=re.escape("grad (2, 3) does not match point (3, 2)")):
+            l2_normalize_rows_vjp(np.ones((3, 2)), np.ones((2, 3)))
 
     @pytest.mark.parametrize("rows", [0, 1, 255, 256, 257, 600])
     @pytest.mark.parametrize("cols", [1, 9, 64])

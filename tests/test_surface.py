@@ -6,7 +6,10 @@ as users. Only `encoder.embed` drops the trace of an `encode` call. And
 `encoder` and `moco` raise no ConfigurationError: `RunConfig` and the file
 loaders check what they are built from; nor does `data.Dataset` raise, and
 the generators raise only for overflow, since `DataGenConfig` and the loaders
-check what a dataset is built from. No module imports a name it never uses."""
+check what a dataset is built from. Outside `numerics`, only `contrastive`'s
+checked losses convert operands with `as_matrix`: the probe and the cluster
+indices take `embed`'s rows and `Dataset`'s labels as they are. No module
+imports a name it never uses."""
 
 import ast
 import importlib.util
@@ -163,6 +166,44 @@ def test_dataset_and_the_generators_leave_checks_to_the_boundaries():
     for name in ("generate_gaussian_clusters", "generate_spoke_clusters"):
         raised = _raises(defs[name])
         assert raised and set(raised) <= {"raise overflow", "raise overflow from None"}
+
+
+def _as_matrix_calls(tree):
+    """(top-level def or class, line) of each `as_matrix(...)` call, by name
+    or as an attribute; the def is None for a call outside any."""
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and "as_matrix" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                yield owner, node.lineno
+
+
+def test_the_check_finds_every_as_matrix_call():
+    assert list(_as_matrix_calls(ast.parse(
+        "x = as_matrix(a)\n"
+        "def f(a):\n"
+        "    return numerics.as_matrix(a, 'a')\n"
+        "def g(a):\n"
+        "    return as_f64(a), as_matrix\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        return [as_matrix(b) for b in self]\n"))) == [(None, 1), ("f", 3), ("C", 8)]
+
+
+# the functions outside `numerics` that may call `as_matrix`: the losses that
+# check an outside caller's operands
+AS_MATRIX_CALLERS = {"contrastive.py": {"infonce_loss", "mixed_query_loss", "_queue_operand"}}
+
+
+def test_only_numerics_and_the_checked_losses_call_as_matrix():
+    """`embed`'s rows and `Dataset`'s labels are float64 and int64 already;
+    converting them again is a second check of a fact checked once."""
+    found = [f"{name}:{line}" for name in sorted(os.listdir(PACKAGE))
+             if name.endswith(".py") and name != "numerics.py"
+             for owner, line in _as_matrix_calls(_parse(os.path.join(PACKAGE, name)))
+             if owner not in AS_MATRIX_CALLERS.get(name, set())]
+    assert found == []
 
 
 def _read_names(tree):

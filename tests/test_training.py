@@ -461,8 +461,8 @@ class TestLinearEval:
         emb = encode(init_encoder([5, 6, 4], seeded_rng(2)), ds.features)[0]
         probe = train_linear_probe(emb, ds.labels, 5, 7, 3.0, 64, seeded_rng(4))
         weight, bias = train_linear_probe_reference(emb, ds.labels, 5, 7, 3.0, 64, seeded_rng(4))
-        assert probe.weight.tobytes() == weight.tobytes()
-        assert probe.bias.tobytes() == bias.tobytes()
+        assert probe.weights[0].tobytes() == weight.tobytes()
+        assert probe.biases[0].tobytes() == bias.tobytes()
 
     def test_probe_trains_on_frozen_embeddings(self):
         ds = axis_blob_dataset()
@@ -538,7 +538,7 @@ class TestClusterIndices:
         def stats_from_np_unique(embeddings, labels):
             classes = np.unique(labels)
             centroids = np.stack([embeddings[labels == c].mean(axis=0) for c in classes])
-            return embeddings, [np.flatnonzero(labels == c) for c in classes], centroids
+            return [np.flatnonzero(labels == c) for c in classes], centroids
 
         rng = seeded_rng(20 + seed)
         emb = rng.normal(size=(90, 5)) * 2
