@@ -128,7 +128,8 @@ def build_config(config_cls, path, overrides):
     Both are `key = value` lines, where `#` starts a comment; a file may also
     hold blank and comment-only lines, and each --set item is one line. A
     later line overrides an earlier one. A value converts with its field's
-    type; a tuple field takes comma-separated ints (hidden_dims = 64,64).
+    type; a tuple field takes comma-separated ints (hidden_dims = 64,64),
+    and an empty value is the empty tuple (`hidden_dims =`: no hidden layer).
     """
     lines = []
     if path:
@@ -149,7 +150,12 @@ def build_config(config_cls, path, overrides):
                 f"{where}: unknown config key {key!r} for {config_cls.__name__}")
         try:
             if types[key] == tuple[int, ...]:
-                kwargs[key] = tuple(int(part) for part in value.split(",") if part.strip())
+                # an empty value is the empty tuple; an empty entry is a slip
+                parts = value.split(",") if value else []
+                if not all(part.strip() for part in parts):
+                    raise ConfigurationError(
+                        f"{key} must be comma-separated ints with no empty entry, got {value!r}")
+                kwargs[key] = tuple(int(part) for part in parts)
             else:
                 kwargs[key] = types[key](value)
         except ValueError as exc:

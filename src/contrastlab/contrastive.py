@@ -77,7 +77,7 @@ class Contrast:
 
 def contrast(queries: Tensor, keys: Tensor, queue: Tensor | None, temperature: float,
              mixed: Tensor, lambdas: Tensor, mix_temperature: float,
-             mix_weight: float = 1.0) -> Contrast:
+             mix_weight: float = 1.0, helper=None) -> Contrast:
     """The contrastive term of `queries` and the mixed-query term of `mixed`
     from one logits buffer: rows [queries; mixed], each divided by its
     term's temperature, against columns [keys; queue] (the keys alone when
@@ -89,6 +89,15 @@ def contrast(queries: Tensor, keys: Tensor, queue: Tensor | None, temperature: f
     lambdas[m] and key m + B/2 with 1 - lambdas[m], against every column.
     The mixed rows' gradient, and their share of the key gradient, are
     scaled by mix_weight.
+
+    Between the batch-key products, which see every row, each row's work is
+    its own: the queue product, the mask and positive restore, the softmax
+    passes, the scale, the targets and the queue's gradient product. One
+    inner function does it for a row range, on every row at once, unless a
+    `helper` is given: a callable helper(here, there) that runs `there` on a
+    second thread while this one runs `here`, and raises what either raised. Then the rows split at rows // 2 into two halves that
+    write disjoint rows of every buffer. `training.pretrain` passes one only
+    where the halves' products give the bits of the whole ones.
 
     Nothing is checked, so the training step, whose operands `RunConfig`
     has checked, pays for no checks. The caller ensures that every operand
@@ -115,30 +124,46 @@ def contrast(queries: Tensor, keys: Tensor, queue: Tensor | None, temperature: f
     np.matmul(scaled, keys.T, out=logits[:, :b])
     rest = 1.0 - lambdas
     picked = np.concatenate([own, lambdas * first + rest * second])
-    if queue is not None:
-        np.matmul(scaled, queue.T, out=logits[:, b:])
-        logits[:nq, :b] = -np.inf
-        own[:] = picked[:nq]
-    peak = logits.max(axis=1, keepdims=True)
-    np.subtract(logits, peak, out=logits)
-    np.exp(logits, out=logits)
-    total = logits.sum(axis=1)
-    losses = peak[:, 0] + np.log(total) - picked
     # softmax - targets, each row times d(term mean)/d(logit); max(., 1)
     # keeps an empty block's unused factor finite
     scale = np.full(rows, 1.0 / (max(nq, 1) * temperature))
     scale[nq:] = mix_weight / (max(half, 1) * mix_temperature)
-    np.multiply(logits, (scale / total)[:, None], out=logits)
-    own -= scale[:nq]
-    first -= lambdas * scale[nq:]
-    second -= rest * scale[nq:]
+    losses, grad = np.empty(rows), np.empty((rows, c))
 
-    grad = logits[:, :b] @ keys
+    def row_range(lo, hi):
+        block, q_hi = logits[lo:hi], max(min(hi, nq), lo)
+        mixed_rows = slice(max(lo, nq) - nq, max(hi, nq) - nq)
+        if queue is not None:
+            np.matmul(scaled[lo:hi], queue.T, out=block[:, b:])
+            block[: q_hi - lo, :b] = -np.inf
+            own[lo:q_hi] = picked[lo:q_hi]
+        peak = block.max(axis=1, keepdims=True)
+        np.subtract(block, peak, out=block)
+        np.exp(block, out=block)
+        total = block.sum(axis=1)
+        losses[lo:hi] = peak[:, 0] + np.log(total) - picked[lo:hi]
+        np.multiply(block, (scale[lo:hi] / total)[:, None], out=block)
+        own[lo:q_hi] -= scale[lo:q_hi]
+        mixed_scale = scale[nq:][mixed_rows]
+        first[mixed_rows] -= lambdas[mixed_rows] * mixed_scale
+        second[mixed_rows] -= rest[mixed_rows] * mixed_scale
+        if queue is not None:
+            np.matmul(block[:, b:], queue, out=grad[lo:hi])
+
+    if helper is None:
+        row_range(0, rows)
+    else:
+        cut = rows // 2
+        helper(lambda: row_range(0, cut), lambda: row_range(cut, rows))
     grad_keys = None
     if queue is None:
+        np.matmul(logits, keys, out=grad)
         grad_keys = logits[:nq].T @ queries + logits[nq:].T @ mixed
     else:
-        grad += logits[:, b:] @ queue
+        # whole, not per half: a (rows x B) @ (B x C) product is small enough
+        # for OpenBLAS's small-matrix kernel, whose sums can depend on the
+        # row count; added second, it gives the bits of the sum in either order
+        grad += logits[:, :b] @ keys
     # sum / n: the bits of `mean`, without its overhead
     contrast_value = float(losses[:nq].sum() / nq) if nq else 0.0
     mixed_value = float(losses[nq:].sum() / half) if half else 0.0

@@ -7,8 +7,11 @@ augmentation, mixing) so ablations that skip the mixing path leave the other
 streams untouched.
 """
 
+import contextlib
 import math
 import os
+import queue
+import threading
 import time
 import warnings
 from dataclasses import dataclass, fields
@@ -161,16 +164,84 @@ def _cosine(base: float, done: int, total: int) -> float:
     return base * 0.5 * (1.0 + math.cos(math.pi * done / total))
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on, or `os.cpu_count()` where the OS cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+# A queue run splits each step's contrast rows over a second thread once
+# queue_size x embed_dim reaches SPLIT_MIN_QUEUE_VALUES, the smallest size
+# at which the split ran faster in 10 of 10 desk-data pairs in both moco
+# modes, and a step has at least SPLIT_MIN_ROWS contrast rows. Each half's
+# queue products then make at least 16 x 2^18 = 2^22 multiply-adds. OpenBLAS
+# computes a product of up to 1e6 in its small-matrix kernel and a one-row
+# product as gemv, and either rounds differently from the blocked kernel that
+# the whole product takes, so smaller halves could change the step's bits.
+SPLIT_MIN_QUEUE_VALUES = 4096 * 64
+SPLIT_MIN_ROWS = 32
+
+
+@contextlib.contextmanager
+def _contrast_helper(config: RunConfig):
+    """Yield None, or for a run that splits its steps (SPLIT_MIN_QUEUE_VALUES,
+    SPLIT_MIN_ROWS) in a process that may run on 2 CPUs or more, `contrast`'s
+    helper(here, there): it runs `there` on a second thread while the caller
+    runs `here`, waits for both and raises what either raised. The thread
+    lives as long as the block and is joined when the block ends, however it
+    ends. It takes its jobs through a `queue.SimpleQueue`, and enters the
+    loop's numpy error state itself, because that state is per thread."""
+    rows = config.batch_size + (config.batch_size // 2 if config.mixes else 0)
+    if not (config.uses_queue and _cpus() >= 2 and rows >= SPLIT_MIN_ROWS
+            and config.queue_size * config.embed_dim >= SPLIT_MIN_QUEUE_VALUES):
+        yield None
+        return
+    jobs, done = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def serve():
+        with np.errstate(over="ignore", invalid="ignore"):
+            for job in iter(jobs.get, None):
+                error = None
+                try:
+                    job()
+                except BaseException as exc:  # raised again in the caller
+                    error = exc
+                # the job holds the step's logits: let them go before the
+                # caller makes the next step's
+                del job
+                done.put(error)
+
+    def helper(here, there):
+        jobs.put(there)
+        try:
+            here()
+        finally:  # `there` writes into the caller's buffers until it is done
+            error = done.get()
+        if error is not None:
+            raise error
+
+    thread = threading.Thread(target=serve, name="contrast-rows")
+    thread.start()
+    try:
+        yield helper
+    finally:
+        jobs.put(None)
+        thread.join()
+
+
 @single_blas_thread()
 def pretrain(config: RunConfig, dataset: Dataset) -> PretrainResult:
     """Run the full self-supervised loop and return the trained query encoder.
 
     Labels are never read; the loop sees only the feature matrix. BLAS runs
-    on one thread for the duration (see `numerics.single_blas_thread`): on a
-    2-core machine a K=4096, C=64 step took 14-18% longer than on two BLAS
-    threads, on about 60% of their CPU time, and a second thread of the
-    loop's own, computing half of each step's loss rows, was slower still.
-    Results do not depend on the count.
+    on one thread for the duration (see `numerics.single_blas_thread`). A
+    run whose queue holds at least SPLIT_MIN_QUEUE_VALUES values (queue_size
+    x embed_dim) and whose steps have at least SPLIT_MIN_ROWS contrast rows,
+    in a process that may run on 2 CPUs or more, splits each step's contrast
+    rows in two halves, the second on a helper thread the run owns
+    (`_contrast_helper`). There the queue products dominate a step: on a
+    2-core machine the split ran K=4096, C=64 steps 1.3-1.4x faster for
+    11-17% more CPU time, while at desk size (K=512) it was slower. Results
+    do not depend on the BLAS thread count or on the split.
     """
     config.require_fits(dataset)
     features, n = dataset.features, dataset.sample_count
@@ -185,51 +256,54 @@ def pretrain(config: RunConfig, dataset: Dataset) -> PretrainResult:
     velocity = np.zeros_like(params.vector)
 
     records: list[MetricsRecord] = []
-    for epoch in range(1, config.epochs + 1):
-        started = time.perf_counter()
-        lr_now = (config.lr if config.lr_schedule == "constant"
-                  else _cosine(config.lr, epoch - 1, config.epochs))
-        sum_contrast = sum_mix = sum_total = 0.0
-        batches = epoch_batches(n, config.batch_size, batch_rng)
-        for batch_index, idx in enumerate(batches):
-            x_query, x_key = two_views(features[idx], config.noise_sigma, config.mask_fraction,
-                                       config.scale_min, config.scale_max, augment_rng)
-            # overflow in a diverging run surfaces as DivergedRunError below,
-            # not as numpy warnings
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    l_contrast, l_mix, grads, keys = _loss_and_grads(
-                        config, params, state, x_query, x_key, mix_rng
+    with _contrast_helper(config) as helper:
+        for epoch in range(1, config.epochs + 1):
+            started = time.perf_counter()
+            lr_now = (config.lr if config.lr_schedule == "constant"
+                      else _cosine(config.lr, epoch - 1, config.epochs))
+            sum_contrast = sum_mix = sum_total = 0.0
+            batches = epoch_batches(n, config.batch_size, batch_rng)
+            for batch_index, idx in enumerate(batches):
+                x_query, x_key = two_views(features[idx], config.noise_sigma,
+                                           config.mask_fraction, config.scale_min,
+                                           config.scale_max, augment_rng)
+                # overflow in a diverging run surfaces as DivergedRunError below,
+                # not as numpy warnings
+                try:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        l_contrast, l_mix, grads, keys = _loss_and_grads(
+                            config, params, state, x_query, x_key, mix_rng, helper
+                        )
+                    l_total = l_contrast + config.mix_weight * l_mix
+                    if not math.isfinite(l_total):
+                        raise DivergedRunError("non-finite loss")
+                    apply_sgd_step(
+                        params, grads, lr_now, config.sgd_momentum, config.weight_decay,
+                        velocity
                     )
-                l_total = l_contrast + config.mix_weight * l_mix
-                if not math.isfinite(l_total):
-                    raise DivergedRunError("non-finite loss")
-                apply_sgd_step(
-                    params, grads, lr_now, config.sgd_momentum, config.weight_decay, velocity
+                except DivergedRunError as exc:
+                    raise DivergedRunError(str(exc), epoch, batch_index) from None
+                if config.uses_queue:
+                    momentum_update(state)
+                    enqueue_dequeue(state, keys)
+                sum_contrast += l_contrast
+                sum_mix += l_mix
+                sum_total += l_total
+            m = len(batches)
+            records.append(
+                MetricsRecord(
+                    epoch,
+                    sum_contrast / m,
+                    sum_mix / m,
+                    sum_total / m,
+                    lr_now,
+                    time.perf_counter() - started,
                 )
-            except DivergedRunError as exc:
-                raise DivergedRunError(str(exc), epoch, batch_index) from None
-            if config.uses_queue:
-                momentum_update(state)
-                enqueue_dequeue(state, keys)
-            sum_contrast += l_contrast
-            sum_mix += l_mix
-            sum_total += l_total
-        m = len(batches)
-        records.append(
-            MetricsRecord(
-                epoch,
-                sum_contrast / m,
-                sum_mix / m,
-                sum_total / m,
-                lr_now,
-                time.perf_counter() - started,
             )
-        )
     return PretrainResult(params, records, state)
 
 
-def _loss_and_grads(config, params, state, x_query, x_key, mix_rng):
+def _loss_and_grads(config, params, state, x_query, x_key, mix_rng, helper=None):
     """Loss terms, query-encoder gradients, and keys for one batch.
 
     Every row that takes a gradient goes through the encoder once, in one
@@ -238,9 +312,10 @@ def _loss_and_grads(config, params, state, x_query, x_key, mix_rng):
     simclr modes, where both views train. Both loss terms come from one
     `contrastive.contrast` call in every mode; it scales the mixed term's
     gradients by mix_weight. The only per-mode choices are where the keys
-    come from and whether their gradient joins the upstream. None of the
-    functions called here checks its operands: `RunConfig` and the dataset
-    have checked them.
+    come from and whether their gradient joins the upstream. `helper`, from
+    `_contrast_helper`, goes to `contrast`. None of the functions called
+    here checks its operands: `RunConfig` and the dataset have checked
+    them.
     """
     b = x_query.shape[0]
     x = x_query if config.uses_queue else np.concatenate([x_query, x_key])
@@ -254,7 +329,7 @@ def _loss_and_grads(config, params, state, x_query, x_key, mix_rng):
     else:
         keys, queue, mixed = v[b : 2 * b], None, v[2 * b :]
     res = contrast(v[:b], keys, queue, config.temperature, mixed, lambdas,
-                   config.mix_temperature, config.mix_weight)
+                   config.mix_temperature, config.mix_weight, helper)
     upstream = res.grad
     if res.grad_keys is not None:
         upstream = np.concatenate([res.grad[:b], res.grad_keys, res.grad[b:]])
@@ -437,8 +512,7 @@ def export_embeddings(encoder: EncoderParams, dataset: Dataset, path) -> None:
             fh.write(f"{int(label)} {float_line(row)}\n")
 
     n = len(v)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    parts = max(1, min(cpus, -(-n // MIN_ROWS_PER_PART)))
+    parts = max(1, min(_cpus(), -(-n // MIN_ROWS_PER_PART)))
     with atomic_write(path) as fh:
         fh.write("label " + " ".join(f"v{j}" for j in range(v.shape[1])) + "\n")
         write_in_parts(fh, path, [n * i // parts for i in range(parts + 1)], write_rows)

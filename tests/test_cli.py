@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from contrastlab import cli
+from contrastlab import cli, training
 from contrastlab.cli import OutputDirLock, main
 from contrastlab.data import Dataset, generate_spoke_clusters, load_dataset, save_dataset
 from contrastlab.moco import load_moco
@@ -523,9 +523,11 @@ class TestEvalCommands:
             0, [f"0 False {drew}"], "")
 
     def test_importing_the_cli_leaves_numpy_random_unloaded(self):
-        # an unquoted np.random.Generator annotation would load it at import
-        done = run_fresh("import sys, contrastlab.cli\nprint('numpy.random' in sys.modules)")
-        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+        # an unquoted np.random.Generator annotation would load it at import;
+        # concurrent.futures would load logging
+        done = run_fresh("import sys, contrastlab.cli\nprint('numpy.random' in sys.modules)\n"
+                         "print('concurrent.futures' in sys.modules or 'logging' in sys.modules)")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\nFalse\n", "")
 
     @pytest.mark.parametrize("dim", [4, 8], ids=["narrower", "wider"])
     @pytest.mark.parametrize("command", ["linear-eval", "metrics", "export-embeddings"])
@@ -582,6 +584,44 @@ class TestEvalCommands:
         assert "file error" in err
 
 
+class TestBlasThreadCount:
+    def test_every_command_gives_the_same_bytes_at_one_and_two_blas_threads(self, tmp_path):
+        # B=32 and a 4096 x 64 queue: pretrain splits its steps' rows
+        sets = ["input_dim=6", "hidden_dims=8", "embed_dim=64", "batch_size=32",
+                "queue_size=4096", "epochs=2"]
+        config = cli.build_config(training.RunConfig, None, sets)
+        with training._contrast_helper(config) as helper:
+            assert (helper is not None) == (training._cpus() >= 2)
+        assert main(["gen-data", "--out", str(tmp_path / "data.txt"), "--set", "classes=3",
+                     "--set", "spokes=2", "--set", "per_mode=20", "--set", "dim=6"]) == 0
+        commands = [
+            ["pretrain", "--data", "../data.txt", "--out", "run",
+             *(item for pair in zip(["--set"] * len(sets), sets) for item in pair)],
+            ["linear-eval", "--checkpoint", "run/checkpoint.txt", "--data", "../data.txt",
+             "--out", "eval"],
+            ["metrics", "--checkpoint", "run/checkpoint.txt", "--data", "../data.txt"],
+            ["export-embeddings", "--checkpoint", "run/checkpoint.txt", "--data",
+             "../data.txt", "--out", "emb.txt"],
+        ]
+        seen = []
+        for threads in ("1", "2"):
+            work = tmp_path / threads
+            work.mkdir()
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+            outputs = [subprocess.run([sys.executable, "-m", "contrastlab.cli", *argv],
+                                      cwd=work, env=env, capture_output=True, text=True,
+                                      timeout=120) for argv in commands]
+            assert [(done.returncode, done.stderr) for done in outputs] == [(0, "")] * 4
+            metrics = (work / "run" / "metrics.csv").read_text().splitlines()
+            seen.append(([done.stdout for done in outputs],
+                         [line.rsplit(",", 1)[0] for line in metrics],  # seconds dropped
+                         *((work / name).read_bytes() for name in (
+                             "run/checkpoint.txt", "run/manifest.cfg", "eval/results.txt",
+                             "eval/eval-manifest.cfg", "emb.txt"))))
+        assert seen[0] == seen[1]
+
+
 class TestConfigBoundary:
     """Every config value is checked when the config is built: a bad one
     exits 1 naming its key, before any work starts."""
@@ -609,6 +649,10 @@ class TestConfigBoundary:
         ("linear-eval", "seed=-5"),
         ("pretrain", "input_dim=0"),
         ("pretrain", "hidden_dims=64,0"),
+        ("pretrain", "hidden_dims=64,,64"),
+        ("pretrain", "hidden_dims=64,"),
+        ("pretrain", "hidden_dims=,64"),
+        ("pretrain", "hidden_dims=,"),
         ("pretrain", "embed_dim=0"),
         ("pretrain", "batch_size=3"),
         ("pretrain", "ema_momentum=1.5"),
@@ -635,8 +679,17 @@ class TestConfigBoundary:
             capsys.readouterr()
         code, out, err = run_cli(capsys, command, *argv, "--set", setting)
         assert code == 1
-        assert f"error: {setting.split('=')[0]} must be" in err
+        assert f"error: {setting.split('=')[0]} must be" in err and err.count("\n") == 1
         assert out == "" and not list(tmp_path.glob("run*"))
+
+    def test_an_empty_hidden_dims_value_means_no_hidden_layer(self, tiny_data, tmp_path,
+                                                               capsys):
+        out = tmp_path / "run"
+        code, _, err = run_cli(capsys, "pretrain", "--data", str(tiny_data), "--out", str(out),
+                               *PRETRAIN_SETS, "--set", "hidden_dims=")
+        assert (code, err) == (0, "")
+        state, _ = load_moco(out / "checkpoint.txt")
+        assert state.query.layer_sizes == [6, 6]
 
     def test_mask_fraction_that_masks_every_coordinate_exits_one(self, tmp_path, capsys):
         # round(0.98 * 20) = 20: both views of every row would be all zeros

@@ -1,5 +1,7 @@
 import math
+import os
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contrastlab import training
 from contrastlab.contrastive import (
     _mix,
     contrast,
@@ -513,6 +516,37 @@ class TestContrastKernel:
             with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                     DivergedRunError, match=f"^non-finite {term} loss$"):
                 contrast(queries, keys, queue, tau, mixed, lam, tau_mix)
+
+    @pytest.mark.parametrize("mode", ["moco", "moco+mix"])
+    def test_rows_split_over_the_helper_keep_every_bit(self, monkeypatch, mode):
+        # the moco-bigqueue shape: B=64, K=4096, C=64
+        queries, keys, queue, tau, mixed, lam, tau_mix = self.instance(36, 64, 4096, 64)
+        if mode == "moco":
+            mixed, lam = mixed[:0], lam[:0]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with training._contrast_helper(training.RunConfig(mode=mode, queue_size=4096)) as helper:
+            assert helper is not None
+            split = contrast(queries, keys, queue, tau, mixed, lam, tau_mix, 0.5, helper)
+        serial = contrast(queries, keys, queue, tau, mixed, lam, tau_mix, 0.5)
+        assert (split.contrast, split.mixed) == (serial.contrast, serial.mixed)
+        assert split.grad.tobytes() == serial.grad.tobytes()
+
+    def test_split_calls_under_fast_thread_switching_keep_every_bit(self, monkeypatch):
+        # the halves share every buffer; a write to a row of the other half
+        # would show as a changed bit once the threads interleave finely
+        operands = self.instance(37, 64, 4096, 64)
+        serial = contrast(*operands)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with training._contrast_helper(training.RunConfig(queue_size=4096)) as helper:
+                for _ in range(10):
+                    split = contrast(*operands, 1.0, helper)
+                    assert (split.contrast, split.mixed) == (serial.contrast, serial.mixed)
+                    assert split.grad.tobytes() == serial.grad.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_repeated_calls_give_identical_bits(self):
         # a call keeps no state: its targets are views of its own logits buffer

@@ -1,7 +1,11 @@
 import math
 import os
+import re
+import threading
+import time
 import tracemalloc
 import warnings
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -373,6 +377,128 @@ class TestBlasThreads:
             assert np.array_equal(pinned.moco_state.key.vector, unpinned.moco_state.key.vector)
         assert [(r.l_contrast, r.l_mixed, r.lr) for r in pinned.metrics] == [
             (r.l_contrast, r.l_mixed, r.lr) for r in unpinned.metrics]
+
+
+def forced_split(monkeypatch):
+    """Every queue step of a pretrain splits its rows over the helper thread."""
+    monkeypatch.setattr(training, "SPLIT_MIN_QUEUE_VALUES", 1)
+    monkeypatch.setattr(training, "SPLIT_MIN_ROWS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def run_state(result):
+    state = result.moco_state
+    return (result.encoder.vector.tobytes(), state.key.vector.tobytes(), state.queue.tobytes(),
+            state.queue_ptr, [(r.epoch, r.l_contrast, r.l_mixed, r.l_total, r.lr)
+                              for r in result.metrics])
+
+
+class TestSplitSteps:
+    """A large-queue step's contrast rows in two halves, one on a helper thread."""
+
+    @pytest.mark.parametrize("mode", ["moco", "moco+mix"])
+    @pytest.mark.parametrize("b, k, c", [(6, 4098, 8), (20, 1000, 16), (64, 4096, 64)])
+    def test_split_runs_give_the_bits_of_serial_runs(self, monkeypatch, mode, b, k, c):
+        # B=6 and B=20 cut the rows inside the query block at other offsets
+        ds = small_dataset(per_mode=12)
+        config = small_config(mode=mode, batch_size=b, queue_size=k, embed_dim=c, epochs=2)
+        monkeypatch.setattr(training, "SPLIT_MIN_QUEUE_VALUES", 2 ** 62)
+        serial = pretrain(config, ds)
+        forced_split(monkeypatch)
+        helpers = []
+        real = training._loss_and_grads
+        monkeypatch.setattr(training, "_loss_and_grads",
+                            lambda *args: helpers.append(args[-1]) or real(*args))
+        split = pretrain(config, ds)
+        assert helpers and None not in helpers
+        assert run_state(split) == run_state(serial)
+
+    @pytest.mark.parametrize("queue_size, embed_dim, batch_size, cpus, splits", [
+        (4096, 64, 32, 2, True), (1024, 256, 64, 2, True), (2048, 64, 64, 2, False),
+        (512, 64, 64, 2, False), (4096, 64, 16, 2, False), (4096, 64, 64, 1, False)])
+    def test_the_split_needs_a_large_queue_enough_rows_and_two_cpus(
+            self, monkeypatch, queue_size, embed_dim, batch_size, cpus, splits):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        for mode in ("moco", "moco+mix"):
+            config = small_config(mode=mode, queue_size=queue_size, embed_dim=embed_dim,
+                                  batch_size=batch_size)
+            with training._contrast_helper(config) as helper:
+                # moco+mix adds B/2 mixed rows: 16 + 8 = 24 rows stay serial too
+                assert (helper is not None) == splits
+        with training._contrast_helper(small_config(mode="simclr", queue_size=0)) as helper:
+            assert helper is None
+
+    def test_the_helper_raises_what_either_half_raised_after_both_ended(self, monkeypatch):
+        forced_split(monkeypatch)
+        before, order = threading.active_count(), []
+
+        def fail(name):
+            order.append(name)
+            raise ValueError(name)
+
+        with training._contrast_helper(small_config()) as helper:
+            assert threading.active_count() == before + 1
+            with pytest.raises(ValueError, match="^there$"):
+                helper(lambda: order.append("here"), lambda: fail("there"))
+            with pytest.raises(ValueError, match="^here$"):
+                helper(lambda: fail("here"), lambda: time.sleep(0.05) or order.append("slept"))
+            assert order[-1] == "slept"
+            helper(lambda: None, lambda: order.append("still serving"))
+        assert order[-1] == "still serving"
+        assert threading.active_count() == before
+
+    def test_the_helper_holds_no_job_once_it_returns(self, monkeypatch):
+        # a job refers to its step's logits; held on, they would double the
+        # step's peak memory
+        forced_split(monkeypatch)
+
+        class Job:
+            def __call__(self):
+                pass
+
+        with training._contrast_helper(small_config()) as helper:
+            job = Job()
+            held = weakref.ref(job)
+            helper(lambda: None, job)
+            del job
+            assert held() is None
+
+    def test_the_thread_ends_with_the_run_however_it_ends(self, monkeypatch):
+        forced_split(monkeypatch)
+        before = threading.active_count()
+        pretrain(small_config(epochs=1), small_dataset())
+        assert threading.active_count() == before
+        with pytest.raises(DivergedRunError):
+            pretrain(small_config(lr=1e12, epochs=5), small_dataset())
+        assert threading.active_count() == before
+        real, calls = training.two_views, []
+
+        def interrupted(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(training, "two_views", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            pretrain(small_config(epochs=1), small_dataset())
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("mode", ["moco", "moco+mix"])
+    def test_a_split_run_diverges_with_the_serial_message_and_no_warning(self, monkeypatch,
+                                                                           mode):
+        config = small_config(mode=mode, queue_size=64, lr=1e12, epochs=5)
+        ds, messages = small_dataset(), []
+        for force in (False, True):
+            if force:
+                forced_split(monkeypatch)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DivergedRunError) as raised:
+                    pretrain(config, ds)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+        assert re.fullmatch(r"non-finite InfoNCE loss \(epoch \d+, batch \d+\)", messages[0])
 
 
 def axis_blob_dataset(classes=5, per_class=40, dim=5, seed=11):
